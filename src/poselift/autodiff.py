@@ -45,9 +45,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -59,18 +56,21 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward only from scalar outputs")
+        # depth-first post-order without recursion, so graph depth is not
+        # bounded by the interpreter's recursion limit
         order = []
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node.parents:
-                visit(p)
-            order.append(node)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self.parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p.parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:

@@ -1,87 +1,91 @@
 """Batch command line: every stage of the pipeline as a subcommand.
 
 All subcommands take --config (flat `key = value` file), --seed (overrides the
-config seed), and --out (output directory). Exit code 0 on success; any error
-prints a diagnostic to stderr and exits nonzero.
+config seed), and --out (output directory). Config keys sit on top of
+`ExperimentConfig()`'s defaults; a subcommand's own input keys (file paths and
+the like) are listed beside it in COMMANDS. Exit code 0 on success; any error,
+an unknown config key included, prints a one-line diagnostic to stderr and
+exits with code 2.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .augment import OcclusionConfig, apply_occlusions
-from .discriminator import (DiscConfig, DiscriminatorModel, KcsEnergyModel,
-                            train_adversarial)
-from .errors import PoseliftError
-from .experiment import ExperimentConfig, run_experiment
-from .iso import CalibratedConfidence, IsoConfig, refine
+from .discriminator import DiscConfig, DiscriminatorModel, KcsEnergyModel, train_adversarial
+from .errors import ConfigError, PoseliftError
+from .experiment import (ExperimentConfig, fit_scorer, real_windows, run_experiment,
+                         train_lifter)
+from .iso import IsoConfig, refine
 from .kcs import discriminator_features
 from .metrics import evaluate
-from .pose_io import (cfg_get, default_topology, read_config, read_pose2d,
+from .pose_io import (cfg_get, default_topology, parse_value, read_config, read_pose2d,
                       read_pose3d, read_topology, write_pose2d, write_pose3d)
-from .synth import SyntheticMotionConfig, generate
-from .tcn import LossWeights, TcnConfig, TcnModel, TrainConfig, train
+from .synth import generate
+from .tcn import TcnModel
 from .visibility import sequence_visibility
 
-# modules differ in whether annotations are live types or strings
-_CASTS = {int: int, float: float, bool: bool, str: str,
-          "int": int, "float": float, "bool": bool, "str": str}
+# key prefixes of the config sections not spelled by their field path
+_PREFIX = {("train_synth",): "synth.", ("occlusion",): "occ.",
+           ("train", "weights"): "train.", ("iso", "calibration"): "iso.cal_"}
+# fields a key would not reach: --out sets out_dir, and the pipeline seeds
+# training and its occlusion draws from the run seed
+_NOT_KEYS = {("out_dir",), ("train", "seed"), ("occlusion", "seed")}
 
 
-def _fill(cls, cfg: dict, prefix: str, **overrides):
-    """Dataclass from config keys `<prefix>.<field>`; absent keys keep defaults."""
-    kwargs = {}
+def _section(typ):
+    """The config dataclass a field of type `typ` (or Optional[it]) holds, else None."""
+    return next((t for t in (typ, *get_args(typ))
+                 if isinstance(t, type) and is_dataclass(t)), None)
+
+
+def _keys(cls, path=(), prefix="") -> dict:
+    """{key: (field path, field type)} for every plain field under config class `cls`."""
+    hints = get_type_hints(cls)
+    keys = {}
     for f in fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key not in cfg:
-            continue
-        if f.type in _CASTS:
-            kwargs[f.name] = cfg_get(cfg, key, cast=_CASTS[f.type])
-        elif f.type is tuple or f.type == "tuple":
-            kwargs[f.name] = tuple(float(v) for v in cfg[key].split(",") if v.strip())
-    kwargs.update(overrides)
-    return cls(**kwargs)
+        here = path + (f.name,)
+        sub = _section(hints[f.name])
+        if sub is not None:
+            keys.update(_keys(sub, here, _PREFIX.get(here, f"{prefix}{f.name}.")))
+        elif here not in _NOT_KEYS:
+            keys[prefix + f.name] = (here, hints[f.name])
+    return keys
 
 
-def _topo(cfg: dict):
-    path = cfg_get(cfg, "topology")
-    return read_topology(path) if path else default_topology()
+def _overlay(cls, base, updates: dict):
+    """`base` (None: `cls()`) with {field path: value} applied, section by section."""
+    base = cls() if base is None else base
+    hints = get_type_hints(cls)
+    changes = {}
+    for name in dict.fromkeys(path[0] for path in updates):
+        rest = {path[1:]: v for path, v in updates.items() if path[0] == name}
+        changes[name] = rest[()] if () in rest else _overlay(
+            _section(hints[name]), getattr(base, name), rest)
+    return replace(base, **changes)
 
 
-def _seeded(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return cfg_get(cfg, "seed", default=0, cast=int)
+def load_config(cfg: dict, cls=ExperimentConfig, prefix: str = ""):
+    """`cls()` with the `key = value` entries of `cfg` on top, each cast by its field type.
 
-
-def _synth_config(cfg: dict, seed: int, prefix="synth") -> SyntheticMotionConfig:
-    sc = _fill(SyntheticMotionConfig, cfg, prefix, seed=seed)
-    raw = cfg_get(cfg, f"{prefix}.view_rotations")
-    if raw:
-        views = []
-        for triple in raw.split(","):
-            views.append(tuple(float(v) for v in triple.split(":")))
-        sc.view_rotations = tuple(views)
-    return sc
-
-
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    weights = LossWeights(w1=cfg_get(cfg, "train.w1", 0.5, float),
-                          w2=cfg_get(cfg, "train.w2", 0.1, float),
-                          w3=cfg_get(cfg, "train.w3", 0.01, float))
-    return _fill(TrainConfig, cfg, "train", seed=seed, weights=weights)
-
-
-def _iso_config(cfg: dict) -> IsoConfig:
-    cal = None
-    if "iso.cal_temperature" in cfg or "iso.cal_bias" in cfg:
-        cal = CalibratedConfidence(cfg_get(cfg, "iso.cal_temperature", 1.0, float),
-                                   cfg_get(cfg, "iso.cal_bias", 0.0, float))
-    return _fill(IsoConfig, cfg, "iso", calibration=cal)
+    An Optional section (e.g. `occ.*`, `iso.*`) is built from its class
+    defaults only when one of its keys is present. Unknown keys and
+    malformed values raise ConfigError naming the key.
+    """
+    keys = _keys(cls, prefix=prefix)
+    updates = {}
+    for key, text in cfg.items():
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r}")
+        path, typ = keys[key]
+        updates[path] = parse_value(key, text, typ)
+    return _overlay(cls, None, updates)
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -90,22 +94,15 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _real_windows(cfg: dict, topo, seed: int, window: int):
-    sc = _synth_config(cfg, seed)
-    windows = []
-    for seq in generate(sc, topo):
-        frames = seq.pose3d.frames
-        windows.extend(frames[j: j + window]
-                       for j in range(0, frames.shape[0] - window + 1, window))
-    return windows
-
-
 # ------------------------------------------------------------- subcommands
+#
+# Each takes the experiment config, the subcommand's own keys, the output
+# directory and the topology.
 
 
-def cmd_synth_gen(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    seqs = generate(_synth_config(cfg, _seeded(cfg, args)), topo)
+def cmd_synth_gen(exp, own, out: Path, topo) -> None:
+    # the run seed seeds the data
+    seqs = generate(replace(exp.train_synth, seed=exp.seed), topo)
     for i, seq in enumerate(seqs):
         for v, view in enumerate(seq.views):
             write_pose3d(out / f"seq{i:02d}_v{v}_gt.pose3d", view.pose3d, topo)
@@ -115,101 +112,75 @@ def cmd_synth_gen(cfg, args, out: Path) -> None:
     print(f"wrote {len(seqs)} sequences under {out}")
 
 
-def cmd_visibility(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    pose = read_pose3d(_require(cfg, "pose3d"), topo)
+def cmd_visibility(exp, own, out: Path, topo) -> None:
+    pose = read_pose3d(_require(own, "pose3d"), topo)
     vis = sequence_visibility(pose, topo)
     np.savetxt(out / "visibility.txt", vis.astype(int), fmt="%d")
     print(f"visible fraction {vis.mean():.4f}; wrote {out / 'visibility.txt'}")
 
 
-def cmd_augment(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    det = read_pose2d(_require(cfg, "pose2d"), topo)
-    occ = _fill(OcclusionConfig, cfg, "occ", seed=_seeded(cfg, args))
+def cmd_augment(exp, own, out: Path, topo) -> None:
+    det = read_pose2d(_require(own, "pose2d"), topo)
+    # the run seed seeds the masks
+    occ = replace(exp.occlusion or OcclusionConfig(), seed=exp.seed)
     aug = apply_occlusions(det, occ, topo)
     write_pose2d(out / "augmented.pose2d", aug, topo)
     print(f"masked fraction {aug.mask.mean():.4f}; wrote {out / 'augmented.pose2d'}")
 
 
-def cmd_features(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    pose = read_pose3d(_require(cfg, "pose3d"), topo)
-    interval = cfg_get(cfg, "interval", 1, int)
+def cmd_features(exp, own, out: Path, topo) -> None:
+    pose = read_pose3d(_require(own, "pose3d"), topo)
+    interval = cfg_get(own, "interval", 1, int)
     feats = discriminator_features(pose, topo, interval)
     np.savetxt(out / "features.txt", feats, fmt="%.9g")
     print(f"wrote {feats.shape[0]} x {feats.shape[1]} features to {out / 'features.txt'}")
 
 
-def cmd_train(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    seed = _seeded(cfg, args)
-    tcn_cfg = _fill(TcnConfig, cfg, "tcn")
-    train_cfg = _train_config(cfg, seed)
-    seqs = generate(_synth_config(cfg, seed), topo)
-    if "occ.p1" in cfg or cfg_get(cfg, "augment", False, bool):
-        occ = _fill(OcclusionConfig, cfg, "occ", seed=seed)
-        rng = np.random.default_rng(seed + 7919)
-        for seq in seqs:
-            for view in seq.views:
-                view.det2d = apply_occlusions(view.det2d, occ, topo, rng)
-    scorer = None
-    if train_cfg.weights.w3 > 0:
-        scorer = KcsEnergyModel.fit(
-            _real_windows(cfg, topo, seed, cfg_get(cfg, "scorer_window", 16, int)),
-            topo, interval=cfg_get(cfg, "scorer_interval", 1, int))
-        scorer.save(out / "scorer.ckpt")
-    model = TcnModel(tcn_cfg, seed=seed)
-    history = train(model, seqs, train_cfg,
-                    epochs=cfg_get(cfg, "epochs", 1, int), scorer=scorer)
-    model.save(out / "model.ckpt")
-    (out / "history.json").write_text(json.dumps(history, sort_keys=True, indent=1) + "\n")
-    print(f"final loss {history[-1]['loss']:.3f}; wrote {out / 'model.ckpt'}.npz")
+def cmd_train(exp, own, out: Path, topo) -> None:
+    seqs = generate(exp.train_synth, topo)
+    scorer = fit_scorer(exp, seqs, topo, out) if exp.train.weights.w3 > 0 else None
+    _, history = train_lifter(exp, seqs, topo, out, scorer)
+    loss = f"final loss {history[-1]['loss']:.3f}; " if history else ""
+    print(f"{loss}wrote {out / 'model.ckpt'}.npz")
 
 
-def cmd_disc_train(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    seed = _seeded(cfg, args)
-    window = cfg_get(cfg, "scorer_window", 16, int)
-    real = _real_windows(cfg, topo, seed, window)
+def cmd_disc_train(exp, own, out: Path, topo) -> None:
+    seqs = generate(exp.train_synth, topo)
+    real = real_windows(seqs, exp.scorer_window)
     # stand-in fakes: real windows under coordinate noise strong enough to
     # break bone-length constancy
-    rng = np.random.default_rng(seed + 104729)
-    noise_mm = cfg_get(cfg, "fake_noise_mm", 120.0, float)
+    rng = np.random.default_rng(exp.seed + 104729)
+    noise_mm = cfg_get(own, "fake_noise_mm", 120.0, float)
     fakes = [w + rng.normal(0, noise_mm, w.shape) for w in real]
-    disc_cfg = _fill(DiscConfig, cfg, "disc")
-    disc = DiscriminatorModel(disc_cfg, topo, seed=seed)
+    disc_cfg = load_config({k: v for k, v in own.items() if k.startswith("disc.")},
+                           DiscConfig, "disc.")
+    disc = DiscriminatorModel(disc_cfg, topo, seed=exp.seed)
     history = train_adversarial(disc, fakes, real,
-                                steps=cfg_get(cfg, "steps", 100, int),
-                                lr=cfg_get(cfg, "lr", 0.05, float),
-                                seed=seed)
+                                steps=cfg_get(own, "steps", 100, int),
+                                lr=cfg_get(own, "lr", 0.05, float),
+                                seed=exp.seed)
     disc.save(out / "disc.ckpt")
-    energy = KcsEnergyModel.fit(real, topo,
-                                interval=cfg_get(cfg, "scorer_interval", 1, int))
-    energy.save(out / "scorer.ckpt")
+    fit_scorer(exp, seqs, topo, out)
     (out / "disc_history.json").write_text(
         json.dumps(history, sort_keys=True, indent=1) + "\n")
     print(f"final adversarial loss {history[-1]:.4f}; "
           f"wrote {out / 'disc.ckpt'}.npz and {out / 'scorer.ckpt'}.npz")
 
 
-def cmd_infer(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    model = TcnModel.load(_require(cfg, "model"))
-    det = read_pose2d(_require(cfg, "det2d"), topo)
+def cmd_infer(exp, own, out: Path, topo) -> None:
+    model = TcnModel.load(_require(own, "model"))
+    det = read_pose2d(_require(own, "det2d"), topo)
     pred = model.predict_sequence(det)
     write_pose3d(out / "pred.pose3d", pred, topo)
     print(f"lifted {pred.T} frames; wrote {out / 'pred.pose3d'}")
 
 
-def cmd_iso_refine(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    pose = read_pose3d(_require(cfg, "pose3d"), topo)
-    det = read_pose2d(_require(cfg, "det2d"), topo)
-    gt = read_pose3d(cfg["gt3d"], topo) if "gt3d" in cfg else None
-    scorer = KcsEnergyModel.load(cfg["scorer"]) if "scorer" in cfg else None
-    iso_cfg = _iso_config(cfg)
-    refined, trace = refine(pose, det, scorer, iso_cfg, gt3d=gt)
+def cmd_iso_refine(exp, own, out: Path, topo) -> None:
+    pose = read_pose3d(_require(own, "pose3d"), topo)
+    det = read_pose2d(_require(own, "det2d"), topo)
+    gt = read_pose3d(own["gt3d"], topo) if "gt3d" in own else None
+    scorer = KcsEnergyModel.load(own["scorer"]) if "scorer" in own else None
+    refined, trace = refine(pose, det, scorer, exp.iso or IsoConfig(), gt3d=gt)
     write_pose3d(out / "refined.pose3d", refined, topo)
     (out / "trace.json").write_text(json.dumps(trace, sort_keys=True, indent=1) + "\n")
     last = trace[-1] if trace else {}
@@ -218,10 +189,9 @@ def cmd_iso_refine(cfg, args, out: Path) -> None:
           f"wrote {out / 'refined.pose3d'}")
 
 
-def cmd_eval(cfg, args, out: Path) -> None:
-    topo = _topo(cfg)
-    gt = read_pose3d(_require(cfg, "gt3d"), topo)
-    pred = read_pose3d(_require(cfg, "pred3d"), topo)
+def cmd_eval(exp, own, out: Path, topo) -> None:
+    gt = read_pose3d(_require(own, "gt3d"), topo)
+    pred = read_pose3d(_require(own, "pred3d"), topo)
     report = evaluate(pred, gt, topo)
     (out / "report.txt").write_text(report.format_text() + "\n")
     (out / "report.json").write_text(
@@ -229,41 +199,26 @@ def cmd_eval(cfg, args, out: Path) -> None:
     print(report.format_text())
 
 
-def cmd_run_experiment(cfg, args, out: Path) -> None:
-    seed = _seeded(cfg, args)
-    exp = ExperimentConfig(
-        out_dir=str(out), seed=seed,
-        epochs=cfg_get(cfg, "epochs", 6, int),
-        train_synth=_synth_config(cfg, cfg_get(cfg, "synth.seed", 1000, int), "synth")
-        if any(k.startswith("synth.") for k in cfg) else ExperimentConfig().train_synth,
-        eval_synth=_synth_config(cfg, cfg_get(cfg, "eval_synth.seed", 2000, int),
-                                 "eval_synth")
-        if any(k.startswith("eval_synth.") for k in cfg) else ExperimentConfig().eval_synth,
-        tcn=_fill(TcnConfig, cfg, "tcn") if any(k.startswith("tcn.") for k in cfg)
-        else ExperimentConfig().tcn,
-        train=_train_config(cfg, seed),
-        occlusion=_fill(OcclusionConfig, cfg, "occ", seed=seed)
-        if any(k.startswith("occ.") for k in cfg) else None,
-        iso=_iso_config(cfg) if any(k.startswith("iso.") for k in cfg) else None,
-        data_dir=cfg_get(cfg, "data_dir"))
-    manifest = run_experiment(exp)
+def cmd_run_experiment(exp, own, out: Path, topo) -> None:
+    manifest = run_experiment(exp, topo)
     report = json.loads((out / "report.json").read_text())
     print(f"stages: {', '.join(f'{k}={v}' for k, v in manifest['stages'].items())}")
     print(f"final mpjpe {report['final_mpjpe_mm']:.2f} mm; manifest at "
           f"{out / 'manifest.json'}")
 
 
+# subcommand -> (entry point, its own keys beside `topology`; "x." takes all x.*)
 COMMANDS = {
-    "synth-gen": cmd_synth_gen,
-    "visibility": cmd_visibility,
-    "augment": cmd_augment,
-    "features": cmd_features,
-    "train": cmd_train,
-    "disc-train": cmd_disc_train,
-    "infer": cmd_infer,
-    "iso-refine": cmd_iso_refine,
-    "eval": cmd_eval,
-    "run-experiment": cmd_run_experiment,
+    "synth-gen": (cmd_synth_gen, ()),
+    "visibility": (cmd_visibility, ("pose3d",)),
+    "augment": (cmd_augment, ("pose2d",)),
+    "features": (cmd_features, ("pose3d", "interval")),
+    "train": (cmd_train, ()),
+    "disc-train": (cmd_disc_train, ("steps", "lr", "fake_noise_mm", "disc.")),
+    "infer": (cmd_infer, ("model", "det2d")),
+    "iso-refine": (cmd_iso_refine, ("pose3d", "det2d", "gt3d", "scorer")),
+    "eval": (cmd_eval, ("gt3d", "pred3d")),
+    "run-experiment": (cmd_run_experiment, ()),
 }
 
 
@@ -277,11 +232,19 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="out")
     args = parser.parse_args(argv)
+    command, own_keys = COMMANDS[args.command]
+    own_keys += ("topology",)
     try:
         cfg = read_config(args.config) if args.config else {}
+        own = {k: cfg.pop(k) for k in list(cfg)
+               if k in own_keys or any(p.endswith(".") and k.startswith(p) for p in own_keys)}
+        exp = replace(load_config(cfg), out_dir=args.out)
+        if args.seed is not None:
+            exp = replace(exp, seed=args.seed)
+        topo = read_topology(own["topology"]) if "topology" in own else default_topology()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](cfg, args, out)
+        command(exp, own, out, topo)
         return 0
     except (PoseliftError, OSError, KeyError, ValueError) as e:
         print(f"poselift {args.command}: {type(e).__name__}: {e}", file=sys.stderr)

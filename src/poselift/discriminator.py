@@ -17,9 +17,9 @@ import numpy as np
 from .autodiff import SGD, Tensor, parameter
 from .errors import (ConfigError, InvalidInputError, InvalidWindowError,
                      TrainingDivergedError)
-from .kcs import bone_incidence, discriminator_features, feature_length
+from .kcs import bone_incidence, discriminator_features
 from .pose_io import load_checkpoint, save_checkpoint
-from .skeleton import PoseSequence3D, RotationAugment, SkeletonTopology
+from .skeleton import PoseSequence3D, SkeletonTopology
 
 EPSILON = 1e-6
 
@@ -157,13 +157,6 @@ class DiscriminatorModel:
     def gen_loss(self, window) -> Tensor:
         """-log score; differentiable w.r.t. the window's 3D coordinates."""
         return -self._score_t(_frames_of(window)).log()
-
-    def gen_loss_rotated(self, window, r: RotationAugment) -> Tensor:
-        frames = _frames_of(window)
-        rm = Tensor(r.matrix().T)
-        if not isinstance(frames, Tensor):
-            frames = Tensor(np.asarray(frames, dtype=np.float64))
-        return self.gen_loss(frames @ rm)
 
     # --------------------------------------------------------- persistence
 

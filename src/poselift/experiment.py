@@ -101,6 +101,50 @@ def _read_eval_pairs(data_dir: Path, topo) -> list:
     return pairs
 
 
+def real_windows(seqs: list, window: int) -> list:
+    """Non-overlapping `window`-frame slices of each sequence's canonical motion."""
+    windows = []
+    for seq in seqs:
+        frames = seq.pose3d.frames
+        windows.extend(frames[j: j + window]
+                       for j in range(0, frames.shape[0] - window + 1, window))
+    return windows
+
+
+def fit_scorer(cfg: ExperimentConfig, train_seqs: list, topo, out: Path) -> KcsEnergyModel:
+    """The scorer stage: the KCS energy prior of the training motion, saved as scorer.ckpt."""
+    scorer = KcsEnergyModel.fit(real_windows(train_seqs, cfg.scorer_window), topo,
+                                interval=cfg.scorer_interval, reg_scale=cfg.scorer_reg)
+    scorer.save(out / "scorer.ckpt")
+    return scorer
+
+
+def train_lifter(cfg: ExperimentConfig, train_seqs: list, topo, out: Path,
+                 scorer=None) -> tuple:
+    """The train stage: (model, per-epoch history); writes model.ckpt and history.json.
+
+    With `cfg.occlusion` set, occluded copies join the clean sequences. The
+    scorer's realness term is used only when `cfg.train.weights.w3 > 0`.
+    """
+    model = TcnModel(cfg.tcn, seed=cfg.seed)
+    history = []
+    if cfg.epochs > 0:
+        seqs = list(train_seqs)
+        if cfg.occlusion is not None:
+            # keep the clean originals and add independently drawn
+            # occluded copies, so masks vary across the epoch stream
+            rng = np.random.default_rng(cfg.seed + 7919)
+            seqs += [_occluded_copy(s, cfg.occlusion, topo, rng)
+                     for _ in range(cfg.aug_copies) for s in train_seqs]
+        tcfg = TrainConfig(**{**asdict(cfg.train),
+                              "weights": cfg.train.weights, "seed": cfg.seed})
+        history = train(model, seqs, tcfg, epochs=cfg.epochs,
+                        scorer=scorer if cfg.train.weights.w3 > 0 else None)
+        _json_dump(out / "history.json", history)
+    model.save(out / "model.ckpt")
+    return model, history
+
+
 def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
     """All stages in order; writes artifacts + manifest.json under cfg.out_dir.
 
@@ -140,35 +184,12 @@ def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
     def stage_scorer():
         if cfg.train.weights.w3 <= 0 and not (cfg.iso is not None and cfg.iso.lambda1 > 0):
             return "skipped (no realness term in training or refinement)"
-        w = cfg.scorer_window
-        windows = []
-        for seq in state["train_seqs"]:
-            frames = seq.pose3d.frames
-            windows.extend(frames[j: j + w] for j in range(0, frames.shape[0] - w + 1, w))
-        scorer = KcsEnergyModel.fit(windows, topo, interval=cfg.scorer_interval,
-                                    reg_scale=cfg.scorer_reg)
-        scorer.save(out / "scorer.ckpt")
-        state["scorer"] = scorer
+        state["scorer"] = fit_scorer(cfg, state["train_seqs"], topo, out)
         return "ok"
 
     def stage_train():
-        model = TcnModel(cfg.tcn, seed=cfg.seed)
-        if cfg.epochs > 0:
-            train_seqs = state["train_seqs"]
-            if cfg.occlusion is not None:
-                # keep the clean originals and add independently drawn
-                # occluded copies, so masks vary across the epoch stream
-                rng = np.random.default_rng(cfg.seed + 7919)
-                train_seqs = list(train_seqs) + [
-                    _occluded_copy(s, cfg.occlusion, topo, rng)
-                    for _ in range(cfg.aug_copies) for s in state["train_seqs"]]
-            tcfg = TrainConfig(**{**asdict(cfg.train),
-                                  "weights": cfg.train.weights, "seed": cfg.seed})
-            history = train(model, train_seqs, tcfg, epochs=cfg.epochs,
-                            scorer=state.get("scorer") if cfg.train.weights.w3 > 0 else None)
-            _json_dump(out / "history.json", history)
-        model.save(out / "model.ckpt")
-        state["model"] = model
+        state["model"], _ = train_lifter(cfg, state["train_seqs"], topo, out,
+                                         state.get("scorer"))
         return "ok"
 
     def stage_infer():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from typing import Optional
+from typing import Union, get_args, get_origin
 
 import numpy as np
 
@@ -212,40 +212,42 @@ def read_config(path) -> dict:
         return parse_config(fh.read())
 
 
+_TRUE = ("1", "true", "True", "yes")
+_FALSE = ("0", "false", "False", "no")
+
+
+def _parse(text: str, typ, seps: str):
+    if get_origin(typ) is Union:        # Optional[X]: the value is an X
+        typ = next(a for a in get_args(typ) if a is not type(None))
+    if get_origin(typ) is tuple:        # "a,b,c"; inner tuples "x:y:z"
+        parts = [p.strip() for p in text.split(seps[0])] if text.strip() else []
+        args = get_args(typ)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(parts)
+        if len(args) != len(parts):
+            raise ValueError(f"expected {len(args)} values")
+        return tuple(_parse(p, t, seps[1:]) for p, t in zip(parts, args))
+    if typ is bool:
+        if text not in _TRUE + _FALSE:
+            raise ValueError("expected one of " + "/".join(_TRUE + _FALSE))
+        return text in _TRUE
+    if typ not in (int, float, str):
+        raise ValueError(f"unsupported type {typ!r}")
+    return typ(text)
+
+
+def parse_value(key: str, text: str, typ):
+    """Config text as a value of type `typ`; ConfigError naming `key` if malformed."""
+    try:
+        return _parse(text, typ, ",:")
+    except ValueError as e:
+        raise ConfigError(f"config key {key} = {text!r}: {e}") from None
+
+
 def cfg_get(cfg: dict, key: str, default=None, cast=None):
     if key not in cfg:
-        if default is None and cast is not None:
-            return None
         return default
-    val = cfg[key]
-    if cast is None:
-        return val
-    try:
-        if cast is bool:
-            return val in ("1", "true", "True", "yes")
-        if cast is list:
-            return [v.strip() for v in val.split(",") if v.strip()]
-        return cast(val)
-    except ValueError:
-        raise ConfigError(f"config key {key}={val!r} not a valid {cast.__name__}") from None
-
-
-def cfg_ints(cfg: dict, key: str, default):
-    if key not in cfg:
-        return tuple(default)
-    try:
-        return tuple(int(v) for v in cfg[key].split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"config key {key} must be comma-separated ints") from None
-
-
-def cfg_floats(cfg: dict, key: str, default):
-    if key not in cfg:
-        return tuple(default)
-    try:
-        return tuple(float(v) for v in cfg[key].split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"config key {key} must be comma-separated floats") from None
+    return cfg[key] if cast is None else parse_value(key, cfg[key], cast)
 
 
 # ---------------------------------------------------------------- checkpoints

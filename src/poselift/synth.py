@@ -54,14 +54,15 @@ class SyntheticMotionConfig:
     angle_step: float = 0.03          # rad/frame of raw joint noise
     smooth_window: int = 9            # moving-average width on the walk steps
     max_joint_angle: float = 0.8      # rad, rotation-vector norm clamp
-    speed_multipliers: tuple = (1.0,)
-    view_rotations: tuple = ()        # extra views as (alpha, beta, gamma)
+    speed_multipliers: tuple[float, ...] = (1.0,)
+    # extra views as (alpha, beta, gamma)
+    view_rotations: tuple[tuple[float, float, float], ...] = ()
     scale_mm: float = 2000.0          # crop edge in mm for 2D projection
     crop_px: float = 256.0
     noise_px: float = 2.0             # detection noise scale, pixels
     mask_occluded_prob: float = 0.5
-    conf_visible: tuple = (0.65, 0.98)
-    conf_occluded: tuple = (0.05, 0.35)
+    conf_visible: tuple[float, float] = (0.65, 0.98)
+    conf_occluded: tuple[float, float] = (0.05, 0.35)
     yaw_step: float = 0.02            # rad/frame of global yaw walk
     wobble: float = 0.1               # rad, global pitch/roll amplitude
 

@@ -44,7 +44,7 @@ class TcnConfig:
     n_keypoints: int = 17
     embed_dim: int = 512
     window_len: int = 64
-    strides: tuple = (1, 2, 3, 5, 7)
+    strides: tuple[int, ...] = (1, 2, 3, 5, 7)
     channels: int = 128
     kernel: int = 3
     branch_layers: int = 3

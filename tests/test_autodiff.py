@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,15 @@ def test_grad_accumulates_across_uses():
     z = y + y  # y used twice
     z.sum().backward()
     assert x.grad[0] == pytest.approx(6.0)
+
+
+def test_backward_deeper_than_recursion_limit():
+    x = Tensor(np.array([2.0]))
+    y = x
+    for _ in range(3 * sys.getrecursionlimit()):
+        y = y * 1.0 + x
+    y.sum().backward()
+    assert x.grad[0] == 3 * sys.getrecursionlimit() + 1
 
 
 def test_sgd_momentum_matches_manual_update():

@@ -1,11 +1,17 @@
 """Command-line round trips."""
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from poselift.cli import main
+from poselift.cli import load_config, main
+from poselift.experiment import ExperimentConfig
+from poselift.iso import IsoConfig
+from poselift.pose_io import parse_config
 from poselift.kcs import discriminator_features
 from poselift.pose_io import default_topology, read_pose2d, read_pose3d
 from poselift.skeleton import project_to_crop
@@ -216,3 +222,69 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key, value", [("tcn.window", 99),
+                                        ("tcn.use_embedding", "flase"),
+                                        ("tcn.strides", "1.5,2.9")])
+def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path / "bad.cfg", **{key: value})
+    assert run("synth-gen", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_keys_sit_on_experiment_defaults():
+    default = ExperimentConfig()
+    cfg = load_config({"tcn.window_len": "20", "synth.frames": "60", "aug_copies": "2",
+                       "scorer_interval": "2", "scorer_reg": "0.01",
+                       "eval_occlusion.p1": "0.1", "iso.cal_bias": "0.5"})
+    assert cfg.tcn == replace(default.tcn, window_len=20)
+    assert cfg.train_synth == replace(default.train_synth, frames=60)
+    assert (cfg.aug_copies, cfg.scorer_interval, cfg.scorer_reg) == (2, 2, 0.01)
+    assert cfg.eval_occlusion.p1 == 0.1 and cfg.occlusion is None
+    assert cfg.iso.calibration.bias == 0.5 and cfg.iso.calibration.temperature == 1.0
+
+
+def test_readme_demo_config_is_the_experiment_default_plus_its_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = re.search(r"cat > exp\.cfg <<'CFG'\n(.*?)\nCFG\n", readme, re.S).group(1)
+    default = ExperimentConfig()
+    assert load_config(parse_config(text)) == replace(
+        default, tcn=replace(default.tcn, window_len=20),
+        train=replace(default.train, steps_per_epoch=60),
+        iso=IsoConfig(weight_mode="soft", iterations=120))
+
+
+def test_run_experiment_echoes_scorer_window(tmp_path):
+    # acceptance criterion 10's config
+    cfg = write_cfg(tmp_path / "exp.cfg", **{
+        "synth.n_sequences": 2, "synth.frames": 40, "synth.seed": 50,
+        "synth.mask_occluded_prob": 0.0,
+        "eval_synth.n_sequences": 1, "eval_synth.frames": 40,
+        "eval_synth.seed": 60,
+        "tcn.embed_dim": 8, "tcn.window_len": 8, "tcn.strides": "1",
+        "tcn.channels": 8, "tcn.branch_layers": 1,
+        "train.steps_per_epoch": 3, "train.batch_size": 2,
+        "train.w1": 0.0, "train.w2": 0.0, "train.w3": 0.01,
+        "iso.iterations": 3, "iso.lambda1": 0.01, "iso.step_size": 0.01,
+        "epochs": 1, "scorer_window": 8})
+    out = tmp_path / "run"
+    assert run("run-experiment", "--config", cfg, "--seed", 0, "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["scorer_window"] == 8
+
+
+def test_train_matches_run_experiment_bytes(tmp_path):
+    cfg = write_cfg(tmp_path / "t.cfg", **{
+        "synth.n_sequences": 2, "synth.frames": 40, "synth.seed": 12,
+        "eval_synth.n_sequences": 1, "eval_synth.frames": 40,
+        "tcn.embed_dim": 8, "tcn.window_len": 8, "tcn.strides": "1",
+        "tcn.channels": 8, "tcn.branch_layers": 1,
+        "train.steps_per_epoch": 3, "train.batch_size": 2, "train.w3": 0.01,
+        "occ.p1": 0.2, "aug_copies": 2, "scorer_window": 8, "epochs": 2})
+    a, b = tmp_path / "train", tmp_path / "exp"
+    assert run("train", "--config", cfg, "--seed", 3, "--out", a) == 0
+    assert run("run-experiment", "--config", cfg, "--seed", 3, "--out", b) == 0
+    for name in ("model.ckpt.npz", "history.json", "scorer.ckpt.npz"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

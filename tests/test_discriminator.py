@@ -171,15 +171,6 @@ def test_gen_loss_gradient_vs_finite_difference():
     assert checked >= 30
 
 
-def test_gen_loss_rotated_identity():
-    disc = small_disc(seed=6)
-    disc.fit_scaler(REAL[:10])
-    disc._params["head.w"].data = np.full((8, 1), 0.3)
-    ident = RotationAugment(0.0, 0.0, 0.0)
-    assert disc.gen_loss_rotated(REAL[3], ident).item() == pytest.approx(
-        disc.gen_loss(REAL[3]).item(), rel=1e-12)
-
-
 def test_kcs_feature_blocks_rotation_invariant():
     inc = bone_incidence(TOPO)
     r = RotationAugment.sample(np.random.default_rng(9)).matrix()

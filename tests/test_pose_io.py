@@ -1,14 +1,15 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from poselift.errors import ConfigError, InvalidInputError, TopologyError
 from poselift.pose_io import (
-    cfg_floats,
     cfg_get,
-    cfg_ints,
     load_checkpoint,
     parse_config,
     parse_topology,
+    parse_value,
     read_pose2d,
     read_pose3d,
     save_checkpoint,
@@ -77,8 +78,7 @@ def test_config_parse():
     cfg = parse_config("# comment\ntcn.embed_dim = 64\niso.sigma=1.5\nocc.strides = 1,2,3\nflag = true\n")
     assert cfg_get(cfg, "tcn.embed_dim", cast=int) == 64
     assert cfg_get(cfg, "iso.sigma", cast=float) == 1.5
-    assert cfg_ints(cfg, "occ.strides", (1,)) == (1, 2, 3)
-    assert cfg_floats(cfg, "missing", (0.5,)) == (0.5,)
+    assert cfg_get(cfg, "occ.strides", cast=tuple[int, ...]) == (1, 2, 3)
     assert cfg_get(cfg, "flag", cast=bool) is True
     assert cfg_get(cfg, "absent", default=7, cast=int) == 7
 
@@ -89,6 +89,18 @@ def test_config_errors():
     cfg = parse_config("x = notanint\n")
     with pytest.raises(ConfigError):
         cfg_get(cfg, "x", cast=int)
+
+
+def test_parse_value_by_type():
+    assert parse_value("k", "0.5:1:2,3:4:5", tuple[tuple[float, float, float], ...]) == (
+        (0.5, 1.0, 2.0), (3.0, 4.0, 5.0))
+    assert parse_value("k", "", tuple[float, ...]) == ()
+    assert parse_value("k", "no", bool) is False
+    assert parse_value("k", "runs", Optional[str]) == "runs"
+    for text, typ in (("1.5,2", tuple[int, ...]), ("flase", bool), ("0.1", tuple[float, float]),
+                      ("1,,2", tuple[int, ...]), ("2.0", int)):
+        with pytest.raises(ConfigError, match="config key k "):
+            parse_value("k", text, typ)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -503,6 +503,15 @@ def test_train_reproducible(topo):
     assert all(np.array_equal(s1[k], s2[k]) for k in s1)
 
 
+def test_train_step_of_1000_samples(topo):
+    # one step's loss sums 1000 samples: a graph far deeper than the
+    # interpreter's recursion limit
+    model = TcnModel(desk_model_config(embed_dim=4, channels=4), seed=25)
+    history = train(model, small_dataset(topo),
+                    train_config(steps_per_epoch=1, batch_size=1000))
+    assert np.isfinite(history[0]["loss"])
+
+
 def test_checkpoint_roundtrip(tmp_path, topo):
     model = TcnModel(desk_model_config(), seed=25)
     data = small_dataset(topo)
