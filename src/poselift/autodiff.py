@@ -50,8 +50,11 @@ class Tensor:
 
     def _accumulate(self, grad):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a fresh array: `grad` may be a view of another node's gradient
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
+        else:
+            self.grad += grad
 
     def backward(self):
         if self.data.size != 1:
@@ -137,7 +140,12 @@ class Tensor:
         def back(out):
             g = out.grad
             ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
+            if self.ndim > 2 and other.ndim == 2:
+                # stacked rows times one matrix: fold the stack into one product
+                # rather than form a matrix per stack entry and sum them
+                gb = self.data.reshape(-1, self.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.swapaxes(self.data, -1, -2) @ g
             self._accumulate(_unbroadcast(ga, self.shape))
             other._accumulate(_unbroadcast(gb, other.shape))
 
@@ -150,7 +158,7 @@ class Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
@@ -227,10 +235,18 @@ class Tensor:
         return Tensor(self.data.transpose(axes), (self,), back)
 
     def __getitem__(self, key):
+        basic = all(k is None or k is Ellipsis or isinstance(k, slice)
+                    or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                    for k in (key if isinstance(key, tuple) else (key,)))
+
         def back(out):
-            g = np.zeros_like(self.data)
-            np.add.at(g, key, out.grad)
-            self._accumulate(g)
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            if basic:
+                # basic indices select each element at most once
+                self.grad[key] += out.grad
+            else:
+                np.add.at(self.grad, key, out.grad)
 
         return Tensor(self.data[key], (self,), back)
 

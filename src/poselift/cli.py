@@ -10,6 +10,7 @@ exits with code 2.
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -59,16 +60,34 @@ def _keys(cls, path=(), prefix="") -> dict:
     return keys
 
 
-def _overlay(cls, base, updates: dict):
-    """`base` (None: `cls()`) with {field path: value} applied, section by section."""
+def _overlay(cls, base, updates: dict, path=(), prefix=""):
+    """`base` (None: `cls()`) with {field path: value} applied, section by section.
+
+    A section that rejects its values, on construction or in its validate(),
+    raises ConfigError with its key prefix: `occ.p1=2.0 outside [0,1]`, or
+    `synth.*: ...` when the message does not start with one of the section's
+    field names.
+    """
     base = cls() if base is None else base
     hints = get_type_hints(cls)
     changes = {}
-    for name in dict.fromkeys(path[0] for path in updates):
-        rest = {path[1:]: v for path, v in updates.items() if path[0] == name}
+    for name in dict.fromkeys(p[0] for p in updates):
+        rest = {p[1:]: v for p, v in updates.items() if p[0] == name}
+        here = path + (name,)
         changes[name] = rest[()] if () in rest else _overlay(
-            _section(hints[name]), getattr(base, name), rest)
-    return replace(base, **changes)
+            _section(hints[name]), getattr(base, name), rest, here,
+            _PREFIX.get(here, f"{prefix}{name}."))
+    try:
+        section = replace(base, **changes)
+        if prefix and hasattr(section, "validate"):
+            section.validate()
+        return section
+    except ConfigError as e:
+        if not prefix:
+            raise
+        head = re.match(r"\w+", str(e))
+        named = head is not None and head.group() in {f.name for f in fields(cls)}
+        raise ConfigError(f"{prefix}{e}" if named else f"{prefix}*: {e}") from None
 
 
 def load_config(cfg: dict, cls=ExperimentConfig, prefix: str = ""):
@@ -85,7 +104,7 @@ def load_config(cfg: dict, cls=ExperimentConfig, prefix: str = ""):
             raise ConfigError(f"unknown config key {key!r}")
         path, typ = keys[key]
         updates[path] = parse_value(key, text, typ)
-    return _overlay(cls, None, updates)
+    return _overlay(cls, None, updates, prefix=prefix)
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -176,11 +195,15 @@ def cmd_infer(exp, own, out: Path, topo) -> None:
 
 
 def cmd_iso_refine(exp, own, out: Path, topo) -> None:
+    iso_cfg = exp.iso or IsoConfig()
+    if iso_cfg.lambda1 > 0 and "scorer" not in own:
+        raise ConfigError(f"iso.lambda1 = {iso_cfg.lambda1} weighs a realness term, "
+                          "which needs a `scorer` key (or set iso.lambda1 = 0)")
     pose = read_pose3d(_require(own, "pose3d"), topo)
     det = read_pose2d(_require(own, "det2d"), topo)
     gt = read_pose3d(own["gt3d"], topo) if "gt3d" in own else None
     scorer = KcsEnergyModel.load(own["scorer"]) if "scorer" in own else None
-    refined, trace = refine(pose, det, scorer, exp.iso or IsoConfig(), gt3d=gt)
+    refined, trace = refine(pose, det, scorer, iso_cfg, gt3d=gt)
     write_pose3d(out / "refined.pose3d", refined, topo)
     (out / "trace.json").write_text(json.dumps(trace, sort_keys=True, indent=1) + "\n")
     last = trace[-1] if trace else {}

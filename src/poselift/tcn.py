@@ -186,41 +186,51 @@ class TcnModel:
         act = ACTIVATIONS[self.config.activation]
         return act(Tensor(m) @ self._params["embed.w"] + self._params["embed.b"])
 
-    def forward(self, embeddings) -> Tensor:
-        """Center-frame root-relative pose (K x 3) from a full window."""
+    def forward(self, embeddings, centers: int = 1) -> Tensor:
+        """Root-relative poses of `centers` consecutive window centers.
+
+        `embeddings` holds window_len + centers - 1 rows, optionally behind
+        leading batch axes. The branches are valid convolutions, so one pass
+        serves every center: each branch reads only its own receptive field,
+        which starts at row window_len//2 - (rf-1)//2 for the first center.
+        Returns (..., K, 3) for one center, else (..., centers, K, 3).
+        """
         cfg = self.config
         r = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-        if r.ndim != 2 or r.shape[0] != cfg.window_len:
+        if not isinstance(centers, (int, np.integer)) or centers < 1 or r.ndim < 2 \
+                or r.shape[-2] != cfg.window_len + centers - 1:
             raise InvalidWindowError(
-                f"expected window of {cfg.window_len} frames, got shape {r.shape}")
-        if r.shape[1] != cfg.branch_input_dim:
-            raise InvalidInputError(f"embedding dim {r.shape[1]} does not match config")
+                f"expected {centers} center(s) of a {cfg.window_len}-frame window, "
+                f"got shape {r.shape}")
+        if r.shape[-1] != cfg.branch_input_dim:
+            raise InvalidInputError(f"embedding dim {r.shape[-1]} does not match config")
         act = ACTIVATIONS[cfg.activation]
         cols = []
         for bi, s in enumerate(cfg.strides):
-            x = r
-            length = cfg.window_len
+            rf = cfg.receptive_field(s)
+            # the receptive field is odd: (rf-1)//2 frames either side of the center
+            first = cfg.window_len // 2 - (rf - 1) // 2
+            x = r[..., first: first + rf + centers - 1, :]
+            length = rf + centers - 1
             for li in range(cfg.branch_layers):
                 out_len = length - (cfg.kernel - 1) * s
                 h = self._params[f"branch{bi}.layer{li}.b"]
                 for tap in range(cfg.kernel):
-                    piece = x[tap * s: tap * s + out_len]
+                    piece = x[..., tap * s: tap * s + out_len, :]
                     h = h + piece @ self._params[f"branch{bi}.layer{li}.w{tap}"]
                 x = act(h)
                 length = out_len
-            # kernel is odd so trimming is symmetric: row length//2 is the
-            # column whose receptive field is centered on frame T//2
-            center = length // 2
-            cols.append(x[center: center + 1])
-        fused = Tensor.concat(cols, axis=1)
+            cols.append(x)
+        fused = Tensor.concat(cols, axis=-1)
         out = (fused @ self._params["head.w"] + self._params["head.b"]) * cfg.output_scale_mm
-        return out.reshape(cfg.n_keypoints, 3)
+        lead = r.shape[:-2] + ((centers,) if centers > 1 else ())
+        return out.reshape(lead + (cfg.n_keypoints, 3))
 
     def predict_window(self, coords, conf, mask) -> np.ndarray:
         return self.forward(self.embed_frames(coords, conf, mask)).data
 
     def predict_sequence(self, det: PoseSequence2D) -> PoseSequence3D:
-        """Per-frame 3D by sliding the window; ends use edge padding."""
+        """Per-frame 3D in one pass over the sequence; ends use edge padding."""
         w = self.config.window_len
         left = w // 2
         right = w - left - 1
@@ -229,9 +239,8 @@ class TcnModel:
         conf = np.pad(det.confidence, pad, mode="edge")
         mask = np.pad(det.mask, pad, mode="edge")
         emb = self.embed_frames(coords, conf, mask).data
-        preds = np.empty((det.T, self.config.n_keypoints, 3))
-        for t in range(det.T):
-            preds[t] = self.forward(emb[t: t + w]).data
+        preds = self.forward(emb, centers=det.T).data.reshape(
+            det.T, self.config.n_keypoints, 3)
         return PoseSequence3D(preds, root_relative=True,
                               actions=None if det.actions is None else list(det.actions))
 
@@ -257,11 +266,14 @@ def loss_3d(pred, gt) -> Tensor:
 
 
 def loss_multiview(pred_v1, pred_v2, rotation: np.ndarray) -> Tensor:
-    """loss_3d between view-1 predictions mapped through R(v1->v2) and view 2."""
+    """loss_3d between view-1 predictions mapped through R(v1->v2) and view 2.
+
+    `rotation` is 3x3, or a stack of them, one per leading entry of the poses.
+    """
     r = np.asarray(rotation, dtype=np.float64)
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3):
         raise InvalidInputError("rotation must be 3x3")
-    return loss_3d(_lift_pose(pred_v1) @ Tensor(r.T), pred_v2)
+    return loss_3d(_lift_pose(pred_v1) @ Tensor(np.swapaxes(r, -1, -2)), pred_v2)
 
 
 def loss_2d(pred, gt2d, mask=None, scale_mm: float = None) -> Tensor:
@@ -278,14 +290,28 @@ def loss_2d(pred, gt2d, mask=None, scale_mm: float = None) -> Tensor:
             raise InvalidInputError("array form needs mask and scale_mm")
     if scale_mm <= 0:
         raise InvalidInputError("scale_mm must be > 0")
-    p = _lift_pose(pred)
-    proj = (p @ Tensor(_PROJECT)) * (1.0 / scale_mm) + 0.5
+    d, keep = _reprojection_residual(pred, coords, mask, 1.0 / scale_mm)
+    return (d * d).sum() * (1.0 / max(keep.sum(), 1.0))
+
+
+def _loss_2d_sum(pred: Tensor, coords: np.ndarray, mask: np.ndarray,
+                 scale_mm: list) -> Tensor:
+    """Sum over a stack of samples of loss_2d(pred[i], coords[i], mask[i], scale_mm[i])."""
+    if any(s is None or s <= 0 for s in scale_mm):
+        raise InvalidInputError("every sample needs scale_mm > 0")
+    inv_scale = 1.0 / np.asarray(scale_mm, dtype=np.float64)
+    d, keep = _reprojection_residual(pred, coords, mask, Tensor(inv_scale[:, None, None]))
+    per_sample = (d * d).reshape(len(inv_scale), -1).sum(axis=1)
+    return (per_sample * Tensor(1.0 / np.maximum(keep.sum(axis=1), 1.0))).sum()
+
+
+def _reprojection_residual(pred, coords, mask, inv_scale):
+    """Projected minus target crop coordinates, zero at masked keypoints; and keep = ~mask."""
+    proj = (_lift_pose(pred) @ Tensor(_PROJECT)) * inv_scale + 0.5
     keep = (~np.asarray(mask, dtype=bool)).astype(np.float64)
     if proj.shape != coords.shape or keep.shape != coords.shape[:-1]:
         raise InvalidInputError("prediction and 2D target shapes do not match")
-    d = (proj - Tensor(coords)) * Tensor(keep[..., None])
-    n = keep.sum()
-    return (d * d).sum() * (1.0 / max(n, 1.0))
+    return (proj - Tensor(coords)) * Tensor(keep[..., None]), keep
 
 
 def total_loss(l3d, lmv, l2d, lgen, weights: LossWeights = LossWeights()) -> Tensor:
@@ -321,16 +347,6 @@ class TrainConfig:
             raise ConfigError("lr_decay must be > 0")
 
 
-def _predict_chain(model: TcnModel, det: PoseSequence2D, start: int, count: int) -> list:
-    w = model.config.window_len
-    preds = []
-    for j in range(start, start + count):
-        emb = model.embed_frames(det.frames[j: j + w], det.confidence[j: j + w],
-                                 det.mask[j: j + w])
-        preds.append(model.forward(emb))
-    return preds
-
-
 def train(model: TcnModel, sequences: list, cfg: TrainConfig,
           epochs: int = 1, scorer=None) -> list:
     """SGD over randomly sampled windows; returns per-epoch loss history.
@@ -339,6 +355,10 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
     (RotationAugment), .det2d (PoseSequence2D) and .pose3d (that view's
     ground truth, or None for 2D-only sequences, which then contribute
     only the reprojection term).
+
+    A step draws its whole batch first, then runs one forward over every
+    sample's view-1 frames (all `gen_window` chain centers at once when a
+    scorer is plugged in) and one over the view-2 windows.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -351,6 +371,15 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
     if not usable:
         raise InvalidInputError(f"no sequence has the {need} frames a window needs")
 
+    def embed(dets, starts, length):
+        """One embed_frames call over `length` frames of each det; B x length x C."""
+        rows = [slice(s, s + length) for s in starts]
+        emb = model.embed_frames(
+            np.concatenate([d.frames[r] for d, r in zip(dets, rows)]),
+            np.concatenate([d.confidence[r] for d, r in zip(dets, rows)]),
+            np.concatenate([d.mask[r] for d, r in zip(dets, rows)]))
+        return emb.reshape(len(dets), length, -1)
+
     snapshot = model.state_arrays()
     history = []
     zero = Tensor(0.0)
@@ -358,8 +387,7 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
         sums = {"loss": 0.0, "loss_3d": 0.0, "loss_mv": 0.0,
                 "loss_2d": 0.0, "loss_gen": 0.0}
         for step in range(cfg.steps_per_epoch):
-            parts = {"loss_3d": zero, "loss_mv": zero, "loss_2d": zero,
-                     "loss_gen": zero}
+            view1s, view2s, starts, rots = [], [], [], []
             for _ in range(cfg.batch_size):
                 seq = usable[rng.integers(len(usable))]
                 n_views = len(seq.views)
@@ -369,35 +397,38 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
                     v2 = int(rng.integers(n_views - 1))
                     if v2 >= v1:
                         v2 += 1
-                view1 = seq.views[v1]
-                start = int(rng.integers(view1.det2d.T - need + 1))
-                center = start + w // 2
-
-                chain = _predict_chain(model, view1.det2d, start, chain_len)
-                pred1 = chain[0]
-                has_gt = view1.pose3d is not None
-                if has_gt:
-                    parts["loss_3d"] = parts["loss_3d"] + loss_3d(
-                        pred1, view1.pose3d.frames[center])
-                if v2 is not None and has_gt:
-                    view2 = seq.views[v2]
-                    emb2 = model.embed_frames(view2.det2d.frames[start: start + w],
-                                              view2.det2d.confidence[start: start + w],
-                                              view2.det2d.mask[start: start + w])
-                    pred2 = model.forward(emb2)
-                    r12 = view2.rotation.matrix() @ view1.rotation.matrix().T
-                    parts["loss_mv"] = parts["loss_mv"] + loss_multiview(pred1, pred2, r12)
-                parts["loss_2d"] = parts["loss_2d"] + loss_2d(
-                    pred1, view1.det2d.frames[center], view1.det2d.mask[center],
-                    view1.det2d.scale_mm)
+                view1s.append(seq.views[v1])
+                view2s.append(None if v2 is None else seq.views[v2])
+                starts.append(int(rng.integers(view1s[-1].det2d.T - need + 1)))
                 if scorer is not None:
-                    window3 = Tensor.concat([p.reshape(1, -1, 3) for p in chain], axis=0)
-                    rot = RotationAugment.sample(rng).matrix()
-                    parts["loss_gen"] = parts["loss_gen"] + scorer.gen_loss(
-                        window3 @ Tensor(rot.T))
+                    rots.append(RotationAugment.sample(rng).matrix())
+            centers = [s + w // 2 for s in starts]
+
+            chain = model.forward(embed([v.det2d for v in view1s], starts, need),
+                                  centers=chain_len)
+            pred1 = chain if chain_len == 1 else chain[:, 0]
+            gt = [i for i, v in enumerate(view1s) if v.pose3d is not None]
+            mv = [i for i in gt if view2s[i] is not None]
+            l3 = lmv = lgen = zero
+            if gt:
+                l3 = loss_3d(pred1[gt], np.stack([view1s[i].pose3d.frames[centers[i]]
+                                                  for i in gt])) * len(gt)
+            if mv:
+                pred2 = model.forward(embed([view2s[i].det2d for i in mv],
+                                            [starts[i] for i in mv], w))
+                r12 = np.stack([view2s[i].rotation.matrix() @ view1s[i].rotation.matrix().T
+                                for i in mv])
+                lmv = loss_multiview(pred1[mv], pred2, r12) * len(mv)
+            l2 = _loss_2d_sum(pred1,
+                              np.stack([v.det2d.frames[c] for v, c in zip(view1s, centers)]),
+                              np.stack([v.det2d.mask[c] for v, c in zip(view1s, centers)]),
+                              [v.det2d.scale_mm for v in view1s])
+            if scorer is not None:
+                rotated = chain @ Tensor(np.stack([r.T for r in rots])[:, None])
+                for i in range(cfg.batch_size):
+                    lgen = lgen + scorer.gen_loss(rotated[i])
             inv = 1.0 / cfg.batch_size
-            l3, lmv = parts["loss_3d"] * inv, parts["loss_mv"] * inv
-            l2, lgen = parts["loss_2d"] * inv, parts["loss_gen"] * inv
+            l3, lmv, l2, lgen = l3 * inv, lmv * inv, l2 * inv, lgen * inv
             loss = total_loss(l3, lmv, l2, lgen, wt)
 
             if not np.isfinite(loss.data):

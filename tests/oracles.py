@@ -1,11 +1,21 @@
-"""Independent geometry oracles for the visibility tests.
+"""Independent oracles for the visibility and lifter tests.
 
-Everything here is computed from the pose and topology alone, without
-touching poselift.visibility internals. Rays march from the keypoint
+The geometry oracles compute visibility from the pose and topology alone,
+without touching poselift.visibility internals. Rays march from the keypoint
 toward the camera, direction (0, 0, -1).
+
+The lifter oracles are the straightforward per-window reference forms of
+the TCN: a numpy forward that convolves the whole window and keeps its
+center column, per-frame sequence lifting, and a training loop that embeds
+and runs every window of every sample on its own.
 """
 
 import numpy as np
+
+from poselift.autodiff import SGD, Tensor
+from poselift.errors import InvalidInputError, TrainingDivergedError
+from poselift.skeleton import RotationAugment
+from poselift.tcn import loss_2d, loss_3d, loss_multiview, total_loss
 
 
 def cylinder_table(frame, topo):
@@ -225,3 +235,117 @@ def visible_by_solid_oracle(point_index, frame, topo):
                 outside_patch_hit = True
     return visible, {"inside_any": inside_any, "cap_entry": cap_entry,
                      "outside_patch_hit": outside_patch_hit}
+
+
+# ------------------------------------------------------------ lifter oracles
+
+
+def window_forward(model, emb):
+    """Center-frame pose (K x 3) of one window: every branch convolves the
+    whole window in plain numpy, and its middle output row is kept."""
+    cfg = model.config
+    p = model.state_arrays()
+    act = {"tanh": np.tanh, "relu": lambda v: np.maximum(v, 0.0)}[cfg.activation]
+    cols = []
+    for bi, s in enumerate(cfg.strides):
+        x = np.asarray(emb, dtype=np.float64)
+        for li in range(cfg.branch_layers):
+            out_len = len(x) - (cfg.kernel - 1) * s
+            h = p[f"branch{bi}.layer{li}.b"] + sum(
+                x[tap * s: tap * s + out_len] @ p[f"branch{bi}.layer{li}.w{tap}"]
+                for tap in range(cfg.kernel))
+            x = act(h)
+        cols.append(x[len(x) // 2])
+    out = (np.concatenate(cols) @ p["head.w"] + p["head.b"]) * cfg.output_scale_mm
+    return out.reshape(cfg.n_keypoints, 3)
+
+
+def predict_sequence_per_frame(model, det):
+    """Per-frame lifting by sliding one window over the edge-padded sequence."""
+    w = model.config.window_len
+    pad = ((w // 2, w - w // 2 - 1), (0, 0))
+    emb = model.embed_frames(np.pad(det.frames, pad + ((0, 0),), mode="edge"),
+                             np.pad(det.confidence, pad, mode="edge"),
+                             np.pad(det.mask, pad, mode="edge")).data
+    return np.stack([window_forward(model, emb[t: t + w]) for t in range(det.T)])
+
+
+def _predict_chain(model, det, start, count):
+    w = model.config.window_len
+    preds = []
+    for j in range(start, start + count):
+        emb = model.embed_frames(det.frames[j: j + w], det.confidence[j: j + w],
+                                 det.mask[j: j + w])
+        preds.append(model.forward(emb))
+    return preds
+
+
+def train_per_window(model, sequences, cfg, epochs=1, scorer=None):
+    """poselift.tcn.train with one forward per window and per-sample losses."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    opt = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
+    w = model.config.window_len
+    chain_len = cfg.gen_window if scorer is not None else 1
+    need = w + chain_len - 1
+    usable = [s for s in sequences if s.views and s.views[0].det2d.T >= need]
+    if not usable:
+        raise InvalidInputError(f"no sequence has the {need} frames a window needs")
+    history = []
+    zero = Tensor(0.0)
+    for epoch in range(epochs):
+        sums = {"loss": 0.0, "loss_3d": 0.0, "loss_mv": 0.0,
+                "loss_2d": 0.0, "loss_gen": 0.0}
+        for step in range(cfg.steps_per_epoch):
+            parts = {"loss_3d": zero, "loss_mv": zero, "loss_2d": zero,
+                     "loss_gen": zero}
+            for _ in range(cfg.batch_size):
+                seq = usable[rng.integers(len(usable))]
+                n_views = len(seq.views)
+                v1 = int(rng.integers(n_views))
+                v2 = None
+                if n_views > 1:
+                    v2 = int(rng.integers(n_views - 1))
+                    if v2 >= v1:
+                        v2 += 1
+                view1 = seq.views[v1]
+                start = int(rng.integers(view1.det2d.T - need + 1))
+                center = start + w // 2
+                chain = _predict_chain(model, view1.det2d, start, chain_len)
+                pred1 = chain[0]
+                has_gt = view1.pose3d is not None
+                if has_gt:
+                    parts["loss_3d"] = parts["loss_3d"] + loss_3d(
+                        pred1, view1.pose3d.frames[center])
+                if v2 is not None and has_gt:
+                    view2 = seq.views[v2]
+                    pred2 = _predict_chain(model, view2.det2d, start, 1)[0]
+                    r12 = view2.rotation.matrix() @ view1.rotation.matrix().T
+                    parts["loss_mv"] = parts["loss_mv"] + loss_multiview(pred1, pred2, r12)
+                parts["loss_2d"] = parts["loss_2d"] + loss_2d(
+                    pred1, view1.det2d.frames[center], view1.det2d.mask[center],
+                    view1.det2d.scale_mm)
+                if scorer is not None:
+                    window3 = Tensor.concat([p.reshape(1, -1, 3) for p in chain], axis=0)
+                    rot = RotationAugment.sample(rng).matrix()
+                    parts["loss_gen"] = parts["loss_gen"] + scorer.gen_loss(
+                        window3 @ Tensor(rot.T))
+            inv = 1.0 / cfg.batch_size
+            l3, lmv = parts["loss_3d"] * inv, parts["loss_mv"] * inv
+            l2, lgen = parts["loss_2d"] * inv, parts["loss_gen"] * inv
+            loss = total_loss(l3, lmv, l2, lgen, cfg.weights)
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch} step {step}")
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            sums["loss"] += loss.data.item()
+            sums["loss_3d"] += l3.data.item()
+            sums["loss_mv"] += lmv.data.item()
+            sums["loss_2d"] += l2.data.item()
+            sums["loss_gen"] += lgen.data.item()
+        record = {k: v / cfg.steps_per_epoch for k, v in sums.items()}
+        record["epoch"] = epoch
+        history.append(record)
+        opt.lr *= cfg.lr_decay
+    return history

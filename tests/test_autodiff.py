@@ -122,6 +122,42 @@ def test_gather_accumulates_repeated_indices():
     assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
 
 
+def test_basic_slice_gradients_are_exact():
+    # negative step, int, Ellipsis and None, on overlapping slices of one tensor
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(3, 4, 5)))
+    w1 = rng.normal(size=(3, 5))
+    w2 = rng.normal(size=(2, 4, 1, 3))
+    w3 = rng.normal(size=(5,))
+    y = (x[::-1, 1] * w1).sum() + (x[1:, ..., None, -4:-1] * w2).sum() \
+        + (x[2, -1, ...] * w3).sum()
+    y.backward()
+    want = np.zeros((3, 4, 5))
+    want[::-1, 1] += w1
+    want[1:, ..., -4:-1] += w2[:, :, 0, :]
+    want[2, -1] += w3
+    assert np.allclose(x.grad, want, rtol=0, atol=1e-15)
+
+
+def test_advanced_index_with_repeats_accumulates():
+    x = Tensor(np.array([5.0, 6.0, 7.0]))
+    x[[0, 0, 1]].sum().backward()
+    assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
+
+
+def test_first_gradient_does_not_alias_a_view():
+    # reshape hands its input a view of its own gradient; the input must
+    # store a copy, or the second use's gradient would leak into the view
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    flat = x.reshape(6)
+    w = np.arange(1.0, 7.0)
+    u = np.full((2, 3), 10.0)
+    y = (flat * w).sum() + (x * u).sum()
+    y.backward()
+    assert np.array_equal(flat.grad, w)
+    assert np.array_equal(x.grad, w.reshape(2, 3) + u)
+
+
 def test_concat():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(3, 2))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from poselift.cli import load_config, main
+from poselift.discriminator import DiscConfig
+from poselift.errors import ConfigError
 from poselift.experiment import ExperimentConfig
 from poselift.iso import IsoConfig
 from poselift.pose_io import parse_config
@@ -233,6 +235,43 @@ def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
     assert not (tmp_path / "o").exists()
+
+
+def test_iso_refine_realness_weight_without_scorer_exits_2(sample_files, tmp_path, capsys):
+    # iso.lambda1 defaults to 0.1: without a scorer the realness term would
+    # silently drop out of the refinement
+    for extra in ({}, {"iso.lambda1": 0.5}):
+        cfg = write_cfg(tmp_path / "r.cfg", **{
+            "pose3d": sample_files / "seq00_v0_gt.pose3d",
+            "det2d": sample_files / "seq00_v0_det.pose2d",
+            "iso.iterations": 3, **extra})
+        assert run("iso-refine", "--config", cfg, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ConfigError" in err
+        assert "iso.lambda1" in err and "scorer" in err
+        assert not (tmp_path / "r" / "trace.json").exists()
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("occ.p1", 2, "occ.p1=2.0 outside [0,1]"),
+    ("iso.sigma", 0, "iso.sigma must be > 0"),
+    ("tcn.kernel", 4, "tcn.kernel must be odd"),
+    ("train.w1", -1, "train.*: loss weights must be nonnegative"),
+    ("iso.cal_temperature", 0, "iso.cal_*: calibration temperature"),
+    ("synth.frames", 1, "synth.*: need n_sequences >= 1 and frames >= 2"),
+    ("train.lr", -1, "train.*: need lr >= 0"),
+])
+def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
+    cfg = write_cfg(tmp_path / "bad.cfg", **{key: value})
+    assert run("synth-gen", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"ConfigError: {named}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_disc_range_error_names_the_key():
+    with pytest.raises(ConfigError, match=r"^disc\.kernel must be odd"):
+        load_config({"disc.kernel": "4"}, DiscConfig, "disc.")
 
 
 def test_keys_sit_on_experiment_defaults():

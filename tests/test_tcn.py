@@ -5,12 +5,17 @@ import pytest
 
 from poselift import synth
 from poselift.autodiff import Tensor
+from poselift.discriminator import KcsEnergyModel
 from poselift.errors import (ConfigError, InvalidInputError, InvalidWindowError,
                              TrainingDivergedError)
-from poselift.skeleton import PoseSequence3D, project_to_crop, rotation_matrix
+from poselift.experiment import real_windows
+from poselift.skeleton import (PoseSequence2D, PoseSequence3D, project_to_crop,
+                               rotation_matrix)
 from poselift.tcn import (LossWeights, TcnConfig, TcnModel, TrainConfig,
                           frame_inputs, loss_2d, loss_3d, loss_multiview,
                           total_loss, train)
+
+from oracles import predict_sequence_per_frame, train_per_window, window_forward
 
 
 def tiny_config(**kw):
@@ -547,3 +552,115 @@ def test_predict_sequence_center_consistency(topo):
     center = cfg.window_len // 2
     direct = model.predict_window(det.frames, det.confidence, det.mask)
     assert np.allclose(out.frames[center], direct, atol=1e-12)
+
+
+# ------------------------------------------- one pass vs. per-window oracles
+
+
+@pytest.mark.parametrize("cfg", [
+    TcnConfig(n_keypoints=3, embed_dim=5, window_len=9, strides=(1,), channels=4,
+              kernel=3, branch_layers=2),
+    TcnConfig(n_keypoints=3, embed_dim=5, window_len=14, strides=(1, 2, 3), channels=4,
+              kernel=3, branch_layers=2, activation="relu"),
+    TcnConfig(n_keypoints=3, embed_dim=5, window_len=30, strides=(1, 2, 3, 5, 7),
+              channels=4, kernel=5, branch_layers=1),
+    TcnConfig(n_keypoints=3, embed_dim=5, window_len=31, strides=(1, 2, 3, 5, 7),
+              channels=4, kernel=1, branch_layers=2),
+    TcnConfig(n_keypoints=3, window_len=15, strides=(1, 2, 3), channels=4,
+              kernel=3, branch_layers=2, use_embedding=False),
+], ids=["s1-w9-k3", "s123-w14-relu", "s12357-w30-k5", "s12357-w31-k1", "raw-w15"])
+@pytest.mark.parametrize("frames", [1, 6, 40])
+def test_predict_sequence_matches_per_window_oracle(cfg, frames):
+    model = TcnModel(cfg, seed=30)
+    rng = np.random.default_rng(30)
+    _randomize_head(model, rng)
+    coords = rng.uniform(0.2, 0.8, size=(frames, cfg.n_keypoints, 2))
+    conf = rng.uniform(0.3, 1.0, size=(frames, cfg.n_keypoints))
+    mask = rng.random((frames, cfg.n_keypoints)) < 0.2
+    coords[mask] = 0.0
+    conf[mask] = 0.0
+    det = PoseSequence2D(coords, conf, mask, scale_mm=2000.0)
+    got = model.predict_sequence(det).frames
+    want = predict_sequence_per_frame(model, det)
+    assert got.shape == want.shape == (frames, cfg.n_keypoints, 3)
+    assert np.abs(want).max() > 1.0
+    assert np.abs(got - want).max() < 1e-9
+
+
+def test_forward_centers_with_batch_axes_matches_oracle():
+    cfg = tiny_config(window_len=11, strides=(1, 2))
+    model = TcnModel(cfg, seed=31)
+    rng = np.random.default_rng(31)
+    _randomize_head(model, rng)
+    centers = 4
+    emb = rng.normal(size=(2, 3, cfg.window_len + centers - 1, cfg.embed_dim))
+    got = model.forward(emb, centers=centers)
+    assert got.shape == (2, 3, centers, cfg.n_keypoints, 3)
+    for i in range(2):
+        for j in range(3):
+            for c in range(centers):
+                want = window_forward(model, emb[i, j, c: c + cfg.window_len])
+                assert np.abs(got.data[i, j, c] - want).max() < 1e-9
+    one = model.forward(emb[..., :cfg.window_len, :])
+    assert one.shape == (2, 3, cfg.n_keypoints, 3)
+    assert np.abs(one.data - got.data[:, :, 0]).max() < 1e-9
+
+
+@pytest.mark.parametrize("rows, centers", [(10, 2), (12, 2), (10, 0), (9, 0), (11, -1),
+                                           (10, 1.0)])
+def test_forward_rejects_rows_not_matching_centers(rows, centers):
+    cfg = tiny_config()
+    model = TcnModel(cfg, seed=0)
+    with pytest.raises(InvalidWindowError):
+        model.forward(np.zeros((3, rows, cfg.embed_dim)), centers=centers)
+
+
+def two_view_dataset(topo):
+    return small_dataset(topo, frames=60, n_sequences=3, views=((0.0, 1.2, 0.0),))
+
+
+def assert_train_matches_per_window(model_cfg, data, tcfg, epochs=1, scorer=None):
+    models = [TcnModel(model_cfg, seed=32) for _ in range(2)]
+    got = train(models[0], data, tcfg, epochs=epochs, scorer=scorer)
+    want = train_per_window(models[1], data, tcfg, epochs=epochs, scorer=scorer)
+    assert len(got) == len(want) == epochs
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in g:
+            assert g[key] == pytest.approx(w[key], rel=1e-9, abs=0.0), key
+    a, b = models[0].state_arrays(), models[1].state_arrays()
+    for name in a:
+        assert np.abs(a[name] - b[name]).max() <= 1e-9, name
+    return got
+
+
+def test_train_matches_per_window_two_views_with_scorer(topo):
+    data = two_view_dataset(topo)
+    scorer = KcsEnergyModel.fit(real_windows(data, 8), topo)
+    history = assert_train_matches_per_window(
+        desk_model_config(), data,
+        train_config(steps_per_epoch=6, lr_decay=0.5), epochs=2, scorer=scorer)
+    assert all(h[k] > 0 for h in history for k in ("loss_3d", "loss_mv", "loss_gen"))
+
+
+def test_train_matches_per_window_2d_only(topo):
+    data = two_view_dataset(topo)
+    seqs = [SimpleNamespace(views=[SimpleNamespace(rotation=v.rotation, det2d=v.det2d,
+                                                   pose3d=None if i == 0 else v.pose3d)
+                                   for v in s.views])
+            for i, s in enumerate(data)]
+    # the first sequence has no ground truth at all; the others do
+    history = assert_train_matches_per_window(
+        desk_model_config(), seqs, train_config(steps_per_epoch=8, lr=1e-5),
+        scorer=QuadraticScorer())
+    assert history[0]["loss_3d"] > 0 and history[0]["loss_mv"] > 0
+    only_2d = assert_train_matches_per_window(
+        desk_model_config(), seqs[:1], train_config(steps_per_epoch=4, lr=1e-5))
+    assert only_2d[0]["loss_3d"] == only_2d[0]["loss_mv"] == 0.0
+
+
+def test_train_matches_per_window_batch_of_one(topo):
+    assert_train_matches_per_window(
+        desk_model_config(window_len=15, strides=(1, 3), kernel=3, branch_layers=2),
+        two_view_dataset(topo), train_config(steps_per_epoch=10, batch_size=1, lr=1e-5),
+        scorer=QuadraticScorer())
