@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import SGD, Tensor, parameter
 from .errors import (ConfigError, InvalidInputError, InvalidWindowError,
                      TrainingDivergedError)
-from .kcs import bone_incidence, discriminator_features
+from .kcs import bone_incidence, discriminator_features, feature_rows
 from .pose_io import load_checkpoint, save_checkpoint
 from .skeleton import PoseSequence3D, SkeletonTopology
 
@@ -252,10 +252,14 @@ class KcsEnergyModel:
                  incidence: np.ndarray, interval: int,
                  fit_energies: np.ndarray):
         self.mean = np.asarray(mean, dtype=np.float64)
-        self.precision = np.asarray(precision, dtype=np.float64)
+        precision = np.asarray(precision, dtype=np.float64)
+        # gen_loss's closed-form gradient 2 d P holds only for a symmetric P;
+        # np.linalg.inv leaves an asymmetry of about 1e-12 relative
+        self.precision = 0.5 * (precision + precision.T)
         self.incidence = np.asarray(incidence, dtype=np.float64)
         self.interval = int(interval)
         self.fit_energies = np.asarray(fit_energies, dtype=np.float64)
+        self._iu = np.triu_indices(self.incidence.shape[1])
 
     @classmethod
     def fit(cls, windows: list, topo: SkeletonTopology, interval: int = 1,
@@ -291,10 +295,31 @@ class KcsEnergyModel:
         return self.gen_loss(_frames_of(window)).item()
 
     def gen_loss(self, window) -> Tensor:
+        """Mean per-frame energy as one graph node with a closed-form backward."""
         frames = _frames_of(window)
-        f = window_features(frames, self.incidence, self.interval)
-        d = f - Tensor(self.mean)
-        return ((d @ Tensor(self.precision)) * d).sum(axis=1).mean()
+        x = frames if isinstance(frames, Tensor) else Tensor(
+            np.asarray(frames, dtype=np.float64))
+        bones, rows = feature_rows(x.data, self.incidence, self.interval, self._iu)
+        d = rows - self.mean
+        y = d @ self.precision
+        t, i = len(d), self.interval
+        (iu0, iu1), m = self._iu, self.incidence.shape[1]
+        u = len(iu0)
+
+        def back(out):
+            gf = y * (2.0 * out.grad / t)            # d(energy)/d(rows), P symmetric
+            gpsi = gf[:, :u].copy()
+            gphi = gf[:, u: 2 * u]                   # Phi_t = Psi_{t+i} - Psi_t
+            gpsi[i:] += gphi[: t - i]
+            gpsi[: t - i] -= gphi[: t - i]
+            g = np.zeros((t, m, m))
+            g[:, iu0, iu1] = gpsi                    # upper-triangle indices are unique
+            gbones = bones @ (g + g.transpose(0, 2, 1))
+            gx = self.incidence @ gbones.transpose(0, 2, 1)
+            gx += gf[:, 2 * u:].reshape(gx.shape)
+            x._accumulate(gx)
+
+        return Tensor((y * d).sum(axis=1).sum() * (1.0 / t), (x,), back)
 
     def reference_percentile(self, q: float) -> float:
         return float(np.percentile(self.fit_energies, q))

@@ -225,10 +225,16 @@ def rep_loss(pose, det2d: PoseSequence2D, cfg: IsoConfig, scale: float = None,
         scale, translation = fit_projection(x.data, det2d)
     if weights is None:
         weights = compute_weights(x.data, det2d, cfg, scale, translation)
-    proj = x[:, :, :2] * scale + Tensor(translation[:, None, :])
-    d = (proj - Tensor(det2d.frames)) * float(cfg.crop_px)
-    sq = (d * d).sum(axis=2)
-    return (sq * Tensor(weights)).sum()
+    weights = np.asarray(weights, dtype=np.float64)
+    crop = float(cfg.crop_px)
+    d = (x.data[:, :, :2] * scale + translation[:, None, :] - det2d.frames) * crop
+
+    def back(out):
+        gx = np.zeros_like(x.data)
+        gx[:, :, :2] = (2.0 * crop * scale * out.grad) * weights[:, :, None] * d
+        x._accumulate(gx)
+
+    return Tensor(((d * d).sum(axis=2) * weights).sum(), (x,), back)
 
 
 def smooth_loss(pose) -> Tensor:
@@ -236,8 +242,16 @@ def smooth_loss(pose) -> Tensor:
     x = _lift_window(pose)
     if x.shape[0] < 2:
         return Tensor(0.0)
-    d = x[1:] - x[: x.shape[0] - 1]
-    return (d * d).sum()
+    d = x.data[1:] - x.data[:-1]
+
+    def back(out):
+        g = (2.0 * out.grad) * d
+        gx = np.zeros_like(x.data)
+        gx[1:] += g
+        gx[:-1] -= g
+        x._accumulate(gx)
+
+    return Tensor((d * d).sum(), (x,), back)
 
 
 def iso_loss(pose, det2d: PoseSequence2D, scorer, cfg: IsoConfig,
@@ -265,6 +279,9 @@ def refine(initial_pose3d: PoseSequence3D, det2d: PoseSequence2D, scorer,
         else PoseSequence3D(np.asarray(initial_pose3d, dtype=np.float64))
     if pose.T != det2d.T or pose.K != det2d.K:
         raise InvalidInputError("3D window and detections must match in T and K")
+    if gt3d is not None and (gt3d.T != pose.T or gt3d.K != pose.K):
+        raise InvalidInputError(f"ground truth is {gt3d.T} x {gt3d.K} (T x K), "
+                                f"the window {pose.T} x {pose.K}")
     frames = pose.frames.copy()
     scale, trans = fit_projection(frames, det2d)
     trace = []

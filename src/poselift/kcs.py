@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidWindowError
+from .errors import InvalidInputError, InvalidWindowError
 from .skeleton import PoseSequence3D, SkeletonTopology
 
 
@@ -51,6 +51,33 @@ def feature_length(topo: SkeletonTopology) -> int:
     return m * (m + 1) + 3 * k
 
 
+def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
+                 iu: tuple = None) -> tuple:
+    """(bones, rows) of a T x K x 3 window: the T x 3 x M bone matrices and
+    the T x F feature rows [upper(Psi_t) | upper(Phi_t) | coords].
+
+    One routine for discriminator_features and the KCS energy model, so
+    the features an energy is fitted on are the ones its loss scores.
+    `iu` is np.triu_indices(M), for callers that keep it between calls.
+    """
+    k, m = incidence.shape
+    if frames.ndim != 3 or frames.shape[1] != k or frames.shape[2] != 3:
+        raise InvalidInputError(f"window must be T x {k} x 3, got {frames.shape}")
+    if interval < 1:
+        raise InvalidWindowError(f"interval must be >= 1, got {interval}")
+    t = frames.shape[0]
+    if t < interval + 1:
+        raise InvalidWindowError(f"window length {t} < interval + 1 = {interval + 1}")
+    if iu is None:
+        iu = np.triu_indices(m)
+    bones = frames.transpose(0, 2, 1) @ incidence      # T x 3 x M
+    psi = bones.transpose(0, 2, 1) @ bones             # T x M x M
+    psi_flat = psi[:, iu[0], iu[1]]
+    phi_flat = np.zeros_like(psi_flat)
+    phi_flat[:t - interval] = psi_flat[interval:] - psi_flat[:t - interval]
+    return bones, np.concatenate([psi_flat, phi_flat, frames.reshape(t, -1)], axis=1)
+
+
 def discriminator_features(window: PoseSequence3D, topo: SkeletonTopology,
                            interval: int = 1) -> np.ndarray:
     """Per-frame [upper(Psi_t) | upper(Phi_t) | coords] feature rows.
@@ -58,18 +85,4 @@ def discriminator_features(window: PoseSequence3D, topo: SkeletonTopology,
     Phi is zero for the last `interval` frames (no future frame to diff
     against); coordinates are the raw 3K mm values of the frame.
     """
-    if interval < 1:
-        raise InvalidWindowError(f"interval must be >= 1, got {interval}")
-    t = window.T
-    if t < interval + 1:
-        raise InvalidWindowError(f"window length {t} < interval + 1 = {interval + 1}")
-    c = bone_incidence(topo)
-    frames = window.frames
-    b = np.einsum("tkd,km->tdm", frames, c)          # T x 3 x M
-    psi = np.einsum("tdm,tdn->tmn", b, b)            # T x M x M
-    iu = np.triu_indices(topo.M)
-    psi_flat = psi[:, iu[0], iu[1]]
-    phi_flat = np.zeros_like(psi_flat)
-    phi_flat[:t - interval] = psi_flat[interval:] - psi_flat[:t - interval]
-    coords = frames.reshape(t, -1)
-    return np.concatenate([psi_flat, phi_flat, coords], axis=1)
+    return feature_rows(window.frames, bone_incidence(topo), interval)[1]

@@ -8,13 +8,19 @@ The lifter oracles are the straightforward per-window reference forms of
 the TCN: a numpy forward that convolves the whole window and keeps its
 center column, per-frame sequence lifting, and a training loop that embeds
 and runs every window of every sample on its own.
+
+The loss-term oracles are the per-op Tensor graphs of the KCS energy, the
+ISO reprojection term and the ISO smoothness term, against which the
+closed-form single-node versions are checked.
 """
 
 import numpy as np
 
 from poselift.autodiff import SGD, Tensor
+from poselift.discriminator import window_features
 from poselift.errors import InvalidInputError, TrainingDivergedError
-from poselift.skeleton import RotationAugment
+from poselift.iso import compute_weights, fit_projection
+from poselift.skeleton import PoseSequence3D, RotationAugment
 from poselift.tcn import loss_2d, loss_3d, loss_multiview, total_loss
 
 
@@ -349,3 +355,53 @@ def train_per_window(model, sequences, cfg, epochs=1, scorer=None):
         history.append(record)
         opt.lr *= cfg.lr_decay
     return history
+
+
+# --------------------------------------------------------- loss-term oracles
+
+
+def _graph_input(pose):
+    if isinstance(pose, Tensor):
+        return pose
+    if isinstance(pose, PoseSequence3D):
+        return Tensor(pose.frames)
+    return Tensor(np.asarray(pose, dtype=np.float64))
+
+
+def energy_gen_loss_graph(model, window):
+    """KcsEnergyModel.gen_loss through window_features and Tensor ops."""
+    d = window_features(_graph_input(window), model.incidence, model.interval) \
+        - Tensor(model.mean)
+    return ((d @ Tensor(model.precision)) * d).sum(axis=1).mean()
+
+
+class GraphEnergy:
+    """A KcsEnergyModel scorer whose gen_loss is the per-op graph."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def gen_loss(self, window):
+        return energy_gen_loss_graph(self.model, window)
+
+
+def rep_loss_graph(pose, det2d, cfg, scale=None, translation=None, weights=None):
+    """poselift.iso.rep_loss through Tensor ops."""
+    x = _graph_input(pose)
+    if scale is None or translation is None:
+        scale, translation = fit_projection(x.data, det2d)
+    if weights is None:
+        weights = compute_weights(x.data, det2d, cfg, scale, translation)
+    proj = x[:, :, :2] * scale + Tensor(translation[:, None, :])
+    d = (proj - Tensor(det2d.frames)) * float(cfg.crop_px)
+    sq = (d * d).sum(axis=2)
+    return (sq * Tensor(weights)).sum()
+
+
+def smooth_loss_graph(pose):
+    """poselift.iso.smooth_loss through Tensor ops."""
+    x = _graph_input(pose)
+    if x.shape[0] < 2:
+        return Tensor(0.0)
+    d = x[1:] - x[: x.shape[0] - 1]
+    return (d * d).sum()

@@ -15,8 +15,8 @@ from poselift.experiment import ExperimentConfig
 from poselift.iso import IsoConfig
 from poselift.pose_io import parse_config
 from poselift.kcs import discriminator_features
-from poselift.pose_io import default_topology, read_pose2d, read_pose3d
-from poselift.skeleton import project_to_crop
+from poselift.pose_io import default_topology, read_pose2d, read_pose3d, write_pose3d
+from poselift.skeleton import PoseSequence3D, project_to_crop
 from poselift.synth import SyntheticMotionConfig, generate
 from poselift.visibility import sequence_visibility
 
@@ -250,6 +250,20 @@ def test_iso_refine_realness_weight_without_scorer_exits_2(sample_files, tmp_pat
         assert err.count("\n") == 1 and "ConfigError" in err
         assert "iso.lambda1" in err and "scorer" in err
         assert not (tmp_path / "r" / "trace.json").exists()
+
+
+def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path, capsys):
+    gt = read_pose3d(sample_files / "seq00_v0_gt.pose3d", TOPO)
+    short = tmp_path / "short_gt.pose3d"
+    write_pose3d(short, PoseSequence3D(gt.frames[:24]), TOPO)
+    cfg = write_cfg(tmp_path / "r.cfg", **{
+        "pose3d": sample_files / "seq00_v0_gt.pose3d",
+        "det2d": sample_files / "seq00_v0_det.pose2d", "gt3d": short,
+        "iso.iterations": 3, "iso.lambda1": 0.0})
+    assert run("iso-refine", "--config", cfg, "--out", tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "InvalidInputError" in err and "ground truth" in err
+    assert not (tmp_path / "r" / "trace.json").exists()
 
 
 @pytest.mark.parametrize("key, value, named", [

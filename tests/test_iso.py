@@ -495,3 +495,12 @@ def test_refine_shape_mismatch():
     det = clean_detections(gt_window(0, 9), np.random.default_rng(18))
     with pytest.raises(InvalidInputError):
         refine(gt, det, None, IsoConfig())
+
+
+@pytest.mark.parametrize("t, k", [(8, 17), (10, 16)])
+def test_refine_ground_truth_shape_mismatch(t, k):
+    gt = gt_window(0, 10)
+    det = clean_detections(gt, np.random.default_rng(19))
+    wrong = PoseSequence3D(gt_window(0, t).frames[:, :k])
+    with pytest.raises(InvalidInputError, match="ground truth"):
+        refine(gt, det, None, IsoConfig(iterations=3), gt3d=wrong)

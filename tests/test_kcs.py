@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from poselift.errors import InvalidWindowError
+from poselift.errors import InvalidInputError, InvalidWindowError
 from poselift.kcs import (
     bone_matrix,
     discriminator_features,
@@ -174,3 +177,25 @@ def test_features_window_too_short(topo):
     frames = np.zeros((1, topo.K, 3))
     with pytest.raises(InvalidWindowError):
         discriminator_features(PoseSequence3D(frames), topo, interval=1)
+
+
+def test_features_reject_a_window_of_another_skeleton(topo):
+    frames = np.zeros((4, topo.K - 1, 3))
+    with pytest.raises(InvalidInputError):
+        discriminator_features(PoseSequence3D(frames), topo)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), interval=st.integers(1, 3),
+       extra=st.integers(0, 8), shift_mm=st.floats(0.0, 5000.0))
+def test_features_psi_phi_invariant_to_rigid_motion(topo, seed, interval, extra, shift_mm):
+    rng = np.random.default_rng(seed)
+    frames = np.stack([random_cloud_pose(rng, topo) for _ in range(interval + 1 + extra)])
+    rot = Rotation.random(random_state=rng).as_matrix()
+    shift = rng.normal(size=3)
+    moved = frames @ rot.T + shift_mm * shift / np.linalg.norm(shift)
+    a = discriminator_features(PoseSequence3D(frames), topo, interval)
+    b = discriminator_features(PoseSequence3D(moved), topo, interval)
+    n_desc = topo.M * (topo.M + 1)  # Psi and Phi blocks together
+    scale = np.abs(a[:, :n_desc]).max()
+    np.testing.assert_allclose(b[:, :n_desc], a[:, :n_desc], rtol=0.0, atol=1e-12 * scale)
