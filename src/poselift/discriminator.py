@@ -117,8 +117,8 @@ class DiscriminatorModel:
         """Per-feature mean/scale from REAL windows only (never generated)."""
         if not real_windows:
             raise InvalidInputError("need at least one window to fit the scaler")
-        rows = [window_features(_frames_of(w), self.incidence,
-                                self.config.tkcs_interval).data
+        rows = [feature_rows(np.asarray(_frames_of(w), dtype=np.float64), self.incidence,
+                             self.config.tkcs_interval)[1]
                 for w in real_windows]
         feats = np.concatenate(rows, axis=0)
         self.scaler_mean = feats.mean(axis=0)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .pose_io import default_topology
-from .skeleton import PoseSequence3D, SkeletonTopology, procrustes_align
+from .skeleton import PoseSequence3D, SkeletonTopology, procrustes_align_frames
 
 PCK_RADIUS_MM = 150.0
 
@@ -40,11 +40,8 @@ def mpjpe(pred, gt) -> float:
 def p_mpjpe(pred, gt) -> float:
     """Position error after per-frame similarity alignment of pred onto gt."""
     p, g = _paired(pred, gt)
-    errs = np.empty(p.shape[0])
-    for t in range(p.shape[0]):
-        aligned = procrustes_align(p[t], g[t])
-        errs[t] = np.linalg.norm(aligned - g[t], axis=1).mean()
-    return float(errs.mean())
+    aligned = procrustes_align_frames(p, g)
+    return float(np.linalg.norm(aligned - g, axis=2).mean(axis=1).mean())
 
 
 def pck(pred, gt, radius_mm: float = PCK_RADIUS_MM) -> float:

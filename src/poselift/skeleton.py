@@ -220,15 +220,35 @@ class RotationAugment:
         return rotation_matrix(self.alpha, self.beta, self.gamma)
 
 
-def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """R = Rz(gamma) @ Ry(beta) @ Rx(alpha)."""
+def rotation_matrix(alpha, beta, gamma) -> np.ndarray:
+    """R = Rz(gamma) @ Ry(beta) @ Rx(alpha).
+
+    The angles broadcast against each other; array angles of shape S give
+    an S x 3 x 3 stack, scalars a single 3 x 3 matrix.
+    """
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
     cg, sg = np.cos(gamma), np.sin(gamma)
-    rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]], dtype=np.float64)
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]], dtype=np.float64)
-    rz = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]], dtype=np.float64)
+    m = np.zeros(np.broadcast(ca, cb, cg).shape + (3, 3, 3))
+    rx, ry, rz = m[..., 0, :, :], m[..., 1, :, :], m[..., 2, :, :]
+    rx[..., 0, 0] = 1.0
+    rx[..., 1, 1], rx[..., 1, 2], rx[..., 2, 1], rx[..., 2, 2] = ca, -sa, sa, ca
+    ry[..., 1, 1] = 1.0
+    ry[..., 0, 0], ry[..., 0, 2], ry[..., 2, 0], ry[..., 2, 2] = cb, sb, -sb, cb
+    rz[..., 2, 2] = 1.0
+    rz[..., 0, 0], rz[..., 0, 1], rz[..., 1, 0], rz[..., 1, 1] = cg, -sg, sg, cg
     return rz @ ry @ rx
+
+
+def vector_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis of a stack of vectors.
+
+    Each length is the square root of the vector's dot product, as
+    np.linalg.norm computes it for a single vector, so a stack of lengths is
+    bit-equal to one np.linalg.norm call per vector; an axis reduction or
+    einsum sums in another order and can differ in the last bit.
+    """
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def rotate_pose(pose3d: PoseSequence3D, r: RotationAugment) -> PoseSequence3D:
@@ -269,25 +289,47 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 3:
         raise InvalidInputError(f"pose shapes must match and be K x 3, got {pred.shape} vs {gt.shape}")
-    mu_p = pred.mean(axis=0)
-    mu_g = gt.mean(axis=0)
-    xp = pred - mu_p
-    xg = gt - mu_g
-    norm_g = np.sqrt((xg ** 2).sum())
-    if norm_g < 1e-9:
+    return procrustes_align_frames(pred[None], gt[None])[0]
+
+
+def procrustes_align_frames(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """procrustes_align of every frame of T x K x 3 pred onto the same frame of gt.
+
+    One stacked SVD fits all frames; each frame keeps its own rules: a gt
+    frame with zero spread raises DegenerateInputError, a collapsed
+    prediction lands on the gt centroid, and a non-positive scale falls
+    back to 1.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape or pred.ndim != 3 or pred.shape[2] != 3:
+        raise InvalidInputError(f"pose shapes must match and be T x K x 3, got {pred.shape} vs {gt.shape}")
+    t_len = pred.shape[0]
+    mu_p = pred.mean(axis=1)
+    mu_g = gt.mean(axis=1)
+    xp = pred - mu_p[:, None]
+    xg = gt - mu_g[:, None]
+    norm_g = np.sqrt((xg ** 2).reshape(t_len, -1).sum(axis=1))
+    if np.any(norm_g < 1e-9):
         raise DegenerateInputError("ground-truth pose has zero spread")
-    norm_p = np.sqrt((xp ** 2).sum())
-    if norm_p < 1e-9:
-        # collapsed prediction: best fit puts every point at the gt centroid
-        return np.tile(mu_g, (pred.shape[0], 1))
-    m = xp.T @ xg  # 3x3 cross-covariance (unnormalized)
+    norm_p = np.sqrt((xp ** 2).reshape(t_len, -1).sum(axis=1))
+    # collapsed prediction: best fit puts every point at the gt centroid
+    collapsed = norm_p < 1e-9
+    m = xp.transpose(0, 2, 1) @ xg  # 3x3 cross-covariances (unnormalized)
     u, s, vt = np.linalg.svd(m)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    d = np.array([1.0, 1.0, sign])
-    rot = vt.T @ np.diag(d) @ u.T
-    scale = (s * d).sum() / (norm_p ** 2)
-    if scale <= 0:
-        # reflection-dominated degenerate case; fall back to unscaled rotation
-        scale = 1.0
-    t = mu_g - scale * rot @ mu_p
-    return scale * (rot @ pred.T).T + t
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    d = np.ones((t_len, 3))
+    d[:, 2] = np.sign(np.linalg.det(v @ ut))
+    diag = np.zeros((t_len, 3, 3))
+    diag[:, [0, 1, 2], [0, 1, 2]] = d
+    rot = v @ diag @ ut
+    # each frame's norm is squared as a Python float, i.e. by C pow(): that
+    # differs from x * x in the last bit on about one value in a thousand,
+    # and a one-frame fit has always squared a float64 scalar this way
+    norm_p_sq = np.power(norm_p.astype(object), 2).astype(np.float64)
+    scale = (s * d).sum(axis=1) / np.where(collapsed, 1.0, norm_p_sq)
+    # reflection-dominated degenerate case; fall back to unscaled rotation
+    scale = np.where(scale <= 0, 1.0, scale)[:, None, None]
+    shift = mu_g - ((scale * rot) @ mu_p[:, :, None])[..., 0]
+    aligned = scale * (rot @ pred.transpose(0, 2, 1)).transpose(0, 2, 1) + shift[:, None]
+    return np.where(collapsed[:, None, None], mu_g[:, None], aligned)

@@ -6,8 +6,7 @@ and cylinder-derived occlusion labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,8 @@ from .skeleton import (
     SkeletonTopology,
     project_to_crop,
     rotate_pose,
+    rotation_matrix,
+    vector_norm,
 )
 from .visibility import sequence_visibility
 
@@ -92,15 +93,18 @@ class SyntheticSequence:
     action: str
 
 
-def _axis_angle_matrix(rotvec: np.ndarray) -> np.ndarray:
-    """Rotation matrix from a rotation vector (Rodrigues)."""
-    angle = np.linalg.norm(rotvec)
-    if angle < 1e-12:
-        return np.eye(3)
-    axis = rotvec / angle
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+def _rodrigues(rotvecs: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of rotation vectors (..., 3)."""
+    angle = vector_norm(rotvecs)
+    still = angle < 1e-12
+    axis = rotvecs / np.where(still, 1.0, angle)[..., None]
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(axis.shape + (3,))
+    rot = (np.eye(3) + np.sin(angle)[..., None, None] * k
+           + (1.0 - np.cos(angle))[..., None, None] * (k @ k))
+    rot[still] = np.eye(3)
+    return rot
 
 
 def _smooth_walk(rng, n_steps: int, n_channels: int, step: float, window: int) -> np.ndarray:
@@ -130,9 +134,11 @@ def rest_offsets(topo: SkeletonTopology) -> np.ndarray:
 
 def _fk(topo: SkeletonTopology, offsets: np.ndarray, rotvecs: np.ndarray,
         global_rots: np.ndarray) -> np.ndarray:
-    """Forward kinematics: rotvecs (T, M, 3) local, global_rots (T, 3, 3)."""
-    t_len = rotvecs.shape[0]
-    frames = np.zeros((t_len, topo.K, 3))
+    """Forward kinematics: rotvecs (T, M, 3) local, global_rots (T, 3, 3).
+
+    All frames at once; the loop runs over the bones in parent order.
+    """
+    frames = np.zeros((rotvecs.shape[0], topo.K, 3))
     # bones are listed parent-before-child in the topology file; verify once
     placed = {topo.root_index}
     order = []
@@ -149,17 +155,14 @@ def _fk(topo: SkeletonTopology, offsets: np.ndarray, rotvecs: np.ndarray,
         if not progressed:
             raise ConfigError("bone list is not topologically ordered from the root")
     parent_of_bone = {c: m for m, (p, c) in enumerate(topo.bones)}
-    for t in range(t_len):
-        rots = {None: np.eye(3)}
-        for m in order:
-            p, c = topo.bones[m]
-            parent_rot = rots[parent_of_bone.get(p)]
-            local = _axis_angle_matrix(rotvecs[t, m])
-            g = parent_rot @ local
-            rots[m] = g
-            frames[t, c] = frames[t, p] + g @ offsets[m]
-        frames[t] = frames[t] @ global_rots[t].T
-    return frames
+    local = _rodrigues(rotvecs)                     # T x M x 3 x 3
+    rots = {None: np.eye(3)}
+    for m in order:
+        p, c = topo.bones[m]
+        g = rots[parent_of_bone.get(p)] @ local[:, m]
+        rots[m] = g
+        frames[:, c] = frames[:, p] + g @ offsets[m]
+    return frames @ global_rots.transpose(0, 2, 1)
 
 
 def generate_sequence(cfg: SyntheticMotionConfig, topo: SkeletonTopology,
@@ -177,9 +180,7 @@ def generate_sequence(cfg: SyntheticMotionConfig, topo: SkeletonTopology,
     yaw_walk = _smooth_walk(rng, base_len, 1, cfg.yaw_step, cfg.smooth_window)
     yaw = yaw0 + _resample(yaw_walk, times)[:, 0]
     pitch = cfg.wobble * np.sin(np.linspace(0, 2 * np.pi, cfg.frames) + rng.uniform(0, 2 * np.pi))
-    global_rots = np.zeros((cfg.frames, 3, 3))
-    for t in range(cfg.frames):
-        global_rots[t] = RotationAugment(alpha=pitch[t], beta=yaw[t]).matrix()
+    global_rots = rotation_matrix(pitch, yaw, 0.0)
     frames = _fk(topo, offsets, rotvecs, global_rots)
     frames -= frames[:, topo.root_index:topo.root_index + 1]  # keep root pinned
     return PoseSequence3D(frames)

@@ -18,12 +18,11 @@ construction (n_z = -(u_x^2 + u_y^2) before normalization).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import TopologyError
-from .skeleton import PoseSequence3D, SkeletonTopology
+from .skeleton import PoseSequence3D, SkeletonTopology, vector_norm
 
 KAPPA_DEFAULT = 0.1     # sigmoid sharpness, 1/mm
 _EPS_SOFT = 1e-6        # soft scores clamped to (eps, 1-eps)
@@ -48,88 +47,84 @@ class VisibilityReport:
     occluder: list          # per keypoint: cylinder name or None
 
 
-def build_cylinders(frame: np.ndarray, topo: SkeletonTopology) -> list:
-    """The ten-part decomposition for one K x 3 pose frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (topo.K, 3):
-        raise TopologyError(f"pose frame shape {frame.shape} does not match K={topo.K}")
+def _cylinder_arrays(frames: np.ndarray, topo: SkeletonTopology):
+    """Cylinders of T x K x 3 frames as arrays over (T, C).
+
+    Returns (tops T x C x 3, bottoms T x C x 3, radii T x C, degenerate T x C).
+    """
+    if frames.ndim != 3 or frames.shape[1:] != (topo.K, 3):
+        raise TopologyError(f"pose frame shape {frames.shape[1:]} does not match K={topo.K}")
     if not topo.cylinders:
         raise TopologyError("topology defines no cylinders")
     neck, sh_l, sh_r = topo.torso[0], topo.torso[1], topo.torso[2]
-    torso_r = 0.5 * (np.linalg.norm(frame[sh_l] - frame[neck])
-                     + np.linalg.norm(frame[sh_r] - frame[neck]))
-    out = []
-    for spec in topo.cylinders:
-        r = torso_r if spec.radius_mm is None else spec.radius_mm
-        top = frame[spec.top].copy()
-        bottom = frame[spec.bottom].copy()
-        height = np.linalg.norm(bottom - top)
-        degenerate = height < _EPS_GEOM or r < _EPS_GEOM
-        out.append(Cylinder(spec.name, float(r), top, bottom,
-                            spec.top, spec.bottom, degenerate))
-    return out
+    torso_r = 0.5 * (vector_norm(frames[:, sh_l] - frames[:, neck])
+                     + vector_norm(frames[:, sh_r] - frames[:, neck]))
+    torso = np.array([spec.radius_mm is None for spec in topo.cylinders])
+    fixed = np.array([0.0 if spec.radius_mm is None else spec.radius_mm
+                      for spec in topo.cylinders])
+    radii = np.where(torso, torso_r[:, None], fixed)
+    tops = frames[:, [spec.top for spec in topo.cylinders]]
+    bottoms = frames[:, [spec.bottom for spec in topo.cylinders]]
+    degenerate = (vector_norm(bottoms - tops) < _EPS_GEOM) | (radii < _EPS_GEOM)
+    return tops, bottoms, radii, degenerate
 
 
-class _FrameGeometry:
-    """Vectorized rectangle geometry for all cylinders of one frame."""
+def build_cylinders(frame: np.ndarray, topo: SkeletonTopology) -> list:
+    """The ten-part decomposition for one K x 3 pose frame."""
+    frame = np.asarray(frame, dtype=np.float64)
+    tops, bottoms, radii, degenerate = _cylinder_arrays(frame[None], topo)
+    return [Cylinder(spec.name, float(radii[0, c]), tops[0, c], bottoms[0, c],
+                     spec.top, spec.bottom, bool(degenerate[0, c]))
+            for c, spec in enumerate(topo.cylinders)]
 
-    def __init__(self, frame: np.ndarray, topo: SkeletonTopology):
-        cyls = build_cylinders(frame, topo)
-        self.cylinders = cyls
-        c = len(cyls)
-        self.tops = np.stack([cy.top for cy in cyls])
-        bots = np.stack([cy.bottom for cy in cyls])
-        self.radii = np.array([cy.radius_mm for cy in cyls])
-        self.defining = np.array([[cy.top_index, cy.bottom_index] for cy in cyls])
-        u = bots - self.tops
-        w = np.stack([u[:, 1], -u[:, 0], np.zeros(c)], axis=1)  # u x z_hat
-        wnorm = np.linalg.norm(w, axis=1)
-        # edge-on axis (parallel to viewing direction) projects to a segment
-        # and gates nothing; degenerate cylinders likewise
-        self.valid = (wnorm > _EPS_GEOM) & ~np.array([cy.degenerate for cy in cyls])
-        wn = np.where(wnorm[:, None] > _EPS_GEOM, wnorm[:, None], 1.0)
-        self.w = w / wn
-        n = np.cross(u, self.w)
-        nnorm = np.linalg.norm(n, axis=1)
-        nn = np.where(nnorm[:, None] > _EPS_GEOM, nnorm[:, None], 1.0)
-        n = n / nn
-        # flip any stray positive-z normal toward the camera
-        flip = n[:, 2] > 0
-        n[flip] *= -1.0
-        self.n = n
-        self.axis2d = (bots - self.tops)[:, :2]
 
-    def brackets(self, points: np.ndarray):
-        """Gate + plane tests for P (Q x 3) against all cylinders.
+def _occlusion_tests(frames: np.ndarray, topo: SkeletonTopology):
+    """Gate and plane tests of every keypoint against every cylinder.
 
-        Returns (gated Q x C bool, dist Q x C plane distances in mm).
-        """
-        points = np.atleast_2d(points)
-        q2d = points[:, None, :2] - self.tops[None, :, :2]       # Q x C x 2
-        e = self.axis2d[None, :, :]                              # 1 x C x 2
-        w2 = self.w[None, :, :2]
-        det = e[..., 0] * w2[..., 1] - e[..., 1] * w2[..., 0]
-        safe = np.where(np.abs(det) > _EPS_GEOM, det, 1.0)
-        a = (q2d[..., 0] * w2[..., 1] - q2d[..., 1] * w2[..., 0]) / safe
-        b = (e[..., 0] * q2d[..., 1] - e[..., 1] * q2d[..., 0]) / safe
-        contained = ((np.abs(det) > _EPS_GEOM)
-                     & (a >= 0.0) & (a <= 1.0)
-                     & (np.abs(b) <= self.radii[None, :]))
-        gated = contained & self.valid[None, :]
-        dist = np.einsum("qcd,cd->qc", points[:, None, :] - self.tops[None, :, :], self.n)
-        return gated, dist
+    frames is T x K x 3. Returns (gated, dist), both T x K x C: gated is
+    True where the keypoint projects inside the cylinder's rectangle (never
+    for a keypoint that defines the cylinder), dist is the keypoint's signed
+    distance in mm from the rectangle's plane, positive toward the camera.
+    """
+    tops, bottoms, radii, degenerate = _cylinder_arrays(frames, topo)
+    u = bottoms - tops
+    w = np.stack([u[..., 1], -u[..., 0], np.zeros(u.shape[:-1])], axis=-1)  # u x z_hat
+    wnorm = np.linalg.norm(w, axis=-1)
+    # edge-on axis (parallel to viewing direction) projects to a segment
+    # and gates nothing; degenerate cylinders likewise
+    valid = (wnorm > _EPS_GEOM) & ~degenerate
+    w = w / np.where(wnorm > _EPS_GEOM, wnorm, 1.0)[..., None]
+    n = np.cross(u, w)
+    nnorm = np.linalg.norm(n, axis=-1)
+    n = n / np.where(nnorm > _EPS_GEOM, nnorm, 1.0)[..., None]
+    # flip any stray positive-z normal toward the camera
+    n[n[..., 2] > 0] *= -1.0
+
+    q2d = frames[:, :, None, :2] - tops[:, None, :, :2]       # T x K x C x 2
+    e = u[:, None, :, :2]                                     # T x 1 x C x 2
+    w2 = w[:, None, :, :2]
+    det = e[..., 0] * w2[..., 1] - e[..., 1] * w2[..., 0]
+    safe = np.where(np.abs(det) > _EPS_GEOM, det, 1.0)
+    a = (q2d[..., 0] * w2[..., 1] - q2d[..., 1] * w2[..., 0]) / safe
+    b = (e[..., 0] * q2d[..., 1] - e[..., 1] * q2d[..., 0]) / safe
+    gated = ((np.abs(det) > _EPS_GEOM)
+             & (a >= 0.0) & (a <= 1.0)
+             & (np.abs(b) <= radii[:, None, :])
+             & valid[:, None, :])
+    # a keypoint is never occluded by a cylinder it defines
+    cyl = np.arange(len(topo.cylinders))
+    gated[:, [spec.top for spec in topo.cylinders], cyl] = False
+    gated[:, [spec.bottom for spec in topo.cylinders], cyl] = False
+    dist = np.einsum("tkcd,tcd->tkc", frames[:, :, None, :] - tops[:, None, :, :], n)
+    return gated, dist
 
 
 def frame_visibility(frame: np.ndarray, topo: SkeletonTopology,
                      kappa: float = KAPPA_DEFAULT) -> VisibilityReport:
     """Hard + soft visibility of every keypoint of one frame."""
     frame = np.asarray(frame, dtype=np.float64)
-    geom = _FrameGeometry(frame, topo)
-    gated, dist = geom.brackets(frame)
-    # a keypoint is never occluded by a cylinder it defines
-    for c, (i, j) in enumerate(geom.defining):
-        gated[i, c] = False
-        gated[j, c] = False
+    gated, dist = _occlusion_tests(frame[None], topo)
+    gated, dist = gated[0], dist[0]
     front = dist > 0.0
     hard = np.all(front | ~gated, axis=1).astype(np.int64)
     # tanh form of the sigmoid avoids exp overflow at sharp kappa
@@ -144,7 +139,7 @@ def frame_visibility(frame: np.ndarray, topo: SkeletonTopology,
         else:
             cands = np.where(blocking[k])[0]
             deepest = cands[np.argmin(dist[k, cands])]
-            occluder.append(geom.cylinders[deepest].name)
+            occluder.append(topo.cylinders[deepest].name)
     return VisibilityReport(hard, soft, occluder)
 
 
@@ -158,8 +153,6 @@ def visibility(point_index: int, frame: np.ndarray, topo: SkeletonTopology,
 
 
 def sequence_visibility(pose_seq: PoseSequence3D, topo: SkeletonTopology) -> np.ndarray:
-    """T x K boolean visibility (True = visible) over a sequence."""
-    out = np.zeros((pose_seq.T, pose_seq.K), dtype=bool)
-    for t in range(pose_seq.T):
-        out[t] = frame_visibility(pose_seq.frames[t], topo).hard.astype(bool)
-    return out
+    """T x K boolean visibility (True = visible) over a sequence, all frames at once."""
+    gated, dist = _occlusion_tests(pose_seq.frames, topo)
+    return np.all((dist > 0.0) | ~gated, axis=2)

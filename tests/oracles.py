@@ -12,15 +12,24 @@ and runs every window of every sample on its own.
 The loss-term oracles are the per-op Tensor graphs of the KCS energy, the
 ISO reprojection term and the ISO smoothness term, against which the
 closed-form single-node versions are checked.
+
+The synthesis and metric oracles are the per-frame forms of the
+frame-batched code: cylinder visibility one frame at a time, Rodrigues
+matrices and forward kinematics one joint of one frame at a time, one
+rotation matrix per frame, and one Procrustes fit per frame. The batched
+code must reproduce them byte for byte.
 """
 
 import numpy as np
 
+from poselift import synth
 from poselift.autodiff import SGD, Tensor
 from poselift.discriminator import window_features
-from poselift.errors import InvalidInputError, TrainingDivergedError
+from poselift.errors import (ConfigError, DegenerateInputError, InvalidInputError, TopologyError,
+                             TrainingDivergedError)
 from poselift.iso import compute_weights, fit_projection
-from poselift.skeleton import PoseSequence3D, RotationAugment
+from poselift.skeleton import (PoseSequence2D, PoseSequence3D, RotationAugment,
+                               project_to_crop, rotate_pose)
 from poselift.tcn import loss_2d, loss_3d, loss_multiview, total_loss
 
 
@@ -405,3 +414,196 @@ def smooth_loss_graph(pose):
         return Tensor(0.0)
     d = x[1:] - x[: x.shape[0] - 1]
     return (d * d).sum()
+
+
+# ------------------------------------------------------ per-frame synthesis
+
+
+def frame_hard_visibility(frame, topo):
+    """K hard labels of one frame from per-frame cylinder geometry: the
+    rectangle gate and plane test of poselift.visibility, one frame at a
+    time, with lengths from np.linalg.norm."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.shape != (topo.K, 3):
+        raise TopologyError(f"pose frame shape {frame.shape} does not match K={topo.K}")
+    if not topo.cylinders:
+        raise TopologyError("topology defines no cylinders")
+    neck, sh_l, sh_r = topo.torso[0], topo.torso[1], topo.torso[2]
+    torso_r = 0.5 * (np.linalg.norm(frame[sh_l] - frame[neck])
+                     + np.linalg.norm(frame[sh_r] - frame[neck]))
+    tops, bots, radii, defining, degenerate = [], [], [], [], []
+    for spec in topo.cylinders:
+        r = torso_r if spec.radius_mm is None else spec.radius_mm
+        top = frame[spec.top].copy()
+        bottom = frame[spec.bottom].copy()
+        height = np.linalg.norm(bottom - top)
+        tops.append(top)
+        bots.append(bottom)
+        radii.append(float(r))
+        defining.append((spec.top, spec.bottom))
+        degenerate.append(height < 1e-9 or r < 1e-9)
+    c = len(tops)
+    tops, bots, radii = np.stack(tops), np.stack(bots), np.array(radii)
+    u = bots - tops
+    w = np.stack([u[:, 1], -u[:, 0], np.zeros(c)], axis=1)
+    wnorm = np.linalg.norm(w, axis=1)
+    valid = (wnorm > 1e-9) & ~np.array(degenerate)
+    w = w / np.where(wnorm[:, None] > 1e-9, wnorm[:, None], 1.0)
+    n = np.cross(u, w)
+    nnorm = np.linalg.norm(n, axis=1)
+    n = n / np.where(nnorm[:, None] > 1e-9, nnorm[:, None], 1.0)
+    n[n[:, 2] > 0] *= -1.0
+    axis2d = (bots - tops)[:, :2]
+    q2d = frame[:, None, :2] - tops[None, :, :2]
+    e = axis2d[None, :, :]
+    w2 = w[None, :, :2]
+    det = e[..., 0] * w2[..., 1] - e[..., 1] * w2[..., 0]
+    safe = np.where(np.abs(det) > 1e-9, det, 1.0)
+    a = (q2d[..., 0] * w2[..., 1] - q2d[..., 1] * w2[..., 0]) / safe
+    b = (e[..., 0] * q2d[..., 1] - e[..., 1] * q2d[..., 0]) / safe
+    contained = ((np.abs(det) > 1e-9) & (a >= 0.0) & (a <= 1.0)
+                 & (np.abs(b) <= radii[None, :]))
+    gated = contained & valid[None, :]
+    dist = np.einsum("qcd,cd->qc", frame[:, None, :] - tops[None, :, :], n)
+    for ci, (i, j) in enumerate(defining):
+        gated[i, ci] = False
+        gated[j, ci] = False
+    return np.all((dist > 0.0) | ~gated, axis=1)
+
+
+def sequence_visibility_per_frame(pose_seq, topo):
+    """T x K visibility, one frame_hard_visibility call per frame."""
+    out = np.zeros((pose_seq.T, pose_seq.K), dtype=bool)
+    for t in range(pose_seq.T):
+        out[t] = frame_hard_visibility(pose_seq.frames[t], topo)
+    return out
+
+
+def axis_angle_matrix(rotvec):
+    """Rotation matrix of one rotation vector (Rodrigues)."""
+    angle = np.linalg.norm(rotvec)
+    if angle < 1e-12:
+        return np.eye(3)
+    axis = rotvec / angle
+    x, y, z = axis
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def fk_per_frame(topo, offsets, rotvecs, global_rots):
+    """Forward kinematics one frame and one joint at a time."""
+    frames = np.zeros((rotvecs.shape[0], topo.K, 3))
+    placed = {topo.root_index}
+    order = []
+    pending = list(range(topo.M))
+    while pending:
+        ready = [m for m in pending if topo.bones[m][0] in placed]
+        if not ready:
+            raise ConfigError("bone list is not topologically ordered from the root")
+        for m in ready:
+            order.append(m)
+            placed.add(topo.bones[m][1])
+            pending.remove(m)
+    parent_of_bone = {c: m for m, (p, c) in enumerate(topo.bones)}
+    for t in range(rotvecs.shape[0]):
+        rots = {None: np.eye(3)}
+        for m in order:
+            p, c = topo.bones[m]
+            g = rots[parent_of_bone.get(p)] @ axis_angle_matrix(rotvecs[t, m])
+            rots[m] = g
+            frames[t, c] = frames[t, p] + g @ offsets[m]
+        frames[t] = frames[t] @ global_rots[t].T
+    return frames
+
+
+def generate_sequence_per_frame(cfg, topo, rng, speed):
+    """poselift.synth.generate_sequence with per-frame global rotations and FK."""
+    offsets = synth.rest_offsets(topo)
+    base_len = int(np.ceil(cfg.frames * speed)) + 2
+    walk = synth._smooth_walk(rng, base_len, topo.M * 3, cfg.angle_step, cfg.smooth_window)
+    times = np.arange(cfg.frames) * speed
+    rotvecs = synth._resample(walk, times).reshape(cfg.frames, topo.M, 3)
+    norms = np.linalg.norm(rotvecs, axis=2, keepdims=True)
+    scale = np.where(norms > cfg.max_joint_angle,
+                     cfg.max_joint_angle / np.maximum(norms, 1e-12), 1.0)
+    rotvecs = rotvecs * scale
+    yaw0 = rng.uniform(-np.pi, np.pi)
+    yaw_walk = synth._smooth_walk(rng, base_len, 1, cfg.yaw_step, cfg.smooth_window)
+    yaw = yaw0 + synth._resample(yaw_walk, times)[:, 0]
+    pitch = cfg.wobble * np.sin(np.linspace(0, 2 * np.pi, cfg.frames)
+                                + rng.uniform(0, 2 * np.pi))
+    global_rots = np.zeros((cfg.frames, 3, 3))
+    for t in range(cfg.frames):
+        global_rots[t] = RotationAugment(alpha=pitch[t], beta=yaw[t]).matrix()
+    frames = fk_per_frame(topo, offsets, rotvecs, global_rots)
+    frames -= frames[:, topo.root_index:topo.root_index + 1]
+    return PoseSequence3D(frames)
+
+
+def generate_per_frame(cfg, topo):
+    """poselift.synth.generate built from the per-frame references above."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    view_rots = [RotationAugment()] + [RotationAugment(*v) for v in cfg.view_rotations]
+    out = []
+    for s in range(cfg.n_sequences):
+        speed = cfg.speed_multipliers[s % len(cfg.speed_multipliers)]
+        action = f"speed{speed:g}"
+        pose = generate_sequence_per_frame(cfg, topo, rng, speed)
+        pose.actions = [action] * pose.T
+        views = []
+        for r in view_rots:
+            vp = rotate_pose(pose, r)
+            visible = sequence_visibility_per_frame(vp, topo)
+            clean = project_to_crop(vp, cfg.scale_mm)
+            t, k = vp.T, vp.K
+            conf = np.where(visible,
+                            rng.uniform(*cfg.conf_visible, size=(t, k)),
+                            rng.uniform(*cfg.conf_occluded, size=(t, k)))
+            std_px = cfg.noise_px * (1.3 - conf)
+            noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / cfg.crop_px)[:, :, None]
+            coords = clean.frames + noise
+            mask = (~visible) & (rng.random((t, k)) < cfg.mask_occluded_prob)
+            coords[mask] = 0.0
+            conf[mask] = 0.0
+            det = PoseSequence2D(coords, confidence=conf, mask=mask,
+                                 scale_mm=cfg.scale_mm, actions=vp.actions)
+            vp.visibility = visible
+            views.append(synth.ViewData(r, vp, det, visible))
+        out.append(synth.SyntheticSequence(pose, views, action))
+    return out
+
+
+# ------------------------------------------------------- per-frame metrics
+
+
+def procrustes_align_single(pred, gt):
+    """Similarity alignment of one K x 3 pose onto gt, one SVD per call."""
+    mu_p = pred.mean(axis=0)
+    mu_g = gt.mean(axis=0)
+    xp = pred - mu_p
+    xg = gt - mu_g
+    norm_g = np.sqrt((xg ** 2).sum())
+    if norm_g < 1e-9:
+        raise DegenerateInputError("ground-truth pose has zero spread")
+    norm_p = np.sqrt((xp ** 2).sum())
+    if norm_p < 1e-9:
+        return np.tile(mu_g, (pred.shape[0], 1))
+    u, s, vt = np.linalg.svd(xp.T @ xg)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    d = np.array([1.0, 1.0, sign])
+    rot = vt.T @ np.diag(d) @ u.T
+    scale = (s * d).sum() / (norm_p ** 2)
+    if scale <= 0:
+        scale = 1.0
+    t = mu_g - scale * rot @ mu_p
+    return scale * (rot @ pred.T).T + t
+
+
+def p_mpjpe_per_frame(pred, gt):
+    """P-MPJPE with one procrustes_align_single call per frame."""
+    errs = np.empty(pred.shape[0])
+    for t in range(pred.shape[0]):
+        aligned = procrustes_align_single(pred[t], gt[t])
+        errs[t] = np.linalg.norm(aligned - gt[t], axis=1).mean()
+    return float(errs.mean())

@@ -205,6 +205,18 @@ def test_fit_scaler_standardizes_real_features():
     assert disc.scaler_inv.max() <= 1.0 / floor + 1e-9
 
 
+def test_fit_scaler_matches_the_feature_graph():
+    disc = small_disc(tkcs_interval=2)
+    windows = REAL[:12] + [PoseSequence3D(REAL[12])]
+    disc.fit_scaler(windows)
+    rows = np.concatenate([window_features(w.frames if isinstance(w, PoseSequence3D) else w,
+                                           disc.incidence, 2).data for w in windows], axis=0)
+    std = rows.std(axis=0)
+    floor = 1e-8 + 1e-3 * std.mean()
+    np.testing.assert_allclose(disc.scaler_mean, rows.mean(axis=0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(disc.scaler_inv, 1.0 / np.maximum(std, floor), rtol=1e-12)
+
+
 def test_fit_scaler_requires_windows():
     with pytest.raises(InvalidInputError):
         small_disc().fit_scaler([])

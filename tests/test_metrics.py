@@ -6,8 +6,11 @@ import pytest
 from poselift.errors import DegenerateInputError, InvalidInputError
 from poselift.metrics import EvalReport, evaluate, mae, mpjpe, p_mpjpe, pck
 from poselift.pose_io import default_topology
-from poselift.skeleton import PoseSequence3D, RotationAugment
+from poselift.skeleton import (PoseSequence3D, RotationAugment, procrustes_align,
+                               procrustes_align_frames)
 from poselift.synth import SyntheticMotionConfig, generate
+
+from oracles import p_mpjpe_per_frame, procrustes_align_single
 
 TOPO = default_topology()
 K = TOPO.K
@@ -94,6 +97,54 @@ def test_p_mpjpe_beats_random_search_oracle():
                                        axis=1).mean() for t in range(4)])
         best = min(best, cand)
     assert got <= best + 1e-9
+
+
+def special_case_frames(rng):
+    """(pred, gt) frames that take each per-frame rule of the Procrustes fit."""
+    a = np.array([1.0, 1.0, -1.0, -1.0] * 4 + [0.0])
+    b = np.array([1.0, -1.0, 1.0, -1.0] * 4 + [0.0])
+    # gt spread along x, pred along y with zero cross-covariance: scale <= 0
+    orth_gt = np.stack([100.0 * a, np.zeros(K), np.zeros(K)], axis=1) + 50.0
+    orth_pred = np.stack([np.zeros(K), 80.0 * b, np.zeros(K)], axis=1) - 20.0
+    # spread below 1e-9 mm onto a gt whose centroid is exactly 0: only the
+    # collapse rule puts every point exactly on it
+    collapsed = 1e-11 * rng.normal(size=(K, 3))
+    centred_gt = np.stack([100.0 * a, 60.0 * b, np.zeros(K)], axis=1)
+    mirrored = GT[7] * np.array([-1.0, 1.0, 1.0])                  # reflection in x
+    return [(orth_pred, orth_gt), (collapsed, centred_gt), (mirrored, GT[7])]
+
+
+def test_p_mpjpe_matches_per_frame_oracle():
+    rng = np.random.default_rng(6)
+    specials = special_case_frames(rng)
+    for trial in range(20):
+        pred = noisy(rng, sigma=rng.choice([0.5, 25.0, 300.0]))
+        gt = GT.copy()
+        if trial % 2:
+            pred = random_similarity(rng, pred)
+        for i, (p, g) in enumerate(specials):
+            pred[3 + 11 * i], gt[3 + 11 * i] = p, g
+        assert p_mpjpe(pred, gt) == p_mpjpe_per_frame(pred, gt)
+        aligned = procrustes_align_frames(pred, gt)
+        for t in range(len(gt)):
+            want = procrustes_align_single(pred[t], gt[t])
+            assert aligned[t].tobytes() == want.tobytes()
+            assert procrustes_align(pred[t], gt[t]).tobytes() == want.tobytes()
+    orth_pred, orth_gt = specials[0]
+    xp, xg = orth_pred - orth_pred.mean(axis=0), orth_gt - orth_gt.mean(axis=0)
+    assert np.all(xp.T @ xg == 0.0)  # the fitted scale is 0, so it falls back to 1
+    collapsed, g = specials[1]
+    assert np.all(g.mean(axis=0) == 0.0)
+    assert np.all(procrustes_align(collapsed, g) == 0.0)
+
+
+def test_p_mpjpe_rejects_a_zero_spread_gt_frame():
+    gt = GT.copy()
+    gt[17] = gt[17, 0]
+    with pytest.raises(DegenerateInputError):
+        p_mpjpe(noisy(np.random.default_rng(7)), gt)
+    with pytest.raises(DegenerateInputError):
+        procrustes_align_frames(GT[16:18], gt[16:18])
 
 
 # -------------------------------------------------------------------- pck
