@@ -3,7 +3,7 @@
 A Tensor wraps an ndarray and remembers how it was produced; backward()
 topologically sorts the graph and accumulates gradients into .grad.
 Only what the pose models need is implemented: elementwise arithmetic
-with broadcasting, matmul, reductions, exp/log/tanh/sigmoid, clip,
+with broadcasting, matmul, reductions, tanh and relu,
 reshape/transpose/slicing/gather, and concatenation.
 """
 
@@ -168,33 +168,11 @@ class Tensor:
 
     # -------------------------------------------------- elementwise
 
-    def exp(self):
-        value = np.exp(self.data)
-
-        def back(out):
-            self._accumulate(out.grad * value)
-
-        return Tensor(value, (self,), back)
-
-    def log(self):
-        def back(out):
-            self._accumulate(out.grad / self.data)
-
-        return Tensor(np.log(self.data), (self,), back)
-
     def tanh(self):
         value = np.tanh(self.data)
 
         def back(out):
             self._accumulate(out.grad * (1.0 - value * value))
-
-        return Tensor(value, (self,), back)
-
-    def sigmoid(self):
-        value = 0.5 * (1.0 + np.tanh(0.5 * self.data))
-
-        def back(out):
-            self._accumulate(out.grad * value * (1.0 - value))
 
         return Tensor(value, (self,), back)
 
@@ -205,14 +183,6 @@ class Tensor:
             self._accumulate(out.grad * keep)
 
         return Tensor(self.data * keep, (self,), back)
-
-    def clip(self, lo: float, hi: float):
-        inside = (self.data > lo) & (self.data < hi)
-
-        def back(out):
-            self._accumulate(out.grad * inside)
-
-        return Tensor(np.clip(self.data, lo, hi), (self,), back)
 
     # -------------------------------------------------- shape ops
 

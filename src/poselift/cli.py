@@ -19,10 +19,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .augment import OcclusionConfig, apply_occlusions
-from .discriminator import DiscConfig, DiscriminatorModel, KcsEnergyModel, train_adversarial
+from .discriminator import KcsEnergyModel
 from .errors import ConfigError, PoseliftError
-from .experiment import (ExperimentConfig, fit_scorer, real_windows, run_experiment,
-                         train_lifter)
+from .experiment import ExperimentConfig, fit_scorer, run_experiment, train_lifter
 from .iso import IsoConfig, refine
 from .kcs import discriminator_features
 from .metrics import evaluate
@@ -90,21 +89,21 @@ def _overlay(cls, base, updates: dict, path=(), prefix=""):
         raise ConfigError(f"{prefix}{e}" if named else f"{prefix}*: {e}") from None
 
 
-def load_config(cfg: dict, cls=ExperimentConfig, prefix: str = ""):
-    """`cls()` with the `key = value` entries of `cfg` on top, each cast by its field type.
+def load_config(cfg: dict) -> ExperimentConfig:
+    """`ExperimentConfig()` with the `key = value` entries of `cfg` on top.
 
-    An Optional section (e.g. `occ.*`, `iso.*`) is built from its class
+    Each value is cast by its field type. An Optional section (e.g. `occ.*`, `iso.*`) is built from its class
     defaults only when one of its keys is present. Unknown keys and
     malformed values raise ConfigError naming the key.
     """
-    keys = _keys(cls, prefix=prefix)
+    keys = _keys(ExperimentConfig)
     updates = {}
     for key, text in cfg.items():
         if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
         path, typ = keys[key]
         updates[path] = parse_value(key, text, typ)
-    return _overlay(cls, None, updates, prefix=prefix)
+    return _overlay(ExperimentConfig, None, updates)
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -163,29 +162,6 @@ def cmd_train(exp, own, out: Path, topo) -> None:
     print(f"{loss}wrote {out / 'model.ckpt'}.npz")
 
 
-def cmd_disc_train(exp, own, out: Path, topo) -> None:
-    seqs = generate(exp.train_synth, topo)
-    real = real_windows(seqs, exp.scorer_window)
-    # stand-in fakes: real windows under coordinate noise strong enough to
-    # break bone-length constancy
-    rng = np.random.default_rng(exp.seed + 104729)
-    noise_mm = cfg_get(own, "fake_noise_mm", 120.0, float)
-    fakes = [w + rng.normal(0, noise_mm, w.shape) for w in real]
-    disc_cfg = load_config({k: v for k, v in own.items() if k.startswith("disc.")},
-                           DiscConfig, "disc.")
-    disc = DiscriminatorModel(disc_cfg, topo, seed=exp.seed)
-    history = train_adversarial(disc, fakes, real,
-                                steps=cfg_get(own, "steps", 100, int),
-                                lr=cfg_get(own, "lr", 0.05, float),
-                                seed=exp.seed)
-    disc.save(out / "disc.ckpt")
-    fit_scorer(exp, seqs, topo, out)
-    (out / "disc_history.json").write_text(
-        json.dumps(history, sort_keys=True, indent=1) + "\n")
-    print(f"final adversarial loss {history[-1]:.4f}; "
-          f"wrote {out / 'disc.ckpt'}.npz and {out / 'scorer.ckpt'}.npz")
-
-
 def cmd_infer(exp, own, out: Path, topo) -> None:
     model = TcnModel.load(_require(own, "model"))
     det = read_pose2d(_require(own, "det2d"), topo)
@@ -230,14 +206,13 @@ def cmd_run_experiment(exp, own, out: Path, topo) -> None:
           f"{out / 'manifest.json'}")
 
 
-# subcommand -> (entry point, its own keys beside `topology`; "x." takes all x.*)
+# subcommand -> (entry point, its own keys beside `topology`)
 COMMANDS = {
     "synth-gen": (cmd_synth_gen, ()),
     "visibility": (cmd_visibility, ("pose3d",)),
     "augment": (cmd_augment, ("pose2d",)),
     "features": (cmd_features, ("pose3d", "interval")),
     "train": (cmd_train, ()),
-    "disc-train": (cmd_disc_train, ("steps", "lr", "fake_noise_mm", "disc.")),
     "infer": (cmd_infer, ("model", "det2d")),
     "iso-refine": (cmd_iso_refine, ("pose3d", "det2d", "gt3d", "scorer")),
     "eval": (cmd_eval, ("gt3d", "pred3d")),
@@ -259,8 +234,7 @@ def main(argv=None) -> int:
     own_keys += ("topology",)
     try:
         cfg = read_config(args.config) if args.config else {}
-        own = {k: cfg.pop(k) for k in list(cfg)
-               if k in own_keys or any(p.endswith(".") and k.startswith(p) for p in own_keys)}
+        own = {k: cfg.pop(k) for k in list(cfg) if k in own_keys}
         exp = replace(load_config(cfg), out_dir=args.out)
         if args.seed is not None:
             exp = replace(exp, seed=args.seed)

@@ -25,10 +25,6 @@ class ConfigError(PoseliftError, ValueError):
     """Configuration value out of range or inconsistent."""
 
 
-class DegenerateFitError(PoseliftError, ValueError):
-    """Fitting problem has no information (e.g. single-class labels)."""
-
-
 class TrainingDivergedError(PoseliftError, RuntimeError):
     """Loss became non-finite; carries the last good parameter state."""
 

@@ -39,18 +39,6 @@ def tkcs(frame_t: np.ndarray, frame_t_plus_i: np.ndarray, topo: SkeletonTopology
     return kcs(frame_t_plus_i, topo) - kcs(frame_t, topo)
 
 
-def upper_triangle(mat: np.ndarray) -> np.ndarray:
-    """Flatten the upper triangle (diagonal included), fixed row-major order."""
-    m = mat.shape[0]
-    iu = np.triu_indices(m)
-    return np.asarray(mat)[iu]
-
-
-def feature_length(topo: SkeletonTopology) -> int:
-    m, k = topo.M, topo.K
-    return m * (m + 1) + 3 * k
-
-
 def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
                  iu: tuple = None) -> tuple:
     """(bones, rows) of a T x K x 3 window: the T x 3 x M bone matrices and

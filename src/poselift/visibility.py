@@ -97,8 +97,6 @@ def _occlusion_tests(frames: np.ndarray, topo: SkeletonTopology):
     n = np.cross(u, w)
     nnorm = np.linalg.norm(n, axis=-1)
     n = n / np.where(nnorm > _EPS_GEOM, nnorm, 1.0)[..., None]
-    # flip any stray positive-z normal toward the camera
-    n[n[..., 2] > 0] *= -1.0
 
     q2d = frames[:, :, None, :2] - tops[:, None, :, :2]       # T x K x C x 2
     e = u[:, None, :, :2]                                     # T x 1 x C x 2

@@ -9,8 +9,9 @@ the TCN: a numpy forward that convolves the whole window and keeps its
 center column, per-frame sequence lifting, and a training loop that embeds
 and runs every window of every sample on its own.
 
-The loss-term oracles are the per-op Tensor graphs of the KCS energy, the
-ISO reprojection term and the ISO smoothness term, against which the
+The loss-term oracles are the per-op Tensor graphs of the KCS energy (over
+the Tensor-graph KCS/TKCS feature rows, window_features), the ISO
+reprojection term and the ISO smoothness term, against which the
 closed-form single-node versions are checked.
 
 The synthesis and metric oracles are the per-frame forms of the
@@ -24,9 +25,8 @@ import numpy as np
 
 from poselift import synth
 from poselift.autodiff import SGD, Tensor
-from poselift.discriminator import window_features
-from poselift.errors import (ConfigError, DegenerateInputError, InvalidInputError, TopologyError,
-                             TrainingDivergedError)
+from poselift.errors import (ConfigError, DegenerateInputError, InvalidInputError,
+                             InvalidWindowError, TopologyError, TrainingDivergedError)
 from poselift.iso import compute_weights, fit_projection
 from poselift.skeleton import (PoseSequence2D, PoseSequence3D, RotationAugment,
                                project_to_crop, rotate_pose)
@@ -375,6 +375,31 @@ def _graph_input(pose):
     if isinstance(pose, PoseSequence3D):
         return Tensor(pose.frames)
     return Tensor(np.asarray(pose, dtype=np.float64))
+
+
+def window_features(frames, incidence: np.ndarray, interval: int) -> Tensor:
+    """Differentiable T x F feature rows; F = M(M+1) + 3K.
+
+    Matches kcs.discriminator_features row for row: upper triangle of
+    Psi_t, upper triangle of Phi_t (zero for the last `interval` frames),
+    then the raw frame coordinates.
+    """
+    x = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames, dtype=np.float64))
+    k, m = incidence.shape
+    if x.ndim != 3 or x.shape[1] != k or x.shape[2] != 3:
+        raise InvalidInputError(f"window must be T x {k} x 3, got {x.shape}")
+    t = x.shape[0]
+    if interval < 1:
+        raise InvalidWindowError(f"interval must be >= 1, got {interval}")
+    if t < interval + 1:
+        raise InvalidWindowError(f"window length {t} < interval + 1 = {interval + 1}")
+    iu0, iu1 = np.triu_indices(m)
+    b = x.transpose((0, 2, 1)) @ Tensor(incidence)       # T x 3 x M
+    psi = b.transpose((0, 2, 1)) @ b                     # T x M x M
+    psi_flat = psi[:, iu0, iu1]
+    phi = psi_flat[interval:] - psi_flat[: t - interval]
+    phi_flat = Tensor.concat([phi, Tensor(np.zeros((interval, len(iu0))))], axis=0)
+    return Tensor.concat([psi_flat, phi_flat, x.reshape(t, 3 * k)], axis=1)
 
 
 def energy_gen_loss_graph(model, window):

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from poselift.cli import load_config, main
-from poselift.discriminator import DiscConfig
-from poselift.errors import ConfigError
 from poselift.experiment import ExperimentConfig
 from poselift.iso import IsoConfig
 from poselift.pose_io import parse_config
@@ -176,17 +174,22 @@ def test_eval_of_identical_poses(sample_files, tmp_path):
     assert report["mpjpe_mm"] == 0.0 and report["pck150"] == 1.0
 
 
-def test_disc_train_outputs(tmp_path):
-    cfg = write_cfg(tmp_path / "d.cfg", **{
-        "synth.n_sequences": 2, "synth.frames": 32, "synth.seed": 4,
-        "scorer_window": 8, "steps": 3,
-        "disc.channels": 8, "disc.layers": 1})
-    out = tmp_path / "disc"
-    assert run("disc-train", "--config", cfg, "--seed", 1, "--out", out) == 0
-    assert (out / "disc.ckpt.npz").exists()
-    assert (out / "scorer.ckpt.npz").exists()
-    history = json.loads((out / "disc_history.json").read_text())
-    assert len(history) == 3
+def test_disc_train_is_not_a_subcommand(capsys):
+    # the pose prior is the KCS energy model, fitted by `train` and
+    # `run-experiment`; there is no separately trained scorer
+    with pytest.raises(SystemExit) as exc:
+        main(["disc-train"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'disc-train'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("disc.channels", 8), ("fake_noise_mm", 120.0)])
+def test_stale_scorer_training_key_exits_2(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path / "t.cfg", **{key: value})
+    assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err == f"poselift train: ConfigError: unknown config key {key!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_experiment_subcommand(tmp_path):
@@ -281,11 +284,6 @@ def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"ConfigError: {named}" in err
     assert not (tmp_path / "o").exists()
-
-
-def test_disc_range_error_names_the_key():
-    with pytest.raises(ConfigError, match=r"^disc\.kernel must be odd"):
-        load_config({"disc.kernel": "4"}, DiscConfig, "disc.")
 
 
 def test_keys_sit_on_experiment_defaults():

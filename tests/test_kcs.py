@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from poselift.errors import InvalidInputError, InvalidWindowError
-from poselift.kcs import (
-    bone_matrix,
-    discriminator_features,
-    feature_length,
-    kcs,
-    tkcs,
-    upper_triangle,
-)
+from poselift.kcs import bone_matrix, discriminator_features, kcs, tkcs
 from poselift.skeleton import PoseSequence3D, RotationAugment, SkeletonTopology, rotate_pose
 
 from conftest import random_cloud_pose
@@ -120,8 +113,15 @@ def test_tkcs_antisymmetric_and_matches_kcs_difference(topo):
 
 
 def test_upper_triangle_order():
-    mat = np.array([[1.0, 2.0], [2.0, 5.0]])
-    assert np.array_equal(upper_triangle(mat), [1.0, 2.0, 5.0])
+    # 2-bone chain: bones (1,0,0) and (2,2,0) give Psi = [[1, 2], [2, 8]];
+    # the Psi block lists its upper triangle row-major, Psi_00, Psi_01, Psi_11
+    t = tiny_topo(2)
+    frame = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 2.0, 0.0]])
+    feats = discriminator_features(PoseSequence3D(np.stack([frame, 2.0 * frame])), t)
+    assert feats.shape == (2, 2 * 3 + 3 * 3)
+    assert np.array_equal(feats[0, :3], [1.0, 2.0, 8.0])
+    assert np.array_equal(feats[0, 3:6], [3.0, 6.0, 24.0])   # Psi scales by 4
+    assert np.array_equal(feats[0, 6:], frame.ravel())
 
 
 def test_feature_length_and_shape(topo):
@@ -129,9 +129,8 @@ def test_feature_length_and_shape(topo):
     frames = np.stack([random_cloud_pose(rng, topo) for _ in range(6)])
     feats = discriminator_features(PoseSequence3D(frames), topo, interval=1)
     m, k = topo.M, topo.K
-    assert feature_length(topo) == m * (m + 1) // 2 * 2 + 3 * k
-    assert feats.shape == (6, feature_length(topo))
-    assert feature_length(topo) == 323  # default 17-keypoint topology
+    assert feats.shape == (6, m * (m + 1) + 3 * k)
+    assert feats.shape[1] == 323  # default 17-keypoint topology
 
 
 def test_features_constant_window_phi_zero(topo):
@@ -155,7 +154,7 @@ def test_features_tail_zero_padding(topo):
     assert np.allclose(phi_block[-interval:], 0.0)
     assert not np.allclose(phi_block[0], 0.0)
     # per-frame cross-check against the two-call definition
-    want = upper_triangle(tkcs(frames[0], frames[interval], topo))
+    want = tkcs(frames[0], frames[interval], topo)[np.triu_indices(m)]
     assert np.allclose(phi_block[0], want)
 
 
