@@ -17,7 +17,7 @@ from .errors import ConfigError, InvalidInputError
 from .skeleton import PoseSequence2D, SkeletonTopology
 
 
-@dataclass
+@dataclass(frozen=True)
 class OcclusionConfig:
     p1: float = 0.2              # discrete point mask probability
     p2: float = 0.2              # discrete frame mask probability

@@ -62,10 +62,9 @@ def _keys(cls, path=(), prefix="") -> dict:
 def _overlay(cls, base, updates: dict, path=(), prefix=""):
     """`base` (None: `cls()`) with {field path: value} applied, section by section.
 
-    A section that rejects its values, on construction or in its validate(),
-    raises ConfigError with its key prefix: `occ.p1=2.0 outside [0,1]`, or
-    `synth.*: ...` when the message does not start with one of the section's
-    field names.
+    A section that rejects its values on construction raises ConfigError
+    with its key prefix: `occ.p1=2.0 outside [0,1]`, or `synth.*: ...` when
+    the message does not start with one of the section's field names.
     """
     base = cls() if base is None else base
     hints = get_type_hints(cls)
@@ -77,10 +76,7 @@ def _overlay(cls, base, updates: dict, path=(), prefix=""):
             _section(hints[name]), getattr(base, name), rest, here,
             _PREFIX.get(here, f"{prefix}{name}."))
     try:
-        section = replace(base, **changes)
-        if prefix and hasattr(section, "validate"):
-            section.validate()
-        return section
+        return replace(base, **changes)
     except ConfigError as e:
         if not prefix:
             raise

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,33 +21,21 @@ from .tcn import LossWeights, TcnConfig, TcnModel, TrainConfig, train
 STAGES = ("synth", "scorer", "train", "infer", "refine", "eval")
 
 
-def _default_train_synth():
-    return SyntheticMotionConfig(n_sequences=4, frames=120, seed=1000,
-                                 speed_multipliers=(1.0, 1.6),
-                                 view_rotations=((0.0, 1.5707963267948966, 0.0),),
-                                 mask_occluded_prob=0.0)
-
-
-def _default_eval_synth():
-    return SyntheticMotionConfig(n_sequences=3, frames=96, seed=2000,
-                                 speed_multipliers=(1.0, 1.6),
-                                 mask_occluded_prob=0.9)
-
-
-def _default_tcn():
-    return TcnConfig(embed_dim=64, window_len=16, strides=(1, 2, 3),
-                     channels=32, branch_layers=2)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     out_dir: str = "out"
     seed: int = 0
     epochs: int = 6
-    train_synth: SyntheticMotionConfig = field(default_factory=_default_train_synth)
-    eval_synth: SyntheticMotionConfig = field(default_factory=_default_eval_synth)
-    tcn: TcnConfig = field(default_factory=_default_tcn)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    # every section is frozen, so one default instance can serve every config
+    train_synth: SyntheticMotionConfig = SyntheticMotionConfig(
+        n_sequences=4, frames=120, seed=1000, speed_multipliers=(1.0, 1.6),
+        view_rotations=((0.0, 1.5707963267948966, 0.0),), mask_occluded_prob=0.0)
+    eval_synth: SyntheticMotionConfig = SyntheticMotionConfig(
+        n_sequences=3, frames=96, seed=2000, speed_multipliers=(1.0, 1.6),
+        mask_occluded_prob=0.9)
+    tcn: TcnConfig = TcnConfig(embed_dim=64, window_len=16, strides=(1, 2, 3),
+                               channels=32, branch_layers=2)
+    train: TrainConfig = TrainConfig()
     occlusion: Optional[OcclusionConfig] = None   # None = train on raw detections
     aug_copies: int = 1                           # occluded copies added per sequence
     eval_occlusion: Optional[OcclusionConfig] = None  # extra corruption of eval detections
@@ -57,20 +45,19 @@ class ExperimentConfig:
     scorer_interval: int = 1
     scorer_reg: float = 1e-3
 
-    def validate(self):
+    def __post_init__(self):
         if not self.out_dir:
             raise ConfigError("out_dir must be set")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.aug_copies < 1:
             raise ConfigError("aug_copies must be >= 1")
+        if self.scorer_interval < 1:
+            raise ConfigError("scorer_interval must be >= 1")
         if self.scorer_window < self.scorer_interval + 1:
             raise ConfigError("scorer_window must exceed scorer_interval")
         if self.scorer_reg <= 0:
             raise ConfigError("scorer_reg must be > 0")
-        self.train_synth.validate()
-        self.eval_synth.validate()
-        self.train.validate()
         if self.data_dir is not None and not Path(self.data_dir).is_dir():
             raise ConfigError(f"data_dir {self.data_dir!r} does not exist")
 
@@ -136,9 +123,8 @@ def train_lifter(cfg: ExperimentConfig, train_seqs: list, topo, out: Path,
             rng = np.random.default_rng(cfg.seed + 7919)
             seqs += [_occluded_copy(s, cfg.occlusion, topo, rng)
                      for _ in range(cfg.aug_copies) for s in train_seqs]
-        tcfg = TrainConfig(**{**asdict(cfg.train),
-                              "weights": cfg.train.weights, "seed": cfg.seed})
-        history = train(model, seqs, tcfg, epochs=cfg.epochs,
+        history = train(model, seqs, replace(cfg.train, seed=cfg.seed),
+                        epochs=cfg.epochs,
                         scorer=scorer if cfg.train.weights.w3 > 0 else None)
         _json_dump(out / "history.json", history)
     model.save(out / "model.ckpt")
@@ -152,7 +138,6 @@ def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
     failure still writes the manifest, with the failure recorded, before the
     exception propagates.
     """
-    cfg.validate()
     if topo is None:
         topo = default_topology()
     out = Path(cfg.out_dir)
@@ -325,8 +310,7 @@ def ladder_experiment(out_dir, seeds=(0, 1, 2), epochs=6,
                 out_dir=str(out / rung["name"].replace("+", "plus-") / f"seed{seed}"),
                 seed=seed, epochs=epochs,
                 tcn=rung["tcn"],
-                train=TrainConfig(**{**asdict(base), "weights": rung["weights"],
-                                     "seed": seed}),
+                train=replace(base, weights=rung["weights"], seed=seed),
                 occlusion=rung["occlusion"],
                 eval_occlusion=ladder_eval_occlusion(),
                 iso=rung["iso"])

@@ -80,9 +80,10 @@ def default_topology() -> SkeletonTopology:
 # ---------------------------------------------------------------- pose tables
 
 def _split_meta(lines):
+    """({key: value} of the comment lines, [(line number, text)] of the rest)."""
     meta = {}
     body = []
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         s = line.strip()
         if not s:
             continue
@@ -92,30 +93,50 @@ def _split_meta(lines):
                 key, val = s.split("=", 1)
                 meta[key.strip()] = val.strip()
             continue
-        body.append(s)
+        body.append((lineno, s))
     return meta, body
 
 
-def _parse_rows(body, want_z, topo: SkeletonTopology):
-    header = body[0].split(",")
+_MASK = {"0": False, "false": False, "False": False, "1": True, "true": True, "True": True}
+
+
+def _read_table(path, want_z, topo: SkeletonTopology):
+    """(meta, coords, conf, mask, actions) of a pose table file.
+
+    The header is the base columns, optionally followed by `action`, and
+    every row has one parseable field per column; InvalidInputError names
+    the file line that breaks this.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        meta, body = _split_meta(fh.readlines())
     base = ["frame", "keypoint", "x", "y"] + (["z"] if want_z else []) + ["conf", "mask"]
-    if header[:len(base)] != base:
-        raise InvalidInputError(f"unexpected pose header {body[0]!r}")
-    has_action = len(header) > len(base) and header[len(base)] == "action"
+    lineno, text = body[0] if body else (1, "")
+    header = text.split(",")
+    if header not in (base, base + ["action"]):
+        raise InvalidInputError(f"{path}:{lineno}: pose header {text!r} is not "
+                                f"{','.join(base)}[,action]")
     dim = 3 if want_z else 2
     records = {}
     actions = {}
-    for row in body[1:]:
+    for lineno, row in body[1:]:
         parts = row.split(",")
-        f = int(parts[0])
+        if len(parts) != len(header):
+            raise InvalidInputError(f"{path}:{lineno}: {len(parts)} fields, header has {len(header)}")
+        try:
+            f = int(parts[0])
+            coords = [float(v) for v in parts[2:2 + dim]]
+            conf = float(parts[2 + dim])
+            mask = _MASK[parts[3 + dim].strip()]
+        except ValueError as e:
+            raise InvalidInputError(f"{path}:{lineno}: {e}") from None
+        except KeyError:
+            raise InvalidInputError(f"{path}:{lineno}: mask {parts[3 + dim]!r} is not one of "
+                                    + "/".join(_MASK)) from None
         k = topo.index(parts[1])
-        coords = [float(v) for v in parts[2:2 + dim]]
-        conf = float(parts[2 + dim])
-        mask = parts[3 + dim].strip() in ("1", "true", "True")
         if (f, k) in records:
-            raise InvalidInputError(f"duplicate record frame={f} keypoint={parts[1]}")
+            raise InvalidInputError(f"{path}:{lineno}: duplicate record frame={f} keypoint={parts[1]}")
         records[(f, k)] = (coords, conf, mask)
-        if has_action and len(parts) > 4 + dim:
+        if len(header) > len(base):
             actions[f] = parts[4 + dim]
     frames_present = sorted({f for f, _ in records})
     if frames_present != list(range(len(frames_present))):
@@ -133,13 +154,11 @@ def _parse_rows(body, want_z, topo: SkeletonTopology):
             conf[f, j] = cf
             mask[f, j] = m
     action_list = [actions.get(f, "") for f in range(t)] if actions else None
-    return coords, conf, mask, action_list
+    return meta, coords, conf, mask, action_list
 
 
 def read_pose3d(path, topo: SkeletonTopology) -> PoseSequence3D:
-    with open(path, "r", encoding="utf-8") as fh:
-        meta, body = _split_meta(fh.readlines())
-    coords, conf, mask, actions = _parse_rows(body, True, topo)
+    meta, coords, conf, mask, actions = _read_table(path, True, topo)
     vis = ~mask if mask.any() else None
     root_rel = meta.get("root_relative", "1") not in ("0", "false", "False")
     return PoseSequence3D(coords, visibility=vis, root_relative=root_rel, actions=actions)
@@ -165,9 +184,7 @@ def write_pose3d(path, pose: PoseSequence3D, topo: SkeletonTopology) -> None:
 
 
 def read_pose2d(path, topo: SkeletonTopology) -> PoseSequence2D:
-    with open(path, "r", encoding="utf-8") as fh:
-        meta, body = _split_meta(fh.readlines())
-    coords, conf, mask, actions = _parse_rows(body, False, topo)
+    meta, coords, conf, mask, actions = _read_table(path, False, topo)
     scale = float(meta["scale_mm"]) if "scale_mm" in meta else None
     return PoseSequence2D(coords, confidence=conf, mask=mask, scale_mm=scale, actions=actions)
 

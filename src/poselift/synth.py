@@ -47,7 +47,7 @@ REST_OFFSETS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticMotionConfig:
     n_sequences: int = 8
     frames: int = 240
@@ -67,7 +67,7 @@ class SyntheticMotionConfig:
     yaw_step: float = 0.02            # rad/frame of global yaw walk
     wobble: float = 0.1               # rad, global pitch/roll amplitude
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_sequences < 1 or self.frames < 2:
             raise ConfigError("need n_sequences >= 1 and frames >= 2")
         if any(s <= 0 for s in self.speed_multipliers):
@@ -209,7 +209,6 @@ def detections_for_view(pose3d: PoseSequence3D, topo: SkeletonTopology,
 
 def generate(cfg: SyntheticMotionConfig, topo: SkeletonTopology) -> list:
     """All sequences: speeds cycle over speed_multipliers; views[0] identity."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     view_rots = [RotationAugment()] + [RotationAugment(*v) for v in cfg.view_rotations]
     out = []

@@ -10,7 +10,7 @@ reprojection, and a rotated-window realness penalty from a plugged scorer.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .autodiff import SGD, Tensor, parameter
 from .errors import (ConfigError, InvalidInputError, InvalidWindowError,
                      TrainingDivergedError)
 from .pose_io import load_checkpoint, save_checkpoint
-from .skeleton import PoseSequence2D, PoseSequence3D, RotationAugment
+from .skeleton import PoseSequence2D, PoseSequence3D, RotationAugment, rotation_matrix
 
 ACTIVATIONS = {"tanh": Tensor.tanh, "relu": Tensor.relu}
 
@@ -48,7 +48,6 @@ class TcnConfig:
     channels: int = 128
     kernel: int = 3
     branch_layers: int = 3
-    tkcs_interval: int = 1
     use_embedding: bool = True
     activation: str = "tanh"
     # head outputs are multiplied by this, so trained weights stay O(1)
@@ -63,8 +62,6 @@ class TcnConfig:
             raise ConfigError("embed_dim, channels, branch_layers must be >= 1")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError("kernel must be odd and >= 1")
-        if self.tkcs_interval < 1:
-            raise ConfigError("tkcs_interval must be >= 1")
         if not self.strides:
             raise ConfigError("need at least one stride")
         if any(s < 1 for s in self.strides):
@@ -168,7 +165,10 @@ class TcnModel:
         arrays, meta = load_checkpoint(path)
         if meta.get("kind") != "tcn":
             raise InvalidInputError(f"not a model checkpoint: kind={meta.get('kind')!r}")
-        cfg = TcnConfig(**meta["config"])
+        try:   # tkcs_interval is a retired field that older checkpoints still hold
+            cfg = TcnConfig(**{k: v for k, v in meta["config"].items() if k != "tkcs_interval"})
+        except (KeyError, AttributeError, TypeError, ConfigError) as e:
+            raise InvalidInputError(f"checkpoint config does not build a model: {e}") from None
         model = cls(cfg)
         model.load_state(arrays)
         return model
@@ -323,19 +323,19 @@ def total_loss(l3d, lmv, l2d, lgen, weights: LossWeights = LossWeights()) -> Ten
 # ---------------------------------------------------------------- training
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-6
     momentum: float = 0.9
     steps_per_epoch: int = 200
     batch_size: int = 8
     seed: int = 0
-    weights: LossWeights = field(default_factory=LossWeights)
+    weights: LossWeights = LossWeights()
     gen_window: int = 4          # consecutive center frames fed to the scorer
     lr_decay: float = 1.0        # per-epoch multiplier
     snapshot_every: int = 25
 
-    def validate(self):
+    def __post_init__(self):
         if self.lr < 0 or not (0 <= self.momentum < 1):
             raise ConfigError("need lr >= 0 and 0 <= momentum < 1")
         if self.steps_per_epoch < 1 or self.gen_window < 2 or self.snapshot_every < 1:
@@ -345,6 +345,11 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr_decay <= 0:
             raise ConfigError("lr_decay must be > 0")
+
+
+def _matrices(augs) -> np.ndarray:
+    """The matrices of RotationAugments as one stack, from one rotation_matrix call."""
+    return rotation_matrix(*np.array([(a.alpha, a.beta, a.gamma) for a in augs]).T)
 
 
 def train(model: TcnModel, sequences: list, cfg: TrainConfig,
@@ -360,7 +365,6 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
     sample's view-1 frames (all `gen_window` chain centers at once when a
     scorer is plugged in) and one over the view-2 windows.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     opt = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
     w = model.config.window_len
@@ -401,7 +405,7 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
                 view2s.append(None if v2 is None else seq.views[v2])
                 starts.append(int(rng.integers(view1s[-1].det2d.T - need + 1)))
                 if scorer is not None:
-                    rots.append(RotationAugment.sample(rng).matrix())
+                    rots.append(RotationAugment.sample(rng))
             centers = [s + w // 2 for s in starts]
 
             chain = model.forward(embed([v.det2d for v in view1s], starts, need),
@@ -416,15 +420,15 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
             if mv:
                 pred2 = model.forward(embed([view2s[i].det2d for i in mv],
                                             [starts[i] for i in mv], w))
-                r12 = np.stack([view2s[i].rotation.matrix() @ view1s[i].rotation.matrix().T
-                                for i in mv])
+                r12 = _matrices(view2s[i].rotation for i in mv) \
+                    @ np.swapaxes(_matrices(view1s[i].rotation for i in mv), -1, -2)
                 lmv = loss_multiview(pred1[mv], pred2, r12) * len(mv)
             l2 = _loss_2d_sum(pred1,
                               np.stack([v.det2d.frames[c] for v, c in zip(view1s, centers)]),
                               np.stack([v.det2d.mask[c] for v, c in zip(view1s, centers)]),
                               [v.det2d.scale_mm for v in view1s])
             if scorer is not None:
-                rotated = chain @ Tensor(np.stack([r.T for r in rots])[:, None])
+                rotated = chain @ Tensor(np.swapaxes(_matrices(rots), -1, -2)[:, None])
                 for i in range(cfg.batch_size):
                     lgen = lgen + scorer.gen_loss(rotated[i])
             inv = 1.0 / cfg.batch_size

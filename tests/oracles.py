@@ -297,7 +297,6 @@ def _predict_chain(model, det, start, count):
 
 def train_per_window(model, sequences, cfg, epochs=1, scorer=None):
     """poselift.tcn.train with one forward per window and per-sample losses."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     opt = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
     w = model.config.window_len
@@ -567,7 +566,6 @@ def generate_sequence_per_frame(cfg, topo, rng, speed):
 
 def generate_per_frame(cfg, topo):
     """poselift.synth.generate built from the per-frame references above."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     view_rots = [RotationAugment()] + [RotationAugment(*v) for v in cfg.view_rotations]
     out = []

@@ -277,6 +277,10 @@ def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path,
     ("iso.cal_temperature", 0, "iso.cal_*: calibration temperature"),
     ("synth.frames", 1, "synth.*: need n_sequences >= 1 and frames >= 2"),
     ("train.lr", -1, "train.*: need lr >= 0"),
+    ("epochs", -1, "epochs must be >= 0"),
+    ("aug_copies", 0, "aug_copies must be >= 1"),
+    ("scorer_interval", 0, "scorer_interval must be >= 1"),
+    ("data_dir", "no-such-data-dir", "data_dir 'no-such-data-dir' does not exist"),
 ])
 def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
     cfg = write_cfg(tmp_path / "bad.cfg", **{key: value})
@@ -284,6 +288,51 @@ def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"ConfigError: {named}" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_train_with_negative_epochs_exits_2_before_making_the_out_dir(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "t.cfg", epochs=-1)
+    assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == "poselift train: ConfigError: epochs must be >= 0\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("visibility", {"pose3d": "short.pose3d"}),
+    ("augment", {"pose2d": "short.pose2d"}),
+    ("features", {"pose3d": "short.pose3d"}),
+    ("infer", {"det2d": "short.pose2d"}),
+    ("iso-refine", {"pose3d": "seq00_v0_gt.pose3d", "det2d": "short.pose2d"}),
+    ("eval", {"gt3d": "short.pose3d", "pred3d": "seq00_v0_gt.pose3d"}),
+])
+def test_short_pose_row_exits_2(sample_files, trained, tmp_path, capsys, command, keys):
+    for short, src in (("short.pose3d", "seq00_v0_gt.pose3d"),
+                       ("short.pose2d", "seq00_v0_det.pose2d")):
+        lines = (sample_files / src).read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("frame,")) + 1
+        lines[row] = lines[row].rsplit(",", 1)[0]     # drop the row's last field
+        (tmp_path / short).write_text("\n".join(lines) + "\n")
+    own = {k: (tmp_path if v.startswith("short") else sample_files) / v for k, v in keys.items()}
+    extra = {"infer": {"model": trained / "model.ckpt.npz"}, "iso-refine": {"iso.lambda1": 0.0}}
+    cfg = write_cfg(tmp_path / "c.cfg", **own, **extra.get(command, {}))
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"poselift {command}: InvalidInputError: " in err
+    assert "fields, header has" in err
+
+
+def test_infer_on_checkpoint_with_unknown_config_key_exits_2(trained, sample_files,
+                                                             tmp_path, capsys):
+    from poselift.pose_io import load_checkpoint, save_checkpoint
+    arrays, meta = load_checkpoint(trained / "model.ckpt.npz")
+    save_checkpoint(tmp_path / "odd", arrays,
+                    {**meta, "config": {**meta["config"], "dilation": 2}})
+    cfg = write_cfg(tmp_path / "i.cfg", model=tmp_path / "odd.npz",
+                    det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("infer", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "InvalidInputError: checkpoint config" in err
+    assert "dilation" in err
 
 
 def test_keys_sit_on_experiment_defaults():

@@ -1,5 +1,6 @@
 """Pipeline orchestration tests."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -11,7 +12,7 @@ from poselift.augment import OcclusionConfig
 from poselift.errors import ConfigError, InvalidInputError
 from poselift.experiment import (ExperimentConfig, ladder_experiment,
                                  ladder_rungs, run_experiment)
-from poselift.iso import IsoConfig
+from poselift.iso import CalibratedConfidence, IsoConfig
 from poselift.pose_io import default_topology
 from poselift.synth import SyntheticMotionConfig
 from poselift.tcn import LossWeights, TrainConfig
@@ -122,16 +123,26 @@ def test_run_experiment_reads_eval_pairs_from_data_dir(tmp_path):
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        tiny_config(tmp_path, epochs=-1).validate()
-    with pytest.raises(ConfigError):
-        tiny_config(tmp_path, scorer_window=1).validate()
-    with pytest.raises(ConfigError):
-        tiny_config(tmp_path, scorer_reg=0.0).validate()
-    with pytest.raises(ConfigError):
-        tiny_config(tmp_path, data_dir=str(tmp_path / "missing")).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(out_dir="").validate()
+    # every check runs when the config is built
+    for field, value in [("out_dir", ""), ("epochs", -1), ("aug_copies", 0),
+                         ("scorer_interval", 0), ("scorer_window", 1), ("scorer_reg", 0.0),
+                         ("data_dir", str(tmp_path / "missing"))]:
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+
+def test_every_config_section_is_frozen():
+    sections, todo = {}, [ExperimentConfig(
+        occlusion=OcclusionConfig(), iso=IsoConfig(calibration=CalibratedConfidence()))]
+    while todo:
+        cfg = todo.pop()
+        sections[type(cfg)] = cfg
+        todo += [v for v in vars(cfg).values() if dataclasses.is_dataclass(v)]
+    assert len(sections) == 8
+    for cfg in sections.values():
+        name = dataclasses.fields(cfg)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
 
 def test_ladder_rung_progression():

@@ -1,3 +1,4 @@
+import re
 from typing import Optional
 
 import numpy as np
@@ -62,6 +63,22 @@ def test_read_pose_unknown_keypoint(tmp_path, topo):
     path = tmp_path / "bad.csv"
     path.write_text("frame,keypoint,x,y,z,conf,mask\n0,knuckle,0,0,0,1,0\n")
     with pytest.raises(TopologyError):
+        read_pose3d(path, topo)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", ":1: pose header '' is not"),
+    ("# scale_mm = 2000\n0,pelvis,0,0,0,1,0\n", ":2: pose header '0,pelvis"),
+    ("frame,keypoint,x,y,z,conf,mask,extra\n", ":1: pose header"),
+    ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1\n", ":2: 6 fields, header has 7"),
+    ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1,0,run\n", ":2: 8 fields, header has 7"),
+    ("frame,keypoint,x,y,z,conf,mask\n\n0,pelvis,0,0,0,1,2\n", ":3: mask '2' is not one of"),
+    ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,abc,0,0,1,0\n", ":2: could not convert"),
+])
+def test_read_pose_rejects_malformed_tables_naming_the_line(tmp_path, topo, text, named):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}{named}")):
         read_pose3d(path, topo)
 
 

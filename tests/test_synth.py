@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poselift.errors import TopologyError
+from poselift.errors import ConfigError, TopologyError
 from poselift.experiment import ExperimentConfig
 from poselift.pose_io import default_topology
 from poselift.skeleton import PoseSequence3D, RotationAugment, rotate_pose, rotation_matrix
@@ -150,6 +150,14 @@ def test_fk_matches_per_frame_oracle(topo):
         for t in range(t_len):
             for m in range(topo.M):
                 assert_same_bytes(local[t, m], axis_angle_matrix(rotvecs[t, m]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_sequences", 0), ("frames", 1), ("speed_multipliers", (1.0, 0.0)), ("scale_mm", 0.0),
+    ("crop_px", 0.0), ("smooth_window", 0)])
+def test_config_rejects_bad_fields_when_built(field, value):
+    with pytest.raises(ConfigError):
+        SyntheticMotionConfig(**{field: value})
 
 
 def test_rotation_matrix_stack_matches_scalar_calls():

@@ -63,8 +63,14 @@ def test_config_rejects_bad_fields():
         tiny_config(activation="gelu")
     with pytest.raises(ConfigError):
         tiny_config(channels=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", -1e-6), ("momentum", 1.0), ("momentum", -0.1), ("steps_per_epoch", 0),
+    ("gen_window", 1), ("snapshot_every", 0), ("batch_size", 0), ("lr_decay", 0.0)])
+def test_train_config_rejects_bad_fields_when_built(field, value):
     with pytest.raises(ConfigError):
-        tiny_config(tkcs_interval=0)
+        TrainConfig(**{field: value})
 
 
 def test_loss_weights_nonnegative():
@@ -537,6 +543,21 @@ def test_checkpoint_kind_guard(tmp_path):
     save_checkpoint(path, {"a": np.zeros(3)}, {"kind": "scaler"})
     with pytest.raises(InvalidInputError):
         TcnModel.load(path)
+
+
+def test_checkpoint_config_drops_retired_key_and_rejects_unknown_ones(tmp_path):
+    from poselift.pose_io import load_checkpoint, save_checkpoint
+    model = TcnModel(tiny_config(), seed=4)
+    model.save(tmp_path / "model")
+    arrays, meta = load_checkpoint(tmp_path / "model.npz")
+    # checkpoints written before tkcs_interval was retired still load
+    save_checkpoint(tmp_path / "old", arrays,
+                    {**meta, "config": {**meta["config"], "tkcs_interval": 3}})
+    assert TcnModel.load(tmp_path / "old.npz").config == model.config
+    for config in ({**meta["config"], "dilation": 2}, {**meta["config"], "kernel": 4}, None):
+        save_checkpoint(tmp_path / "bad", arrays, {**meta, "config": config})
+        with pytest.raises(InvalidInputError, match="checkpoint config"):
+            TcnModel.load(tmp_path / "bad.npz")
 
 
 def test_predict_sequence_center_consistency(topo):
