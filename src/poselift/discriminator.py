@@ -82,31 +82,40 @@ class KcsEnergyModel:
         return self.gen_loss(_frames_of(window)).item()
 
     def gen_loss(self, window) -> Tensor:
-        """Mean per-frame energy as one graph node with a closed-form backward."""
+        """Mean per-frame energy as one graph node with a closed-form backward.
+
+        A batch of windows, (..., T, K, 3), gives the sum over its windows
+        of their mean per-frame energies, added in window order so that it
+        equals the per-window calls added one by one.
+        """
         frames = _frames_of(window)
         x = frames if isinstance(frames, Tensor) else Tensor(
             np.asarray(frames, dtype=np.float64))
         bones, rows = feature_rows(x.data, self.incidence, self.interval, self._iu)
         d = rows - self.mean
         y = d @ self.precision
-        t, i = len(d), self.interval
+        t, i = d.shape[-2], self.interval
         (iu0, iu1), m = self._iu, self.incidence.shape[1]
         u = len(iu0)
+        energies = (y * d).sum(axis=-1).sum(axis=-1) * (1.0 / t)
+        total = 0.0
+        for energy in energies.reshape(-1).tolist():
+            total += energy
 
         def back(out):
             gf = y * (2.0 * out.grad / t)            # d(energy)/d(rows), P symmetric
-            gpsi = gf[:, :u].copy()
-            gphi = gf[:, u: 2 * u]                   # Phi_t = Psi_{t+i} - Psi_t
-            gpsi[i:] += gphi[: t - i]
-            gpsi[: t - i] -= gphi[: t - i]
-            g = np.zeros((t, m, m))
-            g[:, iu0, iu1] = gpsi                    # upper-triangle indices are unique
-            gbones = bones @ (g + g.transpose(0, 2, 1))
-            gx = self.incidence @ gbones.transpose(0, 2, 1)
-            gx += gf[:, 2 * u:].reshape(gx.shape)
+            gpsi = gf[..., :u].copy()
+            gphi = gf[..., :t - i, u: 2 * u]         # Phi_t = Psi_{t+i} - Psi_t
+            gpsi[..., i:, :] += gphi
+            gpsi[..., :t - i, :] -= gphi
+            g = np.zeros(gpsi.shape[:-1] + (m, m))
+            g[..., iu0, iu1] = gpsi                  # upper-triangle indices are unique
+            gbones = bones @ (g + np.swapaxes(g, -1, -2))
+            gx = self.incidence @ np.swapaxes(gbones, -1, -2)
+            gx += gf[..., 2 * u:].reshape(gx.shape)
             x._accumulate(gx)
 
-        return Tensor((y * d).sum(axis=1).sum() * (1.0 / t), (x,), back)
+        return Tensor(total, (x,), back)
 
     def reference_percentile(self, q: float) -> float:
         return float(np.percentile(self.fit_energies, q))

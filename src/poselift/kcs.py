@@ -44,26 +44,30 @@ def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
     """(bones, rows) of a T x K x 3 window: the T x 3 x M bone matrices and
     the T x F feature rows [upper(Psi_t) | upper(Phi_t) | coords].
 
+    Leading batch axes, (..., T, K, 3), carry through to both results.
     One routine for discriminator_features and the KCS energy model, so
     the features an energy is fitted on are the ones its loss scores.
     `iu` is np.triu_indices(M), for callers that keep it between calls.
     """
     k, m = incidence.shape
-    if frames.ndim != 3 or frames.shape[1] != k or frames.shape[2] != 3:
-        raise InvalidInputError(f"window must be T x {k} x 3, got {frames.shape}")
+    if frames.ndim < 3 or frames.shape[-2:] != (k, 3):
+        raise InvalidInputError(f"window must be T x {k} x 3 after any batch axes, "
+                                f"got {frames.shape}")
     if interval < 1:
         raise InvalidWindowError(f"interval must be >= 1, got {interval}")
-    t = frames.shape[0]
+    t = frames.shape[-3]
     if t < interval + 1:
         raise InvalidWindowError(f"window length {t} < interval + 1 = {interval + 1}")
     if iu is None:
         iu = np.triu_indices(m)
-    bones = frames.transpose(0, 2, 1) @ incidence      # T x 3 x M
-    psi = bones.transpose(0, 2, 1) @ bones             # T x M x M
-    psi_flat = psi[:, iu[0], iu[1]]
+    bones = np.swapaxes(frames, -1, -2) @ incidence        # ... x T x 3 x M
+    psi = np.swapaxes(bones, -1, -2) @ bones               # ... x T x M x M
+    psi_flat = psi[..., iu[0], iu[1]]
     phi_flat = np.zeros_like(psi_flat)
-    phi_flat[:t - interval] = psi_flat[interval:] - psi_flat[:t - interval]
-    return bones, np.concatenate([psi_flat, phi_flat, frames.reshape(t, -1)], axis=1)
+    phi_flat[..., :t - interval, :] = psi_flat[..., interval:, :] \
+        - psi_flat[..., :t - interval, :]
+    coords = frames.reshape(frames.shape[:-2] + (-1,))
+    return bones, np.concatenate([psi_flat, phi_flat, coords], axis=-1)
 
 
 def discriminator_features(window: PoseSequence3D, topo: SkeletonTopology,

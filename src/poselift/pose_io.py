@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import zipfile
 from typing import Union, get_args, get_origin
 
 import numpy as np
@@ -164,7 +165,16 @@ def read_pose3d(path, topo: SkeletonTopology) -> PoseSequence3D:
     return PoseSequence3D(coords, visibility=vis, root_relative=root_rel, actions=actions)
 
 
+def _check_actions(actions) -> None:
+    """A pose-table action field cannot hold the comma or line break that ends it."""
+    for a in set(actions or ()):
+        if any(c in a for c in ",\n\r"):
+            raise InvalidInputError(f"action {a!r} contains a comma or line break, "
+                                    "which a pose table cannot hold")
+
+
 def write_pose3d(path, pose: PoseSequence3D, topo: SkeletonTopology) -> None:
+    _check_actions(pose.actions)
     lines = [f"# root_relative = {1 if pose.root_relative else 0}"]
     cols = "frame,keypoint,x,y,z,conf,mask"
     if pose.actions is not None:
@@ -190,6 +200,7 @@ def read_pose2d(path, topo: SkeletonTopology) -> PoseSequence2D:
 
 
 def write_pose2d(path, pose: PoseSequence2D, topo: SkeletonTopology) -> None:
+    _check_actions(pose.actions)
     lines = []
     if pose.scale_mm is not None:
         lines.append(f"# scale_mm = {pose.scale_mm:.9g}")
@@ -281,10 +292,34 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
 
 
 def load_checkpoint(path):
-    with np.load(path) as data:
-        version = int(data["__version__"])
+    """(arrays, meta) of a save_checkpoint npz.
+
+    Any other file, such as a text file, a damaged zip or an npz without
+    __version__ and __meta__, raises InvalidInputError naming the path.
+    """
+    def not_a_checkpoint(why):
+        return InvalidInputError(f"{path} is not a poselift checkpoint: {why}")
+
+    try:
+        data = np.load(path)
+    except zipfile.BadZipFile as e:
+        raise not_a_checkpoint(f"damaged npz archive ({e})") from None
+    except (ValueError, EOFError):     # numpy found no npy or npz header
+        raise not_a_checkpoint("not an npz archive") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise not_a_checkpoint("a single npy array, not an npz archive")
+    with data:
+        missing = sorted({"__version__", "__meta__"} - set(data.files))
+        if missing:
+            raise not_a_checkpoint(f"no {' or '.join(missing)} entry")
+        try:
+            version = int(data["__version__"])
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        except (ValueError, TypeError) as e:
+            raise not_a_checkpoint(e) from None
         if version != CHECKPOINT_VERSION:
-            raise InvalidInputError(f"unsupported checkpoint version {version}")
-        meta = json.loads(bytes(data["__meta__"]).decode())
+            raise InvalidInputError(f"{path}: unsupported checkpoint version {version}")
+        if not isinstance(meta, dict):
+            raise not_a_checkpoint("__meta__ is not a JSON object")
         arrays = {k: data[k].copy() for k in data.files if not k.startswith("__")}
     return arrays, meta

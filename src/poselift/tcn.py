@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import SGD, Tensor, parameter
+from .autodiff import SGD, Tensor, _unbroadcast, parameter
 from .errors import (ConfigError, InvalidInputError, InvalidWindowError,
                      TrainingDivergedError)
 from .pose_io import load_checkpoint, save_checkpoint
@@ -104,6 +104,35 @@ def frame_inputs(coords: np.ndarray, conf: np.ndarray, mask: np.ndarray) -> np.n
     keep = ~mask
     return np.concatenate([(coords[:, :, 0] - 0.5) * keep, (coords[:, :, 1] - 0.5) * keep,
                            conf * keep, mask.astype(np.float64)], axis=1)
+
+
+def _dilated_conv(x: Tensor, taps: list, bias: Tensor, stride: int) -> Tensor:
+    """A valid dilated Conv1d over the rows (second-to-last) axis, as one node.
+
+    Output row j is bias + sum over taps k of x[..., j + k*stride, :] @ taps[k],
+    computed over slice views in tap order. The backward folds the leading
+    axes into rows: each tap's weight gradient is one (rows, C_in)^T @
+    (rows, C_out) product, and the input gradient is added tap by tap into
+    one zeroed array.
+    """
+    out_len = x.shape[-2] - (len(taps) - 1) * stride
+    pieces = [x.data[..., k * stride: k * stride + out_len, :] for k in range(len(taps))]
+    h = bias.data
+    for piece, w in zip(pieces, taps):
+        h = h + piece @ w.data
+
+    def back(out):
+        g = out.grad
+        rows = g.reshape(-1, g.shape[-1])
+        bias._accumulate(_unbroadcast(g, bias.shape))
+        gx = np.zeros_like(x.data)
+        # last tap first: the order the per-tap graph added them in
+        for k in reversed(range(len(taps))):
+            taps[k]._accumulate(pieces[k].reshape(-1, pieces[k].shape[-1]).T @ rows)
+            gx[..., k * stride: k * stride + out_len, :] += g @ taps[k].data.T
+        x._accumulate(gx)
+
+    return Tensor(h, (x, bias, *taps), back)
 
 
 class TcnModel:
@@ -211,15 +240,10 @@ class TcnModel:
             # the receptive field is odd: (rf-1)//2 frames either side of the center
             first = cfg.window_len // 2 - (rf - 1) // 2
             x = r[..., first: first + rf + centers - 1, :]
-            length = rf + centers - 1
             for li in range(cfg.branch_layers):
-                out_len = length - (cfg.kernel - 1) * s
-                h = self._params[f"branch{bi}.layer{li}.b"]
-                for tap in range(cfg.kernel):
-                    piece = x[..., tap * s: tap * s + out_len, :]
-                    h = h + piece @ self._params[f"branch{bi}.layer{li}.w{tap}"]
-                x = act(h)
-                length = out_len
+                name = f"branch{bi}.layer{li}"
+                taps = [self._params[f"{name}.w{tap}"] for tap in range(cfg.kernel)]
+                x = act(_dilated_conv(x, taps, self._params[f"{name}.b"], s))
             cols.append(x)
         fused = Tensor.concat(cols, axis=-1)
         out = (fused @ self._params["head.w"] + self._params["head.b"]) * cfg.output_scale_mm
@@ -363,7 +387,9 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
 
     A step draws its whole batch first, then runs one forward over every
     sample's view-1 frames (all `gen_window` chain centers at once when a
-    scorer is plugged in) and one over the view-2 windows.
+    scorer is plugged in) and one over the view-2 windows. The scorer's
+    gen_loss gets all the rotated chains as one batch_size x gen_window x
+    K x 3 array and returns the sum of their per-window losses.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
@@ -429,8 +455,7 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
                               [v.det2d.scale_mm for v in view1s])
             if scorer is not None:
                 rotated = chain @ Tensor(np.swapaxes(_matrices(rots), -1, -2)[:, None])
-                for i in range(cfg.batch_size):
-                    lgen = lgen + scorer.gen_loss(rotated[i])
+                lgen = scorer.gen_loss(rotated)
             inv = 1.0 / cfg.batch_size
             l3, lmv, l2, lgen = l3 * inv, lmv * inv, l2 * inv, lgen * inv
             loss = total_loss(l3, lmv, l2, lgen, wt)

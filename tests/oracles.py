@@ -4,10 +4,11 @@ The geometry oracles compute visibility from the pose and topology alone,
 without touching poselift.visibility internals. Rays march from the keypoint
 toward the camera, direction (0, 0, -1).
 
-The lifter oracles are the straightforward per-window reference forms of
-the TCN: a numpy forward that convolves the whole window and keeps its
-center column, per-frame sequence lifting, and a training loop that embeds
-and runs every window of every sample on its own.
+The lifter oracles are the straightforward reference forms of the TCN: a
+numpy forward that convolves the whole window and keeps its center column,
+the forward built as a Tensor graph with one slice, matmul and add node per
+conv tap, per-frame sequence lifting, and a training loop that embeds and
+runs every window of every sample on its own.
 
 The loss-term oracles are the per-op Tensor graphs of the KCS energy (over
 the Tensor-graph KCS/TKCS feature rows, window_features), the ISO
@@ -275,6 +276,34 @@ def window_forward(model, emb):
     return out.reshape(cfg.n_keypoints, 3)
 
 
+def forward_per_tap(model, embeddings, centers=1):
+    """TcnModel.forward with every dilated conv tap built from Tensor ops:
+    a slice of the layer input, a matmul by the tap weight and an add."""
+    cfg = model.config
+    p = model._params
+    r = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
+    act = {"tanh": Tensor.tanh, "relu": Tensor.relu}[cfg.activation]
+    cols = []
+    for bi, s in enumerate(cfg.strides):
+        rf = cfg.receptive_field(s)
+        first = cfg.window_len // 2 - (rf - 1) // 2
+        x = r[..., first: first + rf + centers - 1, :]
+        length = rf + centers - 1
+        for li in range(cfg.branch_layers):
+            out_len = length - (cfg.kernel - 1) * s
+            h = p[f"branch{bi}.layer{li}.b"]
+            for tap in range(cfg.kernel):
+                piece = x[..., tap * s: tap * s + out_len, :]
+                h = h + piece @ p[f"branch{bi}.layer{li}.w{tap}"]
+            x = act(h)
+            length = out_len
+        cols.append(x)
+    fused = Tensor.concat(cols, axis=-1)
+    out = (fused @ p["head.w"] + p["head.b"]) * cfg.output_scale_mm
+    lead = r.shape[:-2] + ((centers,) if centers > 1 else ())
+    return out.reshape(lead + (cfg.n_keypoints, 3))
+
+
 def predict_sequence_per_frame(model, det):
     """Per-frame lifting by sliding one window over the edge-padded sequence."""
     w = model.config.window_len
@@ -409,13 +438,23 @@ def energy_gen_loss_graph(model, window):
 
 
 class GraphEnergy:
-    """A KcsEnergyModel scorer whose gen_loss is the per-op graph."""
+    """A KcsEnergyModel scorer whose gen_loss is the per-op graph.
+
+    A B x T x K x 3 batch gives the sum of its windows' graphs, one window
+    at a time, as KcsEnergyModel.gen_loss does for batches.
+    """
 
     def __init__(self, model):
         self.model = model
 
     def gen_loss(self, window):
-        return energy_gen_loss_graph(self.model, window)
+        x = _graph_input(window)
+        if x.ndim == 3:
+            return energy_gen_loss_graph(self.model, x)
+        total = Tensor(0.0)
+        for b in range(x.shape[0]):
+            total = total + energy_gen_loss_graph(self.model, x[b])
+        return total
 
 
 def rep_loss_graph(pose, det2d, cfg, scale=None, translation=None, weights=None):

@@ -335,6 +335,16 @@ def test_infer_on_checkpoint_with_unknown_config_key_exits_2(trained, sample_fil
     assert "dilation" in err
 
 
+def test_infer_on_a_model_file_that_is_not_a_checkpoint_exits_2(sample_files, tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "exp.cfg"
+    write_cfg(cfg, model=cfg, det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("infer", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"poselift infer: InvalidInputError: {cfg} is not a poselift checkpoint" in err
+
+
 def test_keys_sit_on_experiment_defaults():
     default = ExperimentConfig()
     cfg = load_config({"tcn.window_len": "20", "synth.frames": "60", "aug_copies": "2",

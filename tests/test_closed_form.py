@@ -3,7 +3,8 @@
 KcsEnergyModel.gen_loss, iso.rep_loss and iso.smooth_loss are each one
 graph node whose backward is written out in numpy; tests/oracles.py keeps
 the same terms built from Tensor ops, and these tests hold the two equal in
-value, in gradient, inside iso.refine and inside tcn.train.
+value, in gradient, inside iso.refine and inside tcn.train. A batch of
+windows passed to gen_loss at once equals the per-window calls summed.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import poselift.iso as iso
 from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
+from poselift.errors import InvalidWindowError
 from poselift.iso import IsoConfig, compute_weights, fit_projection, refine
 from poselift.pose_io import default_topology, save_checkpoint
 from poselift.skeleton import (PoseSequence2D, PoseSequence3D, RotationAugment,
@@ -99,6 +101,41 @@ def test_energy_matches_graph(interval, extra, how):
     model = MODELS[interval]
     compare(model.gen_loss, lambda w: energy_gen_loss_graph(model, w),
             noisy_window(t, seed=100 * interval + t), how)
+
+
+@pytest.mark.parametrize("interval", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 3])
+def test_batched_energy_is_sum_of_window_energies(interval, extra):
+    # rotated[1:] is a slice of a batch of rotated chains, as tcn.train passes it
+    model = MODELS[interval]
+    t = interval + 1 + extra
+    chains = np.stack([noisy_window(t, seed=10 * interval + b) for b in range(4)])
+    rots = np.stack([RotationAugment.sample(np.random.default_rng(s)).matrix().T
+                     for s in range(4)])
+    values, grads = [], []
+    for batched in (True, False):
+        leaf = Tensor(chains.copy(), requires_grad=True)
+        rotated = leaf @ Tensor(rots[:, None])
+        if batched:
+            loss = model.gen_loss(rotated[1:])
+        else:
+            loss = sum((model.gen_loss(rotated[b]) for b in range(1, 4)), Tensor(0.0))
+        loss.backward()
+        values.append(loss.item())
+        grads.append(leaf.grad)
+    assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0.0)
+    assert not grads[1][0].any() and grads[1].any()
+    assert_same_grad(*grads)
+    # more than one leading axis sums over all of them
+    grid = model.gen_loss(chains.reshape((2, 2) + chains.shape[1:])).item()
+    assert grid == pytest.approx(sum(model.energy(c) for c in chains), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("interval", [1, 2, 3])
+def test_batched_energy_rejects_short_windows(interval):
+    chains = np.stack([noisy_window(interval, seed=b) for b in range(3)])
+    with pytest.raises(InvalidWindowError):
+        MODELS[interval].gen_loss(chains)
 
 
 @pytest.mark.parametrize("t", [1, 2, 9, 40])

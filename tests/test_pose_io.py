@@ -134,3 +134,33 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_reserved_name(tmp_path):
     with pytest.raises(InvalidInputError):
         save_checkpoint(tmp_path / "x.npz", {"__meta__": np.zeros(1)}, {})
+
+
+def test_load_checkpoint_rejects_files_that_are_not_checkpoints(tmp_path):
+    (tmp_path / "exp.cfg").write_text("model = exp.cfg\n")
+    (tmp_path / "cut.npz").write_bytes(b"PK\x03\x04 cut short")
+    (tmp_path / "empty.npz").write_bytes(b"")
+    np.save(tmp_path / "one.npy", np.zeros(3))
+    np.savez(tmp_path / "bare.npz", w=np.zeros(3))
+    np.savez(tmp_path / "no_meta.npz", __version__=np.array(1), w=np.zeros(3))
+    np.savez(tmp_path / "no_version.npz", __meta__=np.frombuffer(b"{}", dtype=np.uint8))
+    np.savez(tmp_path / "list_meta.npz", __version__=np.array(1),
+             __meta__=np.frombuffer(b"[1]", dtype=np.uint8))
+    for name in ("exp.cfg", "cut.npz", "empty.npz", "one.npy", "bare.npz", "no_meta.npz",
+                 "no_version.npz", "list_meta.npz"):
+        path = tmp_path / name
+        with pytest.raises(InvalidInputError, match="is not a poselift checkpoint") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("action", ["walk,fast", "walk\nfast", "walk\r", ","])
+def test_write_pose_rejects_actions_that_break_the_table(tmp_path, topo, action):
+    actions = ["walk", action]
+    pose3 = PoseSequence3D(np.zeros((2, topo.K, 3)), actions=actions)
+    pose2 = PoseSequence2D(np.zeros((2, topo.K, 2)), actions=actions)
+    for write, pose, path in ((write_pose3d, pose3, tmp_path / "a.pose3d"),
+                              (write_pose2d, pose2, tmp_path / "a.pose2d")):
+        with pytest.raises(InvalidInputError, match="comma or line break"):
+            write(path, pose, topo)
+        assert not path.exists()

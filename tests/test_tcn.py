@@ -15,7 +15,8 @@ from poselift.tcn import (LossWeights, TcnConfig, TcnModel, TrainConfig,
                           frame_inputs, loss_2d, loss_3d, loss_multiview,
                           total_loss, train)
 
-from oracles import predict_sequence_per_frame, train_per_window, window_forward
+from oracles import (forward_per_tap, predict_sequence_per_frame, train_per_window,
+                     window_forward)
 
 
 def tiny_config(**kw):
@@ -362,10 +363,16 @@ def test_total_loss_examples():
 
 
 class QuadraticScorer:
-    """Stand-in realness penalty: mean squared coordinate, differentiable."""
+    """Stand-in realness penalty: mean squared coordinate, differentiable.
+
+    A B x T x K x 3 batch of windows gives the sum of its windows' values.
+    """
 
     def gen_loss(self, window):
-        return (window * window).reshape(-1).mean()
+        sq = window * window
+        if sq.ndim == 4:
+            return sq.reshape(sq.shape[0], -1).mean(axis=1).sum()
+        return sq.reshape(-1).mean()
 
 
 def test_gradient_check_full_loss_stack():
@@ -625,6 +632,113 @@ def test_forward_centers_with_batch_axes_matches_oracle():
     one = model.forward(emb[..., :cfg.window_len, :])
     assert one.shape == (2, 3, cfg.n_keypoints, 3)
     assert np.abs(one.data - got.data[:, :, 0]).max() < 1e-9
+
+
+PER_TAP_CONFIGS = [
+    TcnConfig(n_keypoints=3, embed_dim=5, window_len=9, strides=(1,), channels=4,
+              kernel=3, branch_layers=2),
+    TcnConfig(n_keypoints=3, embed_dim=5, window_len=30, strides=(1, 2, 3, 5, 7),
+              channels=4, kernel=5, branch_layers=1, activation="relu"),
+    TcnConfig(n_keypoints=3, embed_dim=5, window_len=31, strides=(1, 2, 3, 5, 7),
+              channels=4, kernel=1, branch_layers=2),
+    TcnConfig(n_keypoints=3, window_len=15, strides=(1, 2, 3), channels=4,
+              kernel=3, branch_layers=2, use_embedding=False),
+]
+PER_TAP_IDS = ["s1-k3", "s12357-k5-relu", "s12357-k1", "raw-s123-k3"]
+
+
+def _forward_and_grads(forward, model, emb, proj, centers):
+    """Output of forward(emb, centers) and the gradients of (out * proj).sum()
+    w.r.t. emb and every parameter (None where nothing reaches it)."""
+    x = Tensor(emb, requires_grad=True)
+    for p in model.parameters():
+        p.grad = None
+    out = forward(x, centers)
+    (out * Tensor(proj)).sum().backward()
+    return out.data, [x.grad] + [p.grad for p in model.parameters()]
+
+
+@pytest.mark.parametrize("cfg", PER_TAP_CONFIGS, ids=PER_TAP_IDS)
+@pytest.mark.parametrize("lead, centers", [((), 1), ((3,), 1), ((2, 3), 4)])
+def test_forward_matches_per_tap_graph(cfg, lead, centers):
+    model = TcnModel(cfg, seed=33)
+    rng = np.random.default_rng(33)
+    _randomize_head(model, rng)
+    emb = rng.normal(size=lead + (cfg.window_len + centers - 1, cfg.branch_input_dim))
+    out_shape = lead + ((centers,) if centers > 1 else ()) + (cfg.n_keypoints, 3)
+    proj = rng.normal(size=out_shape)
+    got, got_grads = _forward_and_grads(model.forward, model, emb, proj, centers)
+    want, want_grads = _forward_and_grads(
+        lambda x, c: forward_per_tap(model, x, c), model, emb, proj, centers)
+    assert got.shape == out_shape
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        if w is None:        # the embedding weights: forward starts after them
+            assert g is None
+            continue
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-9 * np.abs(w).max())
+    assert np.abs(want_grads[0]).max() > 0
+
+
+@pytest.mark.parametrize("cfg", PER_TAP_CONFIGS, ids=PER_TAP_IDS)
+def test_forward_gradient_matches_central_differences(cfg):
+    model = TcnModel(cfg, seed=34)
+    rng = np.random.default_rng(34)
+    _randomize_head(model, rng)
+    centers = 3
+    emb = rng.normal(size=(2, cfg.window_len + centers - 1, cfg.branch_input_dim))
+    proj = rng.normal(size=(2, centers, cfg.n_keypoints, 3))
+    _, grads = _forward_and_grads(model.forward, model, emb, proj, centers)
+    leaves = [emb] + [p.data for p in model.parameters()]
+    dirs = [rng.normal(size=a.shape) for a in leaves]
+    want = sum(np.sum(g * d) for g, d in zip(grads, dirs) if g is not None)
+
+    def loss(step):
+        saved = [p.data for p in model.parameters()]
+        for p, a, d in zip(model.parameters(), leaves[1:], dirs[1:]):
+            p.data = a + step * d
+        value = (model.forward(Tensor(emb + step * dirs[0]), centers)
+                 * Tensor(proj)).sum().item()
+        for p, a in zip(model.parameters(), saved):
+            p.data = a
+        return value
+
+    eps = 1e-5
+    assert (loss(eps) - loss(-eps)) / (2 * eps) == pytest.approx(want, rel=1e-6)
+
+
+def _non_leaf_nodes(root):
+    seen = {id(root)}
+    todo = [root]
+    count = 0
+    while todo:
+        node = todo.pop()
+        count += bool(node.parents)
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return count
+
+
+def test_training_step_graph_stays_small(topo, monkeypatch):
+    # 64-wide embedding, strides (1,2,3), 32 channels, two layers, batch 8,
+    # two views and a KCS scorer: the per-tap graph with one scorer call per
+    # sample backpropagated through 210 non-leaf nodes here
+    data = two_view_dataset(topo)
+    model = TcnModel(TcnConfig(embed_dim=64, window_len=20, strides=(1, 2, 3),
+                               channels=32, branch_layers=2), seed=35)
+    counts = []
+    backward = Tensor.backward
+
+    def counting_backward(self):
+        counts.append(_non_leaf_nodes(self))
+        return backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    train(model, data, train_config(steps_per_epoch=1, batch_size=8),
+          scorer=KcsEnergyModel.fit(real_windows(data, 8), topo))
+    assert len(counts) == 1 and counts[0] <= 100
 
 
 @pytest.mark.parametrize("rows, centers", [(10, 2), (12, 2), (10, 0), (9, 0), (11, -1),
