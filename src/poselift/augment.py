@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .skeleton import PoseSequence2D, SkeletonTopology
+from .skeleton import CROP_PX, PoseSequence2D, SkeletonTopology
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class OcclusionConfig:
     shift_prob: float = 0.1
     swap_prob: float = 0.1
     shift_px: float = 10.0
-    crop_px: float = 256.0       # converts shift_px to normalized units
     seed: int = 0
 
     def __post_init__(self):
@@ -37,8 +36,8 @@ class OcclusionConfig:
                 raise ConfigError(f"{name}={v} outside [0,1]")
         if self.l < 2:
             raise ConfigError("l must be >= 2")
-        if self.shift_px < 0 or self.crop_px <= 0:
-            raise ConfigError("shift_px must be >= 0 and crop_px > 0")
+        if self.shift_px < 0:
+            raise ConfigError("shift_px must be >= 0")
 
 
 def _rng_for(cfg: OcclusionConfig, rng):
@@ -126,7 +125,7 @@ def noise_corruption(seq: PoseSequence2D, cfg: OcclusionConfig,
         shift_draw = rng.random(out.K) < cfg.shift_prob
         for k in np.where(shift_draw & ~out.mask[t])[0]:
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            radius = rng.uniform(0.0, cfg.shift_px) / cfg.crop_px
+            radius = rng.uniform(0.0, cfg.shift_px) / CROP_PX
             out.frames[t, k] += radius * np.array([np.cos(angle), np.sin(angle)])
     return out
 

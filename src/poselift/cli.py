@@ -25,8 +25,8 @@ from .experiment import ExperimentConfig, fit_scorer, run_experiment, train_lift
 from .iso import IsoConfig, refine
 from .kcs import discriminator_features
 from .metrics import evaluate
-from .pose_io import (cfg_get, default_topology, parse_value, read_config, read_pose2d,
-                      read_pose3d, read_topology, write_pose2d, write_pose3d)
+from .pose_io import (default_topology, parse_value, read_config, read_pose2d, read_pose3d,
+                      read_topology, write_pose2d, write_pose3d)
 from .synth import generate
 from .tcn import TcnModel
 from .visibility import sequence_visibility
@@ -144,8 +144,7 @@ def cmd_augment(exp, own, out: Path, topo) -> None:
 
 def cmd_features(exp, own, out: Path, topo) -> None:
     pose = read_pose3d(_require(own, "pose3d"), topo)
-    interval = cfg_get(own, "interval", 1, int)
-    feats = discriminator_features(pose, topo, interval)
+    feats = discriminator_features(pose, topo, exp.scorer_interval)
     np.savetxt(out / "features.txt", feats, fmt="%.9g")
     print(f"wrote {feats.shape[0]} x {feats.shape[1]} features to {out / 'features.txt'}")
 
@@ -207,7 +206,7 @@ COMMANDS = {
     "synth-gen": (cmd_synth_gen, ()),
     "visibility": (cmd_visibility, ("pose3d",)),
     "augment": (cmd_augment, ("pose2d",)),
-    "features": (cmd_features, ("pose3d", "interval")),
+    "features": (cmd_features, ("pose3d",)),
     "train": (cmd_train, ()),
     "infer": (cmd_infer, ("model", "det2d")),
     "iso-refine": (cmd_iso_refine, ("pose3d", "det2d", "gt3d", "scorer")),

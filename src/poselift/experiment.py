@@ -100,7 +100,11 @@ def real_windows(seqs: list, window: int) -> list:
 
 def fit_scorer(cfg: ExperimentConfig, train_seqs: list, topo, out: Path) -> KcsEnergyModel:
     """The scorer stage: the KCS energy prior of the training motion, saved as scorer.ckpt."""
-    scorer = KcsEnergyModel.fit(real_windows(train_seqs, cfg.scorer_window), topo,
+    windows = real_windows(train_seqs, cfg.scorer_window)
+    if not windows:
+        raise ConfigError(f"scorer_window = {cfg.scorer_window} exceeds every training sequence's "
+                          f"length (longest {max(s.pose3d.T for s in train_seqs)} frames)")
+    scorer = KcsEnergyModel.fit(windows, topo,
                                 interval=cfg.scorer_interval, reg_scale=cfg.scorer_reg)
     scorer.save(out / "scorer.ckpt")
     return scorer

@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
-from .skeleton import PoseSequence2D, PoseSequence3D
+from .skeleton import CROP_PX, PoseSequence2D, PoseSequence3D
 
 WEIGHT_MODES = ("constant", "confidence", "calibrated", "hard", "soft")
 
@@ -125,7 +125,6 @@ class IsoConfig:
     iterations: int = 150
     step_size: float = 0.5          # mm per unit gradient
     refit_every: int = 25
-    crop_px: int = 256
     calibration: CalibratedConfidence = None
 
     def __post_init__(self):
@@ -143,8 +142,6 @@ class IsoConfig:
             raise ConfigError("step_size must be > 0")
         if self.refit_every < 1:
             raise ConfigError("refit_every must be >= 1")
-        if self.crop_px <= 0:
-            raise ConfigError("crop_px must be > 0")
 
 
 def fit_projection(frames3d: np.ndarray, det2d: PoseSequence2D,
@@ -205,7 +202,7 @@ def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
         conf = np.where(det2d.mask, 0.0, cfg.calibration(conf))
     frames3d = np.asarray(frames3d, dtype=np.float64)
     proj = frames3d[:, :, :2] * scale + trans[:, None, :]
-    dist = np.linalg.norm(proj - det2d.frames, axis=2) * cfg.crop_px
+    dist = np.linalg.norm(proj - det2d.frames, axis=2) * CROP_PX
     w = reprojection_weight(cfg.weight_mode, conf, dist, cfg.sigma, cfg.threshold)
     return w * ~det2d.mask
 
@@ -226,12 +223,11 @@ def rep_loss(pose, det2d: PoseSequence2D, cfg: IsoConfig, scale: float = None,
     if weights is None:
         weights = compute_weights(x.data, det2d, cfg, scale, translation)
     weights = np.asarray(weights, dtype=np.float64)
-    crop = float(cfg.crop_px)
-    d = (x.data[:, :, :2] * scale + translation[:, None, :] - det2d.frames) * crop
+    d = (x.data[:, :, :2] * scale + translation[:, None, :] - det2d.frames) * CROP_PX
 
     def back(out):
         gx = np.zeros_like(x.data)
-        gx[:, :, :2] = (2.0 * crop * scale * out.grad) * weights[:, :, None] * d
+        gx[:, :, :2] = (2.0 * CROP_PX * scale * out.grad) * weights[:, :, None] * d
         x._accumulate(gx)
 
     return Tensor(((d * d).sum(axis=2) * weights).sum(), (x,), back)

@@ -104,9 +104,9 @@ _MASK = {"0": False, "false": False, "False": False, "1": True, "true": True, "T
 def _read_table(path, want_z, topo: SkeletonTopology):
     """(meta, coords, conf, mask, actions) of a pose table file.
 
-    The header is the base columns, optionally followed by `action`, and
-    every row has one parseable field per column; InvalidInputError names
-    the file line that breaks this.
+    The header is the base columns, optionally followed by `action`, at
+    least one row follows it, and every row has one parseable field per
+    column; InvalidInputError names the file (and line) that breaks this.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta, body = _split_meta(fh.readlines())
@@ -116,6 +116,8 @@ def _read_table(path, want_z, topo: SkeletonTopology):
     if header not in (base, base + ["action"]):
         raise InvalidInputError(f"{path}:{lineno}: pose header {text!r} is not "
                                 f"{','.join(base)}[,action]")
+    if len(body) == 1:
+        raise InvalidInputError(f"{path}: pose table has a header but no rows")
     dim = 3 if want_z else 2
     records = {}
     actions = {}
@@ -166,11 +168,11 @@ def read_pose3d(path, topo: SkeletonTopology) -> PoseSequence3D:
 
 
 def _check_actions(actions) -> None:
-    """A pose-table action field cannot hold the comma or line break that ends it."""
+    """An action cannot hold a comma or line break, nor end in whitespace the reader strips."""
     for a in set(actions or ()):
-        if any(c in a for c in ",\n\r"):
-            raise InvalidInputError(f"action {a!r} contains a comma or line break, "
-                                    "which a pose table cannot hold")
+        if any(c in a for c in ",\n\r") or a != a.rstrip():
+            raise InvalidInputError(f"action {a!r} contains a comma or line break or ends "
+                                    "in whitespace, which a pose table cannot hold")
 
 
 def write_pose3d(path, pose: PoseSequence3D, topo: SkeletonTopology) -> None:
@@ -270,12 +272,6 @@ def parse_value(key: str, text: str, typ):
         return _parse(text, typ, ",:")
     except ValueError as e:
         raise ConfigError(f"config key {key} = {text!r}: {e}") from None
-
-
-def cfg_get(cfg: dict, key: str, default=None, cast=None):
-    if key not in cfg:
-        return default
-    return cfg[key] if cast is None else parse_value(key, cfg[key], cast)
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -3,6 +3,7 @@
 Conventions used everywhere downstream:
   - 3D coordinates in mm, root-relative (pelvis at the origin of each frame).
   - 2D coordinates normalized to the person crop, [0,1] on both axes.
+  - Pixel-valued settings (noise, shifts, the ISO soft threshold) are pixels of the crop.
   - The camera sits at z = -infinity looking toward +z, so orthographic
     projection just drops z and "toward the camera" means decreasing z.
 """
@@ -15,6 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, TopologyError
+
+CROP_PX = 256.0  # crop edge in pixels: a pixel setting / CROP_PX is in crop units
 
 
 @dataclass(frozen=True)

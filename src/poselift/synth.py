@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .skeleton import (
+    CROP_PX,
     PoseSequence2D,
     PoseSequence3D,
     RotationAugment,
@@ -59,7 +60,6 @@ class SyntheticMotionConfig:
     # extra views as (alpha, beta, gamma)
     view_rotations: tuple[tuple[float, float, float], ...] = ()
     scale_mm: float = 2000.0          # crop edge in mm for 2D projection
-    crop_px: float = 256.0
     noise_px: float = 2.0             # detection noise scale, pixels
     mask_occluded_prob: float = 0.5
     conf_visible: tuple[float, float] = (0.65, 0.98)
@@ -72,8 +72,8 @@ class SyntheticMotionConfig:
             raise ConfigError("need n_sequences >= 1 and frames >= 2")
         if any(s <= 0 for s in self.speed_multipliers):
             raise ConfigError("speed multipliers must be > 0")
-        if self.scale_mm <= 0 or self.crop_px <= 0:
-            raise ConfigError("scale_mm and crop_px must be > 0")
+        if self.scale_mm <= 0:
+            raise ConfigError("scale_mm must be > 0")
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be >= 1")
 
@@ -197,7 +197,7 @@ def detections_for_view(pose3d: PoseSequence3D, topo: SkeletonTopology,
                     rng.uniform(*cfg.conf_occluded, size=(t, k)))
     # noisier detections at lower confidence
     std_px = cfg.noise_px * (1.3 - conf)
-    noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / cfg.crop_px)[:, :, None]
+    noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / CROP_PX)[:, :, None]
     coords = clean.frames + noise
     mask = (~visible) & (rng.random((t, k)) < cfg.mask_occluded_prob)
     coords[mask] = 0.0

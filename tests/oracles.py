@@ -29,7 +29,7 @@ from poselift.autodiff import SGD, Tensor
 from poselift.errors import (ConfigError, DegenerateInputError, InvalidInputError,
                              InvalidWindowError, TopologyError, TrainingDivergedError)
 from poselift.iso import compute_weights, fit_projection
-from poselift.skeleton import (PoseSequence2D, PoseSequence3D, RotationAugment,
+from poselift.skeleton import (CROP_PX, PoseSequence2D, PoseSequence3D, RotationAugment,
                                project_to_crop, rotate_pose)
 from poselift.tcn import loss_2d, loss_3d, loss_multiview, total_loss
 
@@ -465,7 +465,7 @@ def rep_loss_graph(pose, det2d, cfg, scale=None, translation=None, weights=None)
     if weights is None:
         weights = compute_weights(x.data, det2d, cfg, scale, translation)
     proj = x[:, :, :2] * scale + Tensor(translation[:, None, :])
-    d = (proj - Tensor(det2d.frames)) * float(cfg.crop_px)
+    d = (proj - Tensor(det2d.frames)) * CROP_PX
     sq = (d * d).sum(axis=2)
     return (sq * Tensor(weights)).sum()
 
@@ -623,7 +623,7 @@ def generate_per_frame(cfg, topo):
                             rng.uniform(*cfg.conf_visible, size=(t, k)),
                             rng.uniform(*cfg.conf_occluded, size=(t, k)))
             std_px = cfg.noise_px * (1.3 - conf)
-            noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / cfg.crop_px)[:, :, None]
+            noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / CROP_PX)[:, :, None]
             coords = clean.frames + noise
             mask = (~visible) & (rng.random((t, k)) < cfg.mask_occluded_prob)
             coords[mask] = 0.0

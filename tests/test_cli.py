@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poselift.cli import load_config, main
+from poselift.cli import _keys, load_config, main
 from poselift.experiment import ExperimentConfig
 from poselift.iso import IsoConfig
 from poselift.pose_io import parse_config
@@ -93,7 +93,7 @@ def test_augment_masks_and_zeroes(sample_files, tmp_path):
 
 def test_features_matches_library(sample_files, tmp_path):
     cfg = write_cfg(tmp_path / "f.cfg",
-                    pose3d=sample_files / "seq00_v0_gt.pose3d", interval=2)
+                    pose3d=sample_files / "seq00_v0_gt.pose3d", scorer_interval=2)
     out = tmp_path / "feat"
     assert run("features", "--config", cfg, "--out", out) == 0
     got = np.loadtxt(out / "features.txt")
@@ -231,7 +231,8 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("tcn.window", 99),
                                         ("tcn.use_embedding", "flase"),
-                                        ("tcn.strides", "1.5,2.9")])
+                                        ("tcn.strides", "1.5,2.9"),
+                                        ("synth.view_rotations", "1:2")])
 def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path / "bad.cfg", **{key: value})
     assert run("synth-gen", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -297,28 +298,49 @@ def test_train_with_negative_epochs_exits_2_before_making_the_out_dir(tmp_path, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command, keys", [
+# every pose-reading subcommand, with its damaged (`short.*`) input
+POSE_COMMANDS = [
     ("visibility", {"pose3d": "short.pose3d"}),
     ("augment", {"pose2d": "short.pose2d"}),
     ("features", {"pose3d": "short.pose3d"}),
     ("infer", {"det2d": "short.pose2d"}),
     ("iso-refine", {"pose3d": "seq00_v0_gt.pose3d", "det2d": "short.pose2d"}),
     ("eval", {"gt3d": "short.pose3d", "pred3d": "seq00_v0_gt.pose3d"}),
-])
-def test_short_pose_row_exits_2(sample_files, trained, tmp_path, capsys, command, keys):
+]
+
+
+def run_on_damaged_pose(sample_files, trained, tmp_path, command, keys, damage):
+    """Exit code of `command` with its `short.*` input(s) made by `damage(lines)`."""
     for short, src in (("short.pose3d", "seq00_v0_gt.pose3d"),
                        ("short.pose2d", "seq00_v0_det.pose2d")):
         lines = (sample_files / src).read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith("frame,")) + 1
-        lines[row] = lines[row].rsplit(",", 1)[0]     # drop the row's last field
-        (tmp_path / short).write_text("\n".join(lines) + "\n")
+        header = next(i for i, line in enumerate(lines) if line.startswith("frame,"))
+        (tmp_path / short).write_text("\n".join(damage(lines, header)) + "\n")
     own = {k: (tmp_path if v.startswith("short") else sample_files) / v for k, v in keys.items()}
     extra = {"infer": {"model": trained / "model.ckpt.npz"}, "iso-refine": {"iso.lambda1": 0.0}}
     cfg = write_cfg(tmp_path / "c.cfg", **own, **extra.get(command, {}))
-    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    return run(command, "--config", cfg, "--out", tmp_path / "o")
+
+
+@pytest.mark.parametrize("command, keys", POSE_COMMANDS)
+def test_short_pose_row_exits_2(sample_files, trained, tmp_path, capsys, command, keys):
+    def drop_last_field(lines, header):
+        lines[header + 1] = lines[header + 1].rsplit(",", 1)[0]
+        return lines
+    assert run_on_damaged_pose(sample_files, trained, tmp_path, command, keys,
+                               drop_last_field) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"poselift {command}: InvalidInputError: " in err
     assert "fields, header has" in err
+
+
+@pytest.mark.parametrize("command, keys", POSE_COMMANDS)
+def test_header_only_pose_table_exits_2(sample_files, trained, tmp_path, capsys, command, keys):
+    assert run_on_damaged_pose(sample_files, trained, tmp_path, command, keys,
+                               lambda lines, header: lines[:header + 1]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"poselift {command}: InvalidInputError: " in err
+    assert "short.pose" in err and "header but no rows" in err
 
 
 def test_infer_on_checkpoint_with_unknown_config_key_exits_2(trained, sample_files,
@@ -343,6 +365,73 @@ def test_infer_on_a_model_file_that_is_not_a_checkpoint_exits_2(sample_files, tm
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"poselift infer: InvalidInputError: {cfg} is not a poselift checkpoint" in err
+
+
+def test_train_with_sequences_shorter_than_the_scorer_window_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "t.cfg", **{"synth.n_sequences": 2, "synth.frames": 10})
+    assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        "poselift train: ConfigError: scorer_window = 16 exceeds every training "
+        "sequence's length (longest 10 frames)\n")
+    assert not (tmp_path / "o" / "model.ckpt.npz").exists()
+
+
+@pytest.mark.parametrize("name, named", [
+    ("seq_gt.pose3d", "InvalidInputError: no detections for seq_gt.pose3d"),
+    ("notes.txt", "InvalidInputError: no *_gt.pose3d files under"),
+])
+def test_run_experiment_on_a_bad_data_dir_exits_2_after_the_synth_stage(
+        sample_files, tmp_path, capsys, name, named):
+    # the data dir holds one ground-truth pose file, under `name`, and no detections
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / name).write_text((sample_files / "seq00_v0_gt.pose3d").read_text())
+    cfg = write_cfg(tmp_path / "x.cfg", **{"synth.n_sequences": 1, "synth.frames": 20,
+                                           "data_dir": data})
+    out = tmp_path / "exp"
+    assert run("run-experiment", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"poselift run-experiment: {named}" in err
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure["stage"] == "synth" and named in failure["error"]
+
+
+# every config key; a knob added or retired shows up here as a deliberate diff
+CONFIG_KEYS = {
+    "aug_copies", "data_dir", "epochs", "seed",
+    "scorer_interval", "scorer_reg", "scorer_window",
+    *(f"{s}.{k}" for s in ("synth", "eval_synth") for k in (
+        "angle_step", "conf_occluded", "conf_visible", "frames", "mask_occluded_prob",
+        "max_joint_angle", "n_sequences", "noise_px", "scale_mm", "seed", "smooth_window",
+        "speed_multipliers", "view_rotations", "wobble", "yaw_step")),
+    *(f"{s}.{k}" for s in ("occ", "eval_occlusion") for k in (
+        "frame_block_prob", "l", "p1", "p2", "p3", "shift_prob", "shift_px", "swap_prob")),
+    "eval_occlusion.seed",
+    "iso.cal_bias", "iso.cal_temperature", "iso.iterations", "iso.lambda1", "iso.lambda2",
+    "iso.refit_every", "iso.sigma", "iso.step_size", "iso.threshold", "iso.weight_mode",
+    "tcn.activation", "tcn.branch_layers", "tcn.channels", "tcn.embed_dim", "tcn.kernel",
+    "tcn.n_keypoints", "tcn.output_scale_mm", "tcn.strides", "tcn.use_embedding",
+    "tcn.window_len",
+    "train.batch_size", "train.gen_window", "train.lr", "train.lr_decay", "train.momentum",
+    "train.snapshot_every", "train.steps_per_epoch", "train.w1", "train.w2", "train.w3",
+}
+
+
+def test_config_key_census():
+    assert len(CONFIG_KEYS) == 84
+    assert set(_keys(ExperimentConfig)) == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("command, key", [
+    ("synth-gen", "synth.crop_px"), ("synth-gen", "eval_synth.crop_px"),
+    ("augment", "occ.crop_px"), ("synth-gen", "eval_occlusion.crop_px"),
+    ("iso-refine", "iso.crop_px"), ("features", "interval"),
+])
+def test_retired_key_exits_2(tmp_path, capsys, command, key):
+    cfg = write_cfg(tmp_path / "r.cfg", **{key: 256})
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"poselift {command}: ConfigError: unknown config key {key!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_keys_sit_on_experiment_defaults():

@@ -144,7 +144,7 @@ def test_rep_and_smooth_losses_match_graph(t, how):
     gt = noisy_window(t, seed=t, noise_mm=0.0)
     frames = gt + np.random.default_rng(t + 1).normal(0.0, 15.0, gt.shape)
     det = detections(gt, seed=t + 2)
-    cfg = IsoConfig(weight_mode="soft", sigma=1.3, crop_px=200)
+    cfg = IsoConfig(weight_mode="soft", sigma=1.3)
     scale, trans = fit_projection(frames, det)
     weights = compute_weights(frames, det, cfg, scale, trans)
     compare(lambda x: iso.rep_loss(x, det, cfg, scale, trans, weights),

@@ -75,8 +75,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         IsoConfig(refit_every=0)
     with pytest.raises(ConfigError):
-        IsoConfig(crop_px=0)
-    with pytest.raises(ConfigError):
         CalibratedConfidence(temperature=0.0)
 
 
@@ -286,7 +284,7 @@ def test_rep_loss_constant_mode_matches_loss_2d():
     mask = rng.random(det.frames.shape[:2]) < 0.2
     det = PoseSequence2D(det.frames, np.where(mask, 0.0, det.confidence),
                          mask, SCALE_MM)
-    cfg = IsoConfig(weight_mode="constant", crop_px=256)
+    cfg = IsoConfig(weight_mode="constant")
     got = rep_loss(gt.frames, det, cfg, scale=1.0 / SCALE_MM,
                    translation=np.full((10, 2), 0.5)).item()
     count = (~mask).sum()
@@ -298,7 +296,7 @@ def test_rep_loss_matches_double_loop_oracle():
     gt = gt_window(3, 7)
     rng = np.random.default_rng(6)
     det, _ = corrupt_detections(gt, rng)
-    cfg = IsoConfig(weight_mode="soft", sigma=1.3, crop_px=200)
+    cfg = IsoConfig(weight_mode="soft", sigma=1.3)
     scale, trans = fit_projection(gt.frames, det)
     got = rep_loss(gt.frames, det, cfg, scale, trans).item()
     want = 0.0
@@ -306,8 +304,8 @@ def test_rep_loss_matches_double_loop_oracle():
         for k in range(det.K):
             if det.mask[t, k]:
                 continue
-            px = (gt.frames[t, k, 0] * scale + trans[t, 0] - det.frames[t, k, 0]) * 200.0
-            py = (gt.frames[t, k, 1] * scale + trans[t, 1] - det.frames[t, k, 1]) * 200.0
+            px = (gt.frames[t, k, 0] * scale + trans[t, 0] - det.frames[t, k, 0]) * 256.0
+            py = (gt.frames[t, k, 1] * scale + trans[t, 1] - det.frames[t, k, 1]) * 256.0
             d2 = px * px + py * py
             w = 1.0 - np.exp(-det.confidence[t, k] * d2 / (2.0 * 1.3 ** 2))
             want += w * d2

@@ -6,7 +6,6 @@ import pytest
 
 from poselift.errors import ConfigError, InvalidInputError, TopologyError
 from poselift.pose_io import (
-    cfg_get,
     load_checkpoint,
     parse_config,
     parse_topology,
@@ -70,6 +69,7 @@ def test_read_pose_unknown_keypoint(tmp_path, topo):
     ("", ":1: pose header '' is not"),
     ("# scale_mm = 2000\n0,pelvis,0,0,0,1,0\n", ":2: pose header '0,pelvis"),
     ("frame,keypoint,x,y,z,conf,mask,extra\n", ":1: pose header"),
+    ("# scale_mm = 2000\nframe,keypoint,x,y,z,conf,mask\n", ": pose table has a header but no rows"),
     ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1\n", ":2: 6 fields, header has 7"),
     ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1,0,run\n", ":2: 8 fields, header has 7"),
     ("frame,keypoint,x,y,z,conf,mask\n\n0,pelvis,0,0,0,1,2\n", ":3: mask '2' is not one of"),
@@ -93,11 +93,10 @@ def test_topology_parse_errors():
 
 def test_config_parse():
     cfg = parse_config("# comment\ntcn.embed_dim = 64\niso.sigma=1.5\nocc.strides = 1,2,3\nflag = true\n")
-    assert cfg_get(cfg, "tcn.embed_dim", cast=int) == 64
-    assert cfg_get(cfg, "iso.sigma", cast=float) == 1.5
-    assert cfg_get(cfg, "occ.strides", cast=tuple[int, ...]) == (1, 2, 3)
-    assert cfg_get(cfg, "flag", cast=bool) is True
-    assert cfg_get(cfg, "absent", default=7, cast=int) == 7
+    assert parse_value("tcn.embed_dim", cfg["tcn.embed_dim"], int) == 64
+    assert parse_value("iso.sigma", cfg["iso.sigma"], float) == 1.5
+    assert parse_value("occ.strides", cfg["occ.strides"], tuple[int, ...]) == (1, 2, 3)
+    assert parse_value("flag", cfg["flag"], bool) is True
 
 
 def test_config_errors():
@@ -105,7 +104,7 @@ def test_config_errors():
         parse_config("just a line\n")
     cfg = parse_config("x = notanint\n")
     with pytest.raises(ConfigError):
-        cfg_get(cfg, "x", cast=int)
+        parse_value("x", cfg["x"], int)
 
 
 def test_parse_value_by_type():
@@ -154,7 +153,7 @@ def test_load_checkpoint_rejects_files_that_are_not_checkpoints(tmp_path):
         assert str(path) in str(err.value)
 
 
-@pytest.mark.parametrize("action", ["walk,fast", "walk\nfast", "walk\r", ","])
+@pytest.mark.parametrize("action", ["walk,fast", "walk\nfast", "walk\r", ",", "walk ", "walk\t"])
 def test_write_pose_rejects_actions_that_break_the_table(tmp_path, topo, action):
     actions = ["walk", action]
     pose3 = PoseSequence3D(np.zeros((2, topo.K, 3)), actions=actions)
