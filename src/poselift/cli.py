@@ -26,7 +26,7 @@ from .iso import IsoConfig, refine
 from .kcs import discriminator_features
 from .metrics import evaluate
 from .pose_io import (default_topology, parse_value, read_config, read_pose2d, read_pose3d,
-                      read_topology, write_pose2d, write_pose3d)
+                      read_topology, write_json, write_pose2d, write_pose3d)
 from .synth import generate
 from .tcn import TcnModel
 from .visibility import sequence_visibility
@@ -176,7 +176,7 @@ def cmd_iso_refine(exp, own, out: Path, topo) -> None:
     scorer = KcsEnergyModel.load(own["scorer"]) if "scorer" in own else None
     refined, trace = refine(pose, det, scorer, iso_cfg, gt3d=gt)
     write_pose3d(out / "refined.pose3d", refined, topo)
-    (out / "trace.json").write_text(json.dumps(trace, sort_keys=True, indent=1) + "\n")
+    write_json(out / "trace.json", trace)
     last = trace[-1] if trace else {}
     tail = f", final mpjpe {last['mpjpe']:.2f} mm" if "mpjpe" in last else ""
     print(f"refined {refined.T} frames over {len(trace)} iterations{tail}; "
@@ -188,8 +188,7 @@ def cmd_eval(exp, own, out: Path, topo) -> None:
     pred = read_pose3d(_require(own, "pred3d"), topo)
     report = evaluate(pred, gt, topo)
     (out / "report.txt").write_text(report.format_text() + "\n")
-    (out / "report.json").write_text(
-        json.dumps(report.as_dict(), sort_keys=True, indent=1) + "\n")
+    write_json(out / "report.json", report.as_dict())
     print(report.format_text())
 
 

@@ -13,7 +13,8 @@ from .discriminator import KcsEnergyModel
 from .errors import ConfigError, InvalidInputError
 from .iso import IsoConfig, refine
 from .metrics import evaluate, mpjpe
-from .pose_io import default_topology, read_pose2d, read_pose3d, write_pose2d, write_pose3d
+from .pose_io import (default_topology, read_pose2d, read_pose3d, write_json, write_pose2d,
+                      write_pose3d)
 from .skeleton import PoseSequence3D
 from .synth import SyntheticMotionConfig, SyntheticSequence, ViewData, generate
 from .tcn import LossWeights, TcnConfig, TcnModel, TrainConfig, train
@@ -56,6 +57,9 @@ class ExperimentConfig:
             raise ConfigError("scorer_interval must be >= 1")
         if self.scorer_window < self.scorer_interval + 1:
             raise ConfigError("scorer_window must exceed scorer_interval")
+        if self.train.weights.w3 > 0 and self.train.gen_window <= self.scorer_interval:
+            raise ConfigError(f"train.gen_window = {self.train.gen_window} must exceed "
+                              f"scorer_interval = {self.scorer_interval} while train.w3 > 0")
         if self.scorer_reg <= 0:
             raise ConfigError("scorer_reg must be > 0")
         if self.data_dir is not None and not Path(self.data_dir).is_dir():
@@ -64,10 +68,6 @@ class ExperimentConfig:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _json_dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _occluded_copy(seq: SyntheticSequence, occ: OcclusionConfig, topo, rng) -> SyntheticSequence:
@@ -82,7 +82,11 @@ def _read_eval_pairs(data_dir: Path, topo) -> list:
         det_path = gt_path.with_name(gt_path.name.replace("_gt.pose3d", "_det.pose2d"))
         if not det_path.exists():
             raise InvalidInputError(f"no detections for {gt_path.name}")
-        pairs.append((read_pose3d(gt_path, topo), read_pose2d(det_path, topo)))
+        gt, det = read_pose3d(gt_path, topo), read_pose2d(det_path, topo)
+        if gt.T != det.T:
+            raise InvalidInputError(f"{gt_path.name} has {gt.T} frames but {det_path.name} "
+                                    f"has {det.T}")
+        pairs.append((gt, det))
     if not pairs:
         raise InvalidInputError(f"no *_gt.pose3d files under {data_dir}")
     return pairs
@@ -130,7 +134,7 @@ def train_lifter(cfg: ExperimentConfig, train_seqs: list, topo, out: Path,
         history = train(model, seqs, replace(cfg.train, seed=cfg.seed),
                         epochs=cfg.epochs,
                         scorer=scorer if cfg.train.weights.w3 > 0 else None)
-        _json_dump(out / "history.json", history)
+        write_json(out / "history.json", history)
     model.save(out / "model.ckpt")
     return model, history
 
@@ -198,7 +202,7 @@ def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
             scorer = state.get("scorer") if cfg.iso.lambda1 > 0 else None
             pose, trace = refine(state["raw_preds"][i], det, scorer, cfg.iso, gt3d=gt)
             write_pose3d(out / f"eval{i:02d}_iso.pose3d", pose, topo)
-            _json_dump(out / f"eval{i:02d}_trace.json", trace)
+            write_json(out / f"eval{i:02d}_trace.json", trace)
             refined.append(pose)
         state["refined_preds"] = refined
         return "ok"
@@ -225,9 +229,8 @@ def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
             text += ["", "refined lifts", iso_rep.format_text()]
         report["per_sequence_mpjpe_mm"] = [
             mpjpe(p, g) for p, g in zip(final, gts)]
-        _json_dump(out / "report.json", report)
+        write_json(out / "report.json", report)
         (out / "report.txt").write_text("\n".join(text) + "\n")
-        state["report"] = report
         return "ok"
 
     runners = {"synth": stage_synth, "scorer": stage_scorer, "train": stage_train,
@@ -249,7 +252,7 @@ def _write_manifest(out: Path, manifest: dict) -> None:
         if path.is_file() and path.name != "manifest.json":
             files[str(path.relative_to(out))] = _sha256(path)
     manifest["files"] = files
-    _json_dump(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
 
 
 # ------------------------------------------------------------------ ladder
@@ -327,7 +330,7 @@ def ladder_experiment(out_dir, seeds=(0, 1, 2), epochs=6,
         rows.append({"name": rung["name"], "per_seed": per_seed,
                      "mean_mpjpe_mm": mean, "sem_mm": sem})
     table = {"seeds": list(seeds), "rows": rows}
-    _json_dump(out / "ladder.json", table)
+    write_json(out / "ladder.json", table)
     lines = [f"{'config':<16} {'mean_mpjpe':>11} {'sem':>7}  per-seed"]
     for r in rows:
         per = " ".join(f"{v:.2f}" for v in r["per_seed"])

@@ -1,4 +1,4 @@
-"""File formats: topology, pose tables, key=value configs, npz checkpoints.
+"""File formats: topology, pose tables, JSON artifacts, key=value configs, npz checkpoints.
 
 Pose tables are plain CSV with a header. 3D:
     frame,keypoint,x,y,z,conf,mask[,action]
@@ -135,7 +135,10 @@ def _read_table(path, want_z, topo: SkeletonTopology):
         except KeyError:
             raise InvalidInputError(f"{path}:{lineno}: mask {parts[3 + dim]!r} is not one of "
                                     + "/".join(_MASK)) from None
-        k = topo.index(parts[1])
+        try:
+            k = topo.index(parts[1])
+        except TopologyError as e:
+            raise TopologyError(f"{path}:{lineno}: {e}") from None
         if (f, k) in records:
             raise InvalidInputError(f"{path}:{lineno}: duplicate record frame={f} keypoint={parts[1]}")
         records[(f, k)] = (coords, conf, mask)
@@ -143,7 +146,7 @@ def _read_table(path, want_z, topo: SkeletonTopology):
             actions[f] = parts[4 + dim]
     frames_present = sorted({f for f, _ in records})
     if frames_present != list(range(len(frames_present))):
-        raise InvalidInputError("frame indices must be contiguous from 0")
+        raise InvalidInputError(f"{path}: frame indices must be contiguous from 0")
     t, k = len(frames_present), topo.K
     coords = np.zeros((t, k, dim))
     conf = np.zeros((t, k))
@@ -151,7 +154,8 @@ def _read_table(path, want_z, topo: SkeletonTopology):
     for f in range(t):
         for j in range(k):
             if (f, j) not in records:
-                raise InvalidInputError(f"missing record frame={f} keypoint={topo.keypoint_names[j]}")
+                raise InvalidInputError(f"{path}: missing record frame={f} "
+                                        f"keypoint={topo.keypoint_names[j]}")
             c, cf, m = records[(f, j)]
             coords[f, j] = c
             conf[f, j] = cf
@@ -219,6 +223,12 @@ def write_pose2d(path, pose: PoseSequence2D, topo: SkeletonTopology) -> None:
             lines.append(row)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """`obj` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------- configs

@@ -5,8 +5,7 @@ segments). A keypoint P is tested against every cylinder whose projected
 diametral cross-section rectangle contains the projection of P; each such
 cylinder contributes an Iverson bracket [(P - P_i) . n > 0] with n the
 rectangle normal pointing toward the camera (negative z). The hard label
-is the product of brackets; the soft score relaxes each bracket with a
-sigmoid of sharpness kappa (per mm) and takes the worst gated bracket.
+is the product of brackets.
 
 Camera convention: at z = -infinity looking toward +z, projection drops z,
 so "in front" means smaller z. The rectangle plane contains the bone axis
@@ -24,27 +23,12 @@ import numpy as np
 from .errors import TopologyError
 from .skeleton import PoseSequence3D, SkeletonTopology, vector_norm
 
-KAPPA_DEFAULT = 0.1     # sigmoid sharpness, 1/mm
-_EPS_SOFT = 1e-6        # soft scores clamped to (eps, 1-eps)
 _EPS_GEOM = 1e-9
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    name: str
-    radius_mm: float
-    top: np.ndarray       # P_i
-    bottom: np.ndarray    # P_j
-    top_index: int
-    bottom_index: int
-    degenerate: bool      # zero height or radius: occludes nothing
 
 
 @dataclass
 class VisibilityReport:
-    hard: np.ndarray        # K, {0,1}
-    soft: np.ndarray        # K, in (0,1)
-    occluder: list          # per keypoint: cylinder name or None
+    hard: np.ndarray        # K, True = visible
 
 
 def _cylinder_arrays(frames: np.ndarray, topo: SkeletonTopology):
@@ -67,15 +51,6 @@ def _cylinder_arrays(frames: np.ndarray, topo: SkeletonTopology):
     bottoms = frames[:, [spec.bottom for spec in topo.cylinders]]
     degenerate = (vector_norm(bottoms - tops) < _EPS_GEOM) | (radii < _EPS_GEOM)
     return tops, bottoms, radii, degenerate
-
-
-def build_cylinders(frame: np.ndarray, topo: SkeletonTopology) -> list:
-    """The ten-part decomposition for one K x 3 pose frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    tops, bottoms, radii, degenerate = _cylinder_arrays(frame[None], topo)
-    return [Cylinder(spec.name, float(radii[0, c]), tops[0, c], bottoms[0, c],
-                     spec.top, spec.bottom, bool(degenerate[0, c]))
-            for c, spec in enumerate(topo.cylinders)]
 
 
 def _occlusion_tests(frames: np.ndarray, topo: SkeletonTopology):
@@ -117,40 +92,12 @@ def _occlusion_tests(frames: np.ndarray, topo: SkeletonTopology):
     return gated, dist
 
 
-def frame_visibility(frame: np.ndarray, topo: SkeletonTopology,
-                     kappa: float = KAPPA_DEFAULT) -> VisibilityReport:
-    """Hard + soft visibility of every keypoint of one frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    gated, dist = _occlusion_tests(frame[None], topo)
-    gated, dist = gated[0], dist[0]
-    front = dist > 0.0
-    hard = np.all(front | ~gated, axis=1).astype(np.int64)
-    # tanh form of the sigmoid avoids exp overflow at sharp kappa
-    soft_brackets = 0.5 * (1.0 + np.tanh(0.5 * kappa * dist))
-    soft_brackets = np.where(gated, soft_brackets, 1.0)
-    soft = np.clip(soft_brackets.min(axis=1), _EPS_SOFT, 1.0 - _EPS_SOFT)
-    occluder = []
-    blocking = gated & ~front
-    for k in range(frame.shape[0]):
-        if hard[k]:
-            occluder.append(None)
-        else:
-            cands = np.where(blocking[k])[0]
-            deepest = cands[np.argmin(dist[k, cands])]
-            occluder.append(topo.cylinders[deepest].name)
-    return VisibilityReport(hard, soft, occluder)
-
-
-def visibility(point_index: int, frame: np.ndarray, topo: SkeletonTopology,
-               kappa: float = KAPPA_DEFAULT) -> dict:
-    """Visibility of one keypoint: {'hard': 0|1, 'soft': (0,1), 'occluder': name|None}."""
-    report = frame_visibility(frame, topo, kappa)
-    return {"hard": int(report.hard[point_index]),
-            "soft": float(report.soft[point_index]),
-            "occluder": report.occluder[point_index]}
-
-
 def sequence_visibility(pose_seq: PoseSequence3D, topo: SkeletonTopology) -> np.ndarray:
     """T x K boolean visibility (True = visible) over a sequence, all frames at once."""
     gated, dist = _occlusion_tests(pose_seq.frames, topo)
     return np.all((dist > 0.0) | ~gated, axis=2)
+
+
+def frame_visibility(frame: np.ndarray, topo: SkeletonTopology) -> VisibilityReport:
+    """Hard visibility of every keypoint of one K x 3 frame: sequence_visibility at T = 1."""
+    return VisibilityReport(sequence_visibility(PoseSequence3D(np.asarray(frame)[None]), topo)[0])

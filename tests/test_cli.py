@@ -281,6 +281,9 @@ def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path,
     ("epochs", -1, "epochs must be >= 0"),
     ("aug_copies", 0, "aug_copies must be >= 1"),
     ("scorer_interval", 0, "scorer_interval must be >= 1"),
+    # the default train.gen_window = 4 and train.w3 = 0.01 feed the scorer 4-frame chains
+    ("scorer_interval", 4, "train.gen_window = 4 must exceed scorer_interval = 4 "
+                           "while train.w3 > 0"),
     ("data_dir", "no-such-data-dir", "data_dir 'no-such-data-dir' does not exist"),
 ])
 def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
@@ -376,16 +379,12 @@ def test_train_with_sequences_shorter_than_the_scorer_window_exits_2(tmp_path, c
     assert not (tmp_path / "o" / "model.ckpt.npz").exists()
 
 
-@pytest.mark.parametrize("name, named", [
-    ("seq_gt.pose3d", "InvalidInputError: no detections for seq_gt.pose3d"),
-    ("notes.txt", "InvalidInputError: no *_gt.pose3d files under"),
-])
-def test_run_experiment_on_a_bad_data_dir_exits_2_after_the_synth_stage(
-        sample_files, tmp_path, capsys, name, named):
-    # the data dir holds one ground-truth pose file, under `name`, and no detections
+def run_experiment_on_data_dir(tmp_path, capsys, files: dict, named: str) -> None:
+    """`run-experiment` on a data dir of {name: text} files fails at synth with `named`."""
     data = tmp_path / "data"
     data.mkdir()
-    (data / name).write_text((sample_files / "seq00_v0_gt.pose3d").read_text())
+    for name, text in files.items():
+        (data / name).write_text(text)
     cfg = write_cfg(tmp_path / "x.cfg", **{"synth.n_sequences": 1, "synth.frames": 20,
                                            "data_dir": data})
     out = tmp_path / "exp"
@@ -394,6 +393,30 @@ def test_run_experiment_on_a_bad_data_dir_exits_2_after_the_synth_stage(
     assert err.count("\n") == 1 and f"poselift run-experiment: {named}" in err
     failure = json.loads((out / "manifest.json").read_text())["failure"]
     assert failure["stage"] == "synth" and named in failure["error"]
+    assert not (out / "model.ckpt.npz").exists()
+
+
+@pytest.mark.parametrize("name, named", [
+    ("seq_gt.pose3d", "InvalidInputError: no detections for seq_gt.pose3d"),
+    ("notes.txt", "InvalidInputError: no *_gt.pose3d files under"),
+])
+def test_run_experiment_on_a_bad_data_dir_exits_2_after_the_synth_stage(
+        sample_files, tmp_path, capsys, name, named):
+    # the data dir holds one ground-truth pose file, under `name`, and no detections
+    run_experiment_on_data_dir(
+        tmp_path, capsys, {name: (sample_files / "seq00_v0_gt.pose3d").read_text()}, named)
+
+
+def test_run_experiment_on_eval_pairs_of_unequal_length_exits_2_after_the_synth_stage(
+        sample_files, tmp_path, capsys):
+    # 30 frames of ground truth beside the first 20 frames of their detections
+    det = (sample_files / "seq00_v0_det.pose2d").read_text().splitlines()
+    det = [line for line in det if not line[:1].isdigit() or int(line.split(",")[0]) < 20]
+    run_experiment_on_data_dir(
+        tmp_path, capsys,
+        {"a_gt.pose3d": (sample_files / "seq00_v0_gt.pose3d").read_text(),
+         "a_det.pose2d": "\n".join(det) + "\n"},
+        "InvalidInputError: a_gt.pose3d has 30 frames but a_det.pose2d has 20")
 
 
 # every config key; a knob added or retired shows up here as a deliberate diff

@@ -54,14 +54,15 @@ def test_pose2d_roundtrip(tmp_path, topo):
 def test_read_pose_missing_record(tmp_path, topo):
     path = tmp_path / "bad.csv"
     path.write_text("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1,0\n")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{path}: missing record frame=0 keypoint=")):
         read_pose3d(path, topo)
 
 
 def test_read_pose_unknown_keypoint(tmp_path, topo):
     path = tmp_path / "bad.csv"
     path.write_text("frame,keypoint,x,y,z,conf,mask\n0,knuckle,0,0,0,1,0\n")
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match=re.escape(f"{path}:2: unknown keypoint 'knuckle'")):
         read_pose3d(path, topo)
 
 
@@ -74,6 +75,8 @@ def test_read_pose_unknown_keypoint(tmp_path, topo):
     ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1,0,run\n", ":2: 8 fields, header has 7"),
     ("frame,keypoint,x,y,z,conf,mask\n\n0,pelvis,0,0,0,1,2\n", ":3: mask '2' is not one of"),
     ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,abc,0,0,1,0\n", ":2: could not convert"),
+    ("frame,keypoint,x,y,z,conf,mask\n1,pelvis,0,0,0,1,0\n",
+     ": frame indices must be contiguous from 0"),
 ])
 def test_read_pose_rejects_malformed_tables_naming_the_line(tmp_path, topo, text, named):
     path = tmp_path / "bad.csv"

@@ -18,7 +18,8 @@ from poselift.experiment import ExperimentConfig
 from poselift.pose_io import default_topology
 from poselift.skeleton import PoseSequence3D, RotationAugment, rotate_pose, rotation_matrix
 from poselift.synth import SyntheticMotionConfig, _fk, _rodrigues, generate, rest_offsets
-from poselift.visibility import build_cylinders, frame_visibility, sequence_visibility
+from poselift.visibility import (_cylinder_arrays, _occlusion_tests, frame_visibility,
+                                 sequence_visibility)
 
 from conftest import plausible_pose_bank, random_cloud_pose, rest_pose
 from oracles import (axis_angle_matrix, fk_per_frame, frame_hard_visibility, generate_per_frame,
@@ -217,10 +218,11 @@ def test_sequence_visibility_matches_oracle_on_perturbed_poses(topo):
 
 def test_degenerate_cylinders_mixed_with_normal_frames(topo):
     special = special_frames(topo)
-    cyls = [{c.name: c for c in build_cylinders(f, topo)} for f in special]
-    assert cyls[0]["lower_arm_l"].degenerate
-    assert not cyls[1]["upper_arm_l"].degenerate
-    assert cyls[2]["torso"].radius_mm == 0.0 and cyls[2]["torso"].degenerate
+    _, _, radii, degenerate = _cylinder_arrays(np.stack(special), topo)
+    c = {spec.name: i for i, spec in enumerate(topo.cylinders)}
+    assert degenerate[0, c["lower_arm_l"]]
+    assert not degenerate[1, c["upper_arm_l"]]
+    assert radii[2, c["torso"]] == 0.0 and degenerate[2, c["torso"]]
     assert frame_visibility(special[2], topo).hard[topo.index("spine")] == 1
     normal = plausible_pose_bank(topo, 12, seed=15)
     frames = np.concatenate([normal[:4], special[:1], normal[4:8], special[1:], normal[8:]])
@@ -238,8 +240,9 @@ def test_edge_on_cylinder_gates_nothing(topo):
     # a wrist straight behind the edge-on upper arm stays visible to it
     frame[topo.index("wrist_l")] = (frame[topo.index("shoulder_l")]
                                     + np.array([0.0, 0.0, 300.0]))
-    report = frame_visibility(frame, topo)
-    assert report.occluder[topo.index("wrist_l")] != "upper_arm_l"
+    gated, _ = _occlusion_tests(frame[None], topo)
+    upper_arm = [spec.name for spec in topo.cylinders].index("upper_arm_l")
+    assert not gated[0, :, upper_arm].any()
 
 
 def test_wrong_keypoint_count_raises(topo):
@@ -257,7 +260,7 @@ def test_topology_without_cylinders_raises(topo):
     with pytest.raises(TopologyError):
         frame_visibility(rest_pose(topo), bare)
     with pytest.raises(TopologyError):
-        build_cylinders(rest_pose(topo), bare)
+        _cylinder_arrays(rest_pose(topo)[None], bare)
 
 
 # Poses on a 1/64 mm grid below 2^13 mm, moved by whole millimetres up to

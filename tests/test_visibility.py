@@ -6,10 +6,10 @@ import pytest
 from poselift.errors import TopologyError
 from poselift.skeleton import PoseSequence3D, RotationAugment, rotate_pose
 from poselift.visibility import (
-    build_cylinders,
+    _cylinder_arrays,
+    _occlusion_tests,
     frame_visibility,
     sequence_visibility,
-    visibility,
 )
 
 from conftest import plausible_pose_bank, random_cloud_pose, rest_pose
@@ -23,13 +23,20 @@ def named_pose(topo, **overrides):
     return frame
 
 
+def cylinders(frame, topo):
+    """{cylinder name: (radius mm, degenerate)} of one frame."""
+    _, _, radii, degenerate = _cylinder_arrays(frame[None], topo)
+    return {spec.name: (float(radii[0, c]), bool(degenerate[0, c]))
+            for c, spec in enumerate(topo.cylinders)}
+
+
 # ------------------------------------------------------------- cylinders
 
 def test_ten_cylinders(topo):
-    frame = rest_pose(topo)
-    cyls = build_cylinders(frame, topo)
-    assert len(cyls) == 10
-    names = {c.name for c in cyls}
+    tops, bottoms, radii, degenerate = _cylinder_arrays(rest_pose(topo)[None], topo)
+    assert tops.shape == bottoms.shape == (1, 10, 3)
+    assert radii.shape == degenerate.shape == (1, 10)
+    names = {spec.name for spec in topo.cylinders}
     assert "head" in names and "torso" in names
 
 
@@ -39,17 +46,16 @@ def test_torso_radius_from_pose(topo):
     neck = frame[topo.index("neck")]
     frame[topo.index("shoulder_l")] = neck + np.array([300.0, 0.0, 0.0])
     frame[topo.index("shoulder_r")] = neck + np.array([-300.0, 0.0, 0.0])
-    cyls = {c.name: c for c in build_cylinders(frame, topo)}
-    assert cyls["torso"].radius_mm == pytest.approx(300.0)
-    assert cyls["head"].radius_mm == 100.0
-    assert cyls["upper_arm_l"].radius_mm == 50.0
+    cyls = cylinders(frame, topo)
+    assert cyls["torso"][0] == pytest.approx(300.0)
+    assert cyls["head"][0] == 100.0
+    assert cyls["upper_arm_l"][0] == 50.0
 
 
 def test_zero_length_cylinder_degenerate(topo):
     frame = named_pose(topo)
     frame[topo.index("wrist_l")] = frame[topo.index("elbow_l")]
-    cyls = {c.name: c for c in build_cylinders(frame, topo)}
-    assert cyls["lower_arm_l"].degenerate
+    assert cylinders(frame, topo)["lower_arm_l"][1]
     # degenerate cylinder occludes nothing: report still well formed
     report = frame_visibility(frame, topo)
     assert report.hard.shape == (topo.K,)
@@ -57,7 +63,7 @@ def test_zero_length_cylinder_degenerate(topo):
 
 def test_build_cylinders_shape_mismatch(topo):
     with pytest.raises(TopologyError):
-        build_cylinders(np.zeros((5, 3)), topo)
+        _cylinder_arrays(np.zeros((1, 5, 3)), topo)
 
 
 # ------------------------------------------------------------- plane test
@@ -87,18 +93,25 @@ def torso_gate_pose(topo, wrist_z):
     return frame
 
 
+def torso_test(topo, frame):
+    """(gated, dist) of the left wrist against the torso cylinder."""
+    gated, dist = _occlusion_tests(frame[None], topo)
+    k, c = topo.index("wrist_l"), [spec.name for spec in topo.cylinders].index("torso")
+    return gated[0, k, c], dist[0, k, c]
+
+
 def test_wrist_in_front_of_torso_visible(topo):
-    out = visibility(topo.index("wrist_l"), torso_gate_pose(topo, -500.0), topo)
-    assert out["hard"] == 1
-    assert out["soft"] > 0.5
-    assert out["occluder"] is None
+    frame = torso_gate_pose(topo, -500.0)
+    assert frame_visibility(frame, topo).hard[topo.index("wrist_l")] == 1
+    gated, dist = torso_test(topo, frame)
+    assert gated and dist > 0.0
 
 
 def test_wrist_behind_torso_occluded(topo):
-    out = visibility(topo.index("wrist_l"), torso_gate_pose(topo, +500.0), topo)
-    assert out["hard"] == 0
-    assert out["soft"] < 0.5
-    assert out["occluder"] == "torso"
+    frame = torso_gate_pose(topo, +500.0)
+    assert frame_visibility(frame, topo).hard[topo.index("wrist_l")] == 0
+    gated, dist = torso_test(topo, frame)
+    assert gated and dist < 0.0
 
 
 def test_rest_pose_fully_visible(topo):
@@ -125,12 +138,11 @@ def test_sequence_visibility_shape(topo):
 
 def test_defining_keypoints_never_self_occluded(topo):
     frames = plausible_pose_bank(topo, 100, seed=1)
-    defining = {spec.name: (spec.top, spec.bottom) for spec in topo.cylinders}
-    for frame in frames:
-        report = frame_visibility(frame, topo)
-        for k in range(topo.K):
-            if report.occluder[k] is not None:
-                assert k not in defining[report.occluder[k]]
+    gated, _ = _occlusion_tests(frames, topo)
+    assert gated.any()
+    for c, spec in enumerate(topo.cylinders):
+        assert not gated[:, spec.top, c].any()
+        assert not gated[:, spec.bottom, c].any()
 
 
 def test_hard_invariant_to_uniform_scaling(topo):
@@ -143,46 +155,6 @@ def test_hard_invariant_to_uniform_scaling(topo):
         a = frame_visibility(frame, topo).hard
         b = frame_visibility(frame * 2.0, topo2).hard
         assert np.array_equal(a, b)
-
-
-def test_soft_monotone_in_kappa(topo):
-    frames = plausible_pose_bank(topo, 30, seed=3)
-    kappas = (0.02, 0.1, 0.5, 2.0, 10.0)
-    for frame in frames:
-        reports = [frame_visibility(frame, topo, kappa=k) for k in kappas]
-        hard = reports[0].hard
-        for k in range(topo.K):
-            scores = [r.soft[k] for r in reports]
-            diffs = np.diff(scores)
-            if hard[k]:
-                assert np.all(diffs >= -1e-12)
-            else:
-                assert np.all(diffs <= 1e-12)
-
-
-def test_soft_converges_to_hard(topo):
-    frames = plausible_pose_bank(topo, 30, seed=4)
-    for frame in frames:
-        sharp = frame_visibility(frame, topo, kappa=50.0)
-        mild = frame_visibility(frame, topo)
-        for k in range(topo.K):
-            if mild.hard[k] == 1 and sharp.soft[k] < 0.99:
-                # only near-zero plane distances may converge slowly
-                continue
-            if mild.hard[k]:
-                assert sharp.soft[k] > 0.99
-            else:
-                assert sharp.soft[k] < 0.01 or sharp.soft[k] < 0.5
-
-
-def test_hard_one_implies_soft_above_half(topo):
-    frames = plausible_pose_bank(topo, 60, seed=5)
-    for frame in frames:
-        report = frame_visibility(frame, topo)
-        for k in range(topo.K):
-            if report.hard[k] == 1:
-                assert report.soft[k] > 0.5
-            assert 0.0 < report.soft[k] < 1.0
 
 
 # ------------------------------------------------------------- oracles
