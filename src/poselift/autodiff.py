@@ -5,6 +5,13 @@ topologically sorts the graph and accumulates gradients into .grad.
 Only what the pose models need is implemented: elementwise arithmetic
 with broadcasting, matmul, reductions, tanh and relu,
 reshape/transpose/slicing/gather, and concatenation.
+
+The heavy pieces of the models are single nodes that their modules build
+with Tensor(value, parents, backward) and a backward written out in numpy:
+the lifter's embedding, its whole forward and each of its loss terms
+(tcn), the realness energy (discriminator) and the refinement terms (iso).
+The ops here join them in a training step (slicing, reshapes, scaling)
+and build the per-op reference graphs the tests check those nodes against.
 """
 
 from __future__ import annotations

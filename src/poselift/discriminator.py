@@ -73,10 +73,6 @@ class KcsEnergyModel:
         model.fit_energies = np.array([model.energy(w) for w in windows])
         return model
 
-    def energy_of_features(self, rows: np.ndarray) -> np.ndarray:
-        d = np.atleast_2d(np.asarray(rows, dtype=np.float64)) - self.mean
-        return np.einsum("nf,fg,ng->n", d, self.precision, d)
-
     def energy(self, window) -> float:
         """Mean per-frame Mahalanobis energy of the window."""
         return self.gen_loss(_frames_of(window)).item()

@@ -57,9 +57,6 @@ class ExperimentConfig:
             raise ConfigError("scorer_interval must be >= 1")
         if self.scorer_window < self.scorer_interval + 1:
             raise ConfigError("scorer_window must exceed scorer_interval")
-        if self.train.weights.w3 > 0 and self.train.gen_window <= self.scorer_interval:
-            raise ConfigError(f"train.gen_window = {self.train.gen_window} must exceed "
-                              f"scorer_interval = {self.scorer_interval} while train.w3 > 0")
         if self.scorer_reg <= 0:
             raise ConfigError("scorer_reg must be > 0")
         if self.data_dir is not None and not Path(self.data_dir).is_dir():
@@ -119,8 +116,13 @@ def train_lifter(cfg: ExperimentConfig, train_seqs: list, topo, out: Path,
     """The train stage: (model, per-epoch history); writes model.ckpt and history.json.
 
     With `cfg.occlusion` set, occluded copies join the clean sequences. The
-    scorer's realness term is used only when `cfg.train.weights.w3 > 0`.
+    scorer's realness term is used only when `cfg.train.weights.w3 > 0`; its
+    chains of `train.gen_window` frames must then outlast `scorer_interval`.
     """
+    scorer = scorer if cfg.train.weights.w3 > 0 else None
+    if cfg.epochs > 0 and scorer is not None and cfg.train.gen_window <= cfg.scorer_interval:
+        raise ConfigError(f"train.gen_window = {cfg.train.gen_window} must exceed "
+                          f"scorer_interval = {cfg.scorer_interval} while train.w3 > 0")
     model = TcnModel(cfg.tcn, seed=cfg.seed)
     history = []
     if cfg.epochs > 0:
@@ -133,7 +135,7 @@ def train_lifter(cfg: ExperimentConfig, train_seqs: list, topo, out: Path,
                      for _ in range(cfg.aug_copies) for s in train_seqs]
         history = train(model, seqs, replace(cfg.train, seed=cfg.seed),
                         epochs=cfg.epochs,
-                        scorer=scorer if cfg.train.weights.w3 > 0 else None)
+                        scorer=scorer)
         write_json(out / "history.json", history)
     model.save(out / "model.ckpt")
     return model, history

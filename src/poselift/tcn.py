@@ -20,10 +20,11 @@ from .errors import (ConfigError, InvalidInputError, InvalidWindowError,
 from .pose_io import load_checkpoint, save_checkpoint
 from .skeleton import PoseSequence2D, PoseSequence3D, RotationAugment, rotation_matrix
 
-ACTIVATIONS = {"tanh": Tensor.tanh, "relu": Tensor.relu}
-
-# selection matrix: 3D mm -> 2D mm, drop z
-_PROJECT = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+# name -> (value of the pre-activation, derivative from the value)
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "relu": (lambda h: h * (h > 0), lambda y: y > 0),
+}
 
 
 @dataclass(frozen=True)
@@ -106,35 +107,6 @@ def frame_inputs(coords: np.ndarray, conf: np.ndarray, mask: np.ndarray) -> np.n
                            conf * keep, mask.astype(np.float64)], axis=1)
 
 
-def _dilated_conv(x: Tensor, taps: list, bias: Tensor, stride: int) -> Tensor:
-    """A valid dilated Conv1d over the rows (second-to-last) axis, as one node.
-
-    Output row j is bias + sum over taps k of x[..., j + k*stride, :] @ taps[k],
-    computed over slice views in tap order. The backward folds the leading
-    axes into rows: each tap's weight gradient is one (rows, C_in)^T @
-    (rows, C_out) product, and the input gradient is added tap by tap into
-    one zeroed array.
-    """
-    out_len = x.shape[-2] - (len(taps) - 1) * stride
-    pieces = [x.data[..., k * stride: k * stride + out_len, :] for k in range(len(taps))]
-    h = bias.data
-    for piece, w in zip(pieces, taps):
-        h = h + piece @ w.data
-
-    def back(out):
-        g = out.grad
-        rows = g.reshape(-1, g.shape[-1])
-        bias._accumulate(_unbroadcast(g, bias.shape))
-        gx = np.zeros_like(x.data)
-        # last tap first: the order the per-tap graph added them in
-        for k in reversed(range(len(taps))):
-            taps[k]._accumulate(pieces[k].reshape(-1, pieces[k].shape[-1]).T @ rows)
-            gx[..., k * stride: k * stride + out_len, :] += g @ taps[k].data.T
-        x._accumulate(gx)
-
-    return Tensor(h, (x, bias, *taps), back)
-
-
 class TcnModel:
     """Embedding + per-stride dilated conv branches + linear fusion head."""
 
@@ -166,10 +138,6 @@ class TcnModel:
 
     def parameters(self) -> list:
         return list(self._params.values())
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self._params.values())
 
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self._params.items()}
@@ -205,15 +173,28 @@ class TcnModel:
     # ------------------------------------------------------------- forward
 
     def embed_frames(self, coords, conf, mask) -> Tensor:
-        """Per-frame representations r_t, shape T x branch_input_dim."""
+        """Per-frame representations r_t, shape T x branch_input_dim.
+
+        With the embedding on, the dense layer and its activation are one
+        node whose parents are embed.w and embed.b; the frame inputs are
+        constants and get no gradient.
+        """
         m = frame_inputs(coords, conf, mask)
         if m.shape[1] != self.config.input_dim:
             raise InvalidInputError(
                 f"expected {self.config.n_keypoints} keypoints, got {m.shape[1] // 4}")
         if not self.config.use_embedding:
             return Tensor(m)
-        act = ACTIVATIONS[self.config.activation]
-        return act(Tensor(m) @ self._params["embed.w"] + self._params["embed.b"])
+        act, act_grad = ACTIVATIONS[self.config.activation]
+        w, b = self._params["embed.w"], self._params["embed.b"]
+        y = act(m @ w.data + b.data)
+
+        def back(out):
+            g = out.grad * act_grad(y)
+            b._accumulate(_unbroadcast(g, b.shape))
+            w._accumulate(m.T @ g)
+
+        return Tensor(y, (w, b), back)
 
     def forward(self, embeddings, centers: int = 1) -> Tensor:
         """Root-relative poses of `centers` consecutive window centers.
@@ -223,6 +204,14 @@ class TcnModel:
         serves every center: each branch reads only its own receptive field,
         which starts at row window_len//2 - (rf-1)//2 for the first center.
         Returns (..., K, 3) for one center, else (..., centers, K, 3).
+
+        The whole lifter is one graph node over the embeddings and every
+        branch and head parameter. Conv layer output row j is bias + the sum
+        over taps k of input row j + k*stride times tap k, added in tap
+        order. The backward folds the leading axes into rows, so each tap's
+        weight gradient is one (rows, C_in)^T @ (rows, C_out) product. It
+        adds input gradients into zeroed arrays last tap first and last
+        branch first: the order of the graph with one node per op.
         """
         cfg = self.config
         r = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
@@ -233,25 +222,58 @@ class TcnModel:
                 f"got shape {r.shape}")
         if r.shape[-1] != cfg.branch_input_dim:
             raise InvalidInputError(f"embedding dim {r.shape[-1]} does not match config")
-        act = ACTIVATIONS[cfg.activation]
-        cols = []
+        act, act_grad = ACTIVATIONS[cfg.activation]
+        params = self._params
+        branches, cols = [], []    # per branch: (first row, stride, [(x, y, taps, bias)])
         for bi, s in enumerate(cfg.strides):
             rf = cfg.receptive_field(s)
             # the receptive field is odd: (rf-1)//2 frames either side of the center
             first = cfg.window_len // 2 - (rf - 1) // 2
-            x = r[..., first: first + rf + centers - 1, :]
+            x = r.data[..., first: first + rf + centers - 1, :]
+            layers = []
             for li in range(cfg.branch_layers):
                 name = f"branch{bi}.layer{li}"
-                taps = [self._params[f"{name}.w{tap}"] for tap in range(cfg.kernel)]
-                x = act(_dilated_conv(x, taps, self._params[f"{name}.b"], s))
+                taps = [params[f"{name}.w{tap}"] for tap in range(cfg.kernel)]
+                bias = params[f"{name}.b"]
+                out_len = x.shape[-2] - (cfg.kernel - 1) * s
+                h = bias.data
+                for k, w in enumerate(taps):
+                    h = h + x[..., k * s: k * s + out_len, :] @ w.data
+                y = act(h)
+                layers.append((x, y, taps, bias))
+                x = y
+            branches.append((first, s, layers))
             cols.append(x)
-        fused = Tensor.concat(cols, axis=-1)
-        out = (fused @ self._params["head.w"] + self._params["head.b"]) * cfg.output_scale_mm
-        lead = r.shape[:-2] + ((centers,) if centers > 1 else ())
-        return out.reshape(lead + (cfg.n_keypoints, 3))
+        fused = np.concatenate(cols, axis=-1)
+        head_w, head_b = params["head.w"], params["head.b"]
+        out = (fused @ head_w.data + head_b.data) * cfg.output_scale_mm
 
-    def predict_window(self, coords, conf, mask) -> np.ndarray:
-        return self.forward(self.embed_frames(coords, conf, mask)).data
+        def back(node):
+            g = node.grad.reshape(out.shape) * cfg.output_scale_mm
+            head_b._accumulate(_unbroadcast(g, head_b.shape))
+            head_w._accumulate(fused.reshape(-1, fused.shape[-1]).T
+                               @ g.reshape(-1, g.shape[-1]))
+            g_fused = g @ head_w.data.T
+            g_r = np.zeros_like(r.data)
+            for bi in reversed(range(len(branches))):
+                first, s, layers = branches[bi]
+                gy = g_fused[..., bi * cfg.channels: (bi + 1) * cfg.channels]
+                for x, y, taps, bias in reversed(layers):
+                    gh = gy * act_grad(y)
+                    rows = gh.reshape(-1, gh.shape[-1])
+                    bias._accumulate(_unbroadcast(gh, bias.shape))
+                    out_len = y.shape[-2]
+                    gy = np.zeros_like(x)
+                    for k in reversed(range(len(taps))):
+                        piece = x[..., k * s: k * s + out_len, :]
+                        taps[k]._accumulate(piece.reshape(-1, piece.shape[-1]).T @ rows)
+                        gy[..., k * s: k * s + out_len, :] += gh @ taps[k].data.T
+                g_r[..., first: first + gy.shape[-2], :] += gy
+            r._accumulate(g_r)
+
+        lead = r.shape[:-2] + ((centers,) if centers > 1 else ())
+        parents = (r, *(p for name, p in params.items() if not name.startswith("embed.")))
+        return Tensor(out.reshape(lead + (cfg.n_keypoints, 3)), parents, back)
 
     def predict_sequence(self, det: PoseSequence2D) -> PoseSequence3D:
         """Per-frame 3D in one pass over the sequence; ends use edge padding."""
@@ -271,22 +293,52 @@ class TcnModel:
 
 # ------------------------------------------------------------------ losses
 #
-# All loss functions run on Tensors so gradients flow to whichever inputs
-# carry them; plain arrays and pose containers are lifted as constants.
+# Each loss is one graph node with its gradient written out in numpy, as
+# iso.rep_loss is. Gradients flow to whichever inputs are Tensors; plain
+# arrays and pose containers are constants. Means are sum * (1 / n), as
+# Tensor.mean computes them, so values match the per-op graphs that
+# tests/oracles.py keeps byte for byte.
 
 
-def _lift_pose(x) -> Tensor:
+def _operand(x) -> tuple:
+    """(the Tensor or None, its array) of a loss input; only Tensors get gradients."""
     if isinstance(x, Tensor):
-        return x
+        return x, x.data
     if isinstance(x, PoseSequence3D):
-        return Tensor(x.frames)
-    return Tensor(np.asarray(x, dtype=np.float64))
+        x = x.frames
+    return None, np.asarray(x, dtype=np.float64)
+
+
+def _loss_node(value, inputs, grads) -> Tensor:
+    """A loss node over `inputs` (Tensor or None); `grads(g)` gives each one's gradient."""
+    parents = [t for t in inputs if t is not None]
+
+    def back(out):
+        for t, g in zip(inputs, grads(out.grad)):
+            if t is not None:
+                t._accumulate(_unbroadcast(g, t.shape))
+
+    return Tensor(value, parents, back)
+
+
+def _joint_mse(pred, gt, rotation=None) -> Tensor:
+    """Mean over joints of |pred @ rotation^T - gt|^2; no rotation when None."""
+    p, a = _operand(pred)
+    q, b = _operand(gt)
+    d = (a if rotation is None else a @ np.swapaxes(rotation, -1, -2)) - b
+    sq = (d * d).sum(axis=-1).reshape(-1)
+
+    def grads(g):
+        gd = (g * (1.0 / sq.size)) * d
+        gd = gd + gd
+        return (gd if rotation is None else gd @ rotation), -gd
+
+    return _loss_node(sq.sum() * (1.0 / sq.size), (p, q), grads)
 
 
 def loss_3d(pred, gt) -> Tensor:
     """Mean over joints of squared Euclidean error, mm^2."""
-    d = _lift_pose(pred) - _lift_pose(gt)
-    return (d * d).sum(axis=-1).reshape(-1).mean()
+    return _joint_mse(pred, gt)
 
 
 def loss_multiview(pred_v1, pred_v2, rotation: np.ndarray) -> Tensor:
@@ -297,7 +349,7 @@ def loss_multiview(pred_v1, pred_v2, rotation: np.ndarray) -> Tensor:
     r = np.asarray(rotation, dtype=np.float64)
     if r.shape[-2:] != (3, 3):
         raise InvalidInputError("rotation must be 3x3")
-    return loss_3d(_lift_pose(pred_v1) @ Tensor(np.swapaxes(r, -1, -2)), pred_v2)
+    return _joint_mse(pred_v1, pred_v2, r)
 
 
 def loss_2d(pred, gt2d, mask=None, scale_mm: float = None) -> Tensor:
@@ -308,40 +360,54 @@ def loss_2d(pred, gt2d, mask=None, scale_mm: float = None) -> Tensor:
     """
     if isinstance(gt2d, PoseSequence2D):
         coords, mask, scale_mm = gt2d.frames, gt2d.mask, gt2d.scale_mm
+    elif mask is None or scale_mm is None:
+        raise InvalidInputError("array form needs mask and scale_mm")
     else:
-        coords = np.asarray(gt2d, dtype=np.float64)
-        if mask is None or scale_mm is None:
-            raise InvalidInputError("array form needs mask and scale_mm")
-    if scale_mm <= 0:
-        raise InvalidInputError("scale_mm must be > 0")
-    d, keep = _reprojection_residual(pred, coords, mask, 1.0 / scale_mm)
-    return (d * d).sum() * (1.0 / max(keep.sum(), 1.0))
+        coords = gt2d
+    t, x = _operand(pred)
+    stack = x[None] if t is None else t.reshape((1,) + t.shape)
+    return _loss_2d_sum(stack, np.asarray(coords)[None], np.asarray(mask)[None], [scale_mm])
 
 
-def _loss_2d_sum(pred: Tensor, coords: np.ndarray, mask: np.ndarray,
-                 scale_mm: list) -> Tensor:
-    """Sum over a stack of samples of loss_2d(pred[i], coords[i], mask[i], scale_mm[i])."""
+def _loss_2d_sum(pred, coords: np.ndarray, mask: np.ndarray, scale_mm: list) -> Tensor:
+    """Sum over a stack of samples of loss_2d(pred[i], coords[i], mask[i], scale_mm[i]).
+
+    The prediction is projected by dropping z, divided by its sample's
+    scale_mm and shifted to the crop center 0.5.
+    """
     if any(s is None or s <= 0 for s in scale_mm):
         raise InvalidInputError("every sample needs scale_mm > 0")
-    inv_scale = 1.0 / np.asarray(scale_mm, dtype=np.float64)
-    d, keep = _reprojection_residual(pred, coords, mask, Tensor(inv_scale[:, None, None]))
-    per_sample = (d * d).reshape(len(inv_scale), -1).sum(axis=1)
-    return (per_sample * Tensor(1.0 / np.maximum(keep.sum(axis=1), 1.0))).sum()
-
-
-def _reprojection_residual(pred, coords, mask, inv_scale):
-    """Projected minus target crop coordinates, zero at masked keypoints; and keep = ~mask."""
-    proj = (_lift_pose(pred) @ Tensor(_PROJECT)) * inv_scale + 0.5
+    p, x = _operand(pred)
+    coords = np.asarray(coords, dtype=np.float64)
     keep = (~np.asarray(mask, dtype=bool)).astype(np.float64)
-    if proj.shape != coords.shape or keep.shape != coords.shape[:-1]:
+    n = len(scale_mm)
+    if x.shape[-1:] != (3,) or x.shape[:-1] + (2,) != coords.shape \
+            or keep.shape != coords.shape[:-1] or x.shape[0] != n:
         raise InvalidInputError("prediction and 2D target shapes do not match")
-    return (proj - Tensor(coords)) * Tensor(keep[..., None]), keep
+    sample_axes = (n,) + (1,) * (x.ndim - 1)
+    inv_scale = (1.0 / np.asarray(scale_mm, dtype=np.float64)).reshape(sample_axes)
+    d = (x[..., :2] * inv_scale + 0.5 - coords) * keep[..., None]
+    inv_count = 1.0 / np.maximum(keep.reshape(n, -1).sum(axis=1), 1.0)
+
+    def grads(g):
+        gd = (g * inv_count).reshape(sample_axes) * d
+        gd = gd + gd
+        gx = np.zeros_like(x)
+        gx[..., :2] = gd * inv_scale     # d, and so gd, is 0 where masked
+        return (gx,)
+
+    return _loss_node(((d * d).reshape(n, -1).sum(axis=1) * inv_count).sum(), (p,), grads)
 
 
 def total_loss(l3d, lmv, l2d, lgen, weights: LossWeights = LossWeights()) -> Tensor:
-    out = Tensor._lift(l3d) + weights.w1 * Tensor._lift(lmv) \
-        + weights.w2 * Tensor._lift(l2d) + weights.w3 * Tensor._lift(lgen)
-    return out
+    """l3d + w1 * lmv + w2 * l2d + w3 * lgen as one node; floats are constants."""
+    parts = [_operand(x) for x in (l3d, lmv, l2d, lgen)]
+    scales = (weights.w1, weights.w2, weights.w3)
+    value = parts[0][1]
+    for (_, v), w in zip(parts[1:], scales):
+        value = value + v * w
+    return _loss_node(value, [t for t, _ in parts],
+                      lambda g: (g, *(g * w for w in scales)))
 
 
 # ---------------------------------------------------------------- training

@@ -10,9 +10,10 @@ the forward built as a Tensor graph with one slice, matmul and add node per
 conv tap, per-frame sequence lifting, and a training loop that embeds and
 runs every window of every sample on its own.
 
-The loss-term oracles are the per-op Tensor graphs of the KCS energy (over
-the Tensor-graph KCS/TKCS feature rows, window_features), the ISO
-reprojection term and the ISO smoothness term, against which the
+The loss-term oracles are the per-op Tensor graphs of the lifter's
+embedding and its 3D, multi-view, 2D reprojection and total losses, of the
+KCS energy (over the Tensor-graph KCS/TKCS feature rows, window_features),
+the ISO reprojection term and the ISO smoothness term, against which the
 closed-form single-node versions are checked.
 
 The synthesis and metric oracles are the per-frame forms of the
@@ -31,7 +32,7 @@ from poselift.errors import (ConfigError, DegenerateInputError, InvalidInputErro
 from poselift.iso import compute_weights, fit_projection
 from poselift.skeleton import (CROP_PX, PoseSequence2D, PoseSequence3D, RotationAugment,
                                project_to_crop, rotate_pose)
-from poselift.tcn import loss_2d, loss_3d, loss_multiview, total_loss
+from poselift.tcn import LossWeights, frame_inputs
 
 
 def cylinder_table(frame, topo):
@@ -358,14 +359,15 @@ def train_per_window(model, sequences, cfg, epochs=1, scorer=None):
                 pred1 = chain[0]
                 has_gt = view1.pose3d is not None
                 if has_gt:
-                    parts["loss_3d"] = parts["loss_3d"] + loss_3d(
+                    parts["loss_3d"] = parts["loss_3d"] + loss_3d_graph(
                         pred1, view1.pose3d.frames[center])
                 if v2 is not None and has_gt:
                     view2 = seq.views[v2]
                     pred2 = _predict_chain(model, view2.det2d, start, 1)[0]
                     r12 = view2.rotation.matrix() @ view1.rotation.matrix().T
-                    parts["loss_mv"] = parts["loss_mv"] + loss_multiview(pred1, pred2, r12)
-                parts["loss_2d"] = parts["loss_2d"] + loss_2d(
+                    parts["loss_mv"] = parts["loss_mv"] + loss_multiview_graph(
+                        pred1, pred2, r12)
+                parts["loss_2d"] = parts["loss_2d"] + loss_2d_graph(
                     pred1, view1.det2d.frames[center], view1.det2d.mask[center],
                     view1.det2d.scale_mm)
                 if scorer is not None:
@@ -376,7 +378,7 @@ def train_per_window(model, sequences, cfg, epochs=1, scorer=None):
             inv = 1.0 / cfg.batch_size
             l3, lmv = parts["loss_3d"] * inv, parts["loss_mv"] * inv
             l2, lgen = parts["loss_2d"] * inv, parts["loss_gen"] * inv
-            loss = total_loss(l3, lmv, l2, lgen, cfg.weights)
+            loss = total_loss_graph(l3, lmv, l2, lgen, cfg.weights)
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch} step {step}")
             opt.zero_grad()
@@ -403,6 +405,58 @@ def _graph_input(pose):
     if isinstance(pose, PoseSequence3D):
         return Tensor(pose.frames)
     return Tensor(np.asarray(pose, dtype=np.float64))
+
+
+def embed_frames_graph(model, coords, conf, mask):
+    """TcnModel.embed_frames as a dense layer and an activation of Tensor ops."""
+    m = Tensor(frame_inputs(coords, conf, mask))
+    if not model.config.use_embedding:
+        return m
+    act = {"tanh": Tensor.tanh, "relu": Tensor.relu}[model.config.activation]
+    return act(m @ model._params["embed.w"] + model._params["embed.b"])
+
+
+def loss_3d_graph(pred, gt):
+    """poselift.tcn.loss_3d through Tensor ops."""
+    d = _graph_input(pred) - _graph_input(gt)
+    return (d * d).sum(axis=-1).reshape(-1).mean()
+
+
+def loss_multiview_graph(pred_v1, pred_v2, rotation):
+    """poselift.tcn.loss_multiview through Tensor ops."""
+    r = np.asarray(rotation, dtype=np.float64)
+    return loss_3d_graph(_graph_input(pred_v1) @ Tensor(np.swapaxes(r, -1, -2)), pred_v2)
+
+
+# selection matrix: 3D mm -> 2D mm, drop z
+_PROJECT = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+def loss_2d_sum_graph(pred, coords, mask, scale_mm):
+    """poselift.tcn._loss_2d_sum through Tensor ops: per-sample means, summed."""
+    x = _graph_input(pred)
+    n = len(scale_mm)
+    inv_scale = 1.0 / np.asarray(scale_mm, dtype=np.float64)
+    proj = (x @ Tensor(_PROJECT)) * Tensor(inv_scale.reshape((n,) + (1,) * (x.ndim - 1))) + 0.5
+    keep = (~np.asarray(mask, dtype=bool)).astype(np.float64)
+    d = (proj - Tensor(coords)) * Tensor(keep[..., None])
+    per_sample = (d * d).reshape(n, -1).sum(axis=1)
+    return (per_sample * Tensor(1.0 / np.maximum(keep.reshape(n, -1).sum(axis=1), 1.0))).sum()
+
+
+def loss_2d_graph(pred, coords, mask, scale_mm):
+    """poselift.tcn.loss_2d (array form) through Tensor ops."""
+    x = _graph_input(pred)
+    proj = (x @ Tensor(_PROJECT)) * (1.0 / scale_mm) + 0.5
+    keep = (~np.asarray(mask, dtype=bool)).astype(np.float64)
+    d = (proj - Tensor(np.asarray(coords, dtype=np.float64))) * Tensor(keep[..., None])
+    return (d * d).sum() * (1.0 / max(keep.sum(), 1.0))
+
+
+def total_loss_graph(l3d, lmv, l2d, lgen, weights=LossWeights()):
+    """poselift.tcn.total_loss through Tensor ops."""
+    return Tensor._lift(l3d) + weights.w1 * Tensor._lift(lmv) \
+        + weights.w2 * Tensor._lift(l2d) + weights.w3 * Tensor._lift(lgen)
 
 
 def window_features(frames, incidence: np.ndarray, interval: int) -> Tensor:

@@ -281,9 +281,6 @@ def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path,
     ("epochs", -1, "epochs must be >= 0"),
     ("aug_copies", 0, "aug_copies must be >= 1"),
     ("scorer_interval", 0, "scorer_interval must be >= 1"),
-    # the default train.gen_window = 4 and train.w3 = 0.01 feed the scorer 4-frame chains
-    ("scorer_interval", 4, "train.gen_window = 4 must exceed scorer_interval = 4 "
-                           "while train.w3 > 0"),
     ("data_dir", "no-such-data-dir", "data_dir 'no-such-data-dir' does not exist"),
 ])
 def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
@@ -292,6 +289,25 @@ def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"ConfigError: {named}" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "run-experiment"])
+def test_scorer_chains_shorter_than_the_interval_fail_the_train_stage(tmp_path, capsys,
+                                                                     command):
+    # the default train.gen_window = 4 and train.w3 = 0.01 feed the scorer 4-frame chains
+    cfg = write_cfg(tmp_path / "t.cfg", scorer_interval=4)
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"poselift {command}: ConfigError: train.gen_window = 4 must exceed "
+        "scorer_interval = 4 while train.w3 > 0\n")
+    assert not (tmp_path / "o" / "model.ckpt.npz").exists()
+
+
+def test_subcommands_that_never_train_take_a_long_scorer_interval(sample_files, tmp_path):
+    for command, keys in (("features", {"pose3d": sample_files / "seq00_v0_gt.pose3d"}),
+                          ("synth-gen", {"synth.n_sequences": 1, "synth.frames": 12})):
+        cfg = write_cfg(tmp_path / f"{command}.cfg", scorer_interval=5, **keys)
+        assert run(command, "--config", cfg, "--out", tmp_path / command) == 0
 
 
 def test_train_with_negative_epochs_exits_2_before_making_the_out_dir(tmp_path, capsys):

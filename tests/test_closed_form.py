@@ -1,10 +1,12 @@
 """Closed-form loss terms against their per-op Tensor graphs.
 
-KcsEnergyModel.gen_loss, iso.rep_loss and iso.smooth_loss are each one
-graph node whose backward is written out in numpy; tests/oracles.py keeps
-the same terms built from Tensor ops, and these tests hold the two equal in
-value, in gradient, inside iso.refine and inside tcn.train. A batch of
-windows passed to gen_loss at once equals the per-window calls summed.
+The lifter's embedding and its loss_3d, loss_multiview, loss_2d,
+_loss_2d_sum and total_loss, KcsEnergyModel.gen_loss, iso.rep_loss and
+iso.smooth_loss are each one graph node whose backward is written out in
+numpy; tests/oracles.py keeps the same terms built from Tensor ops, and
+these tests hold the two equal in value, in gradient, inside iso.refine and
+inside tcn.train. A batch of windows passed to gen_loss at once equals the
+per-window calls summed.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poselift.iso as iso
+import poselift.tcn as tcn
 from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
 from poselift.errors import InvalidWindowError
@@ -21,10 +24,12 @@ from poselift.pose_io import default_topology, save_checkpoint
 from poselift.skeleton import (PoseSequence2D, PoseSequence3D, RotationAugment,
                                project_to_crop)
 from poselift.synth import SyntheticMotionConfig, generate
-from poselift.tcn import TcnConfig, TcnModel, TrainConfig, train
+from poselift.tcn import (LossWeights, TcnConfig, TcnModel, TrainConfig, _loss_2d_sum,
+                          loss_2d, loss_3d, loss_multiview, total_loss, train)
 
-from oracles import (GraphEnergy, energy_gen_loss_graph, rep_loss_graph,
-                     smooth_loss_graph)
+from oracles import (GraphEnergy, embed_frames_graph, energy_gen_loss_graph,
+                     loss_2d_graph, loss_2d_sum_graph, loss_3d_graph, loss_multiview_graph,
+                     rep_loss_graph, smooth_loss_graph, total_loss_graph)
 
 TOPO = default_topology()
 K = TOPO.K
@@ -240,3 +245,190 @@ def test_energy_gradient_matches_central_differences(seed, interval, extra, spre
     fd = (model.gen_loss(frames + eps * direction).item()
           - model.gen_loss(frames - eps * direction).item()) / (2 * eps)
     assert fd == pytest.approx(np.sum(x.grad * direction), rel=1e-6)
+
+
+# ------------------------------------------------------------ lifter losses
+
+
+def compare_loss(term, oracle, args, leaves):
+    """Value and gradients of term(*args) vs oracle(*args).
+
+    The args at the indices in `leaves` become Tensor leaves; the rest are
+    passed as they are. Returns the term's value and leaf gradients.
+    """
+    values, grads = [], []
+    for fn in (term, oracle):
+        call = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) if i in leaves
+                else a for i, a in enumerate(args)]
+        loss = fn(*call)
+        loss.backward()
+        values.append(loss.item())
+        grads.append([call[i].grad for i in leaves])
+    assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0.0)
+    for got, want in zip(*grads):
+        assert_same_grad(got, want)
+    return values[0], grads[0]
+
+
+def poses(seed, lead):
+    return np.random.default_rng(seed).normal(0.0, 300.0, lead + (K, 3))
+
+
+def targets_2d(seed, lead, masked):
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.2, 0.8, lead + (K, 2))
+    mask = rng.random(lead + (K,)) < masked
+    coords[mask] = 0.0
+    return coords, mask
+
+
+def rotations(n):
+    return np.stack([RotationAugment.sample(np.random.default_rng(s)).matrix()
+                     for s in range(n)])
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("leaves", [(0,), (0, 1), (1,)], ids=["pred", "both", "gt"])
+def test_loss_3d_matches_graph(lead, leaves):
+    # a Tensor second argument is multiview's pred2, which carries a gradient
+    compare_loss(loss_3d, loss_3d_graph, (poses(1, lead), poses(2, lead)), leaves)
+
+
+def test_loss_3d_broadcast_and_pose_inputs():
+    # one target pose against a stack: its gradient sums over the stack
+    compare_loss(loss_3d, loss_3d_graph, (poses(3, (4,)), poses(4, ())), (0, 1))
+    pred, gt = poses(5, (6,)), poses(6, (6,))
+    compare_loss(loss_3d, loss_3d_graph, (pred, PoseSequence3D(gt)), (0,))
+    assert loss_3d(PoseSequence3D(pred), gt).item() == pytest.approx(
+        loss_3d_graph(pred, gt).item(), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "per-sample"])
+def test_loss_multiview_matches_graph(stacked):
+    r = rotations(6)
+    compare_loss(loss_multiview, loss_multiview_graph,
+                 (poses(7, (6,)), poses(8, (6,)), r if stacked else r[0]), (0, 1))
+
+
+def test_loss_multiview_of_selected_samples_matches_graph():
+    # as tcn.train passes it: some rows of a batch, one rotation per row
+    r = rotations(3)
+    pick = [0, 2, 3]
+    compare_loss(lambda a, b: loss_multiview(a[pick], b, r),
+                 lambda a, b: loss_multiview_graph(a[pick], b, r),
+                 (poses(9, (5,)), poses(10, (3,))), (0, 1))
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+@pytest.mark.parametrize("masked", [0.0, 0.3, 1.0], ids=["open", "masked", "all-masked"])
+def test_loss_2d_matches_graph(lead, masked):
+    coords, mask = targets_2d(11, lead, masked)
+    value, (grad,) = compare_loss(loss_2d, loss_2d_graph,
+                                  (poses(12, lead), coords, mask, 1700.0), (0,))
+    assert not grad[mask].any() and not grad[..., 2].any()
+    assert (value == 0.0) == (masked == 1.0)
+
+
+def test_loss_2d_pose_container_matches_graph():
+    coords, mask = targets_2d(13, (5,), 0.3)
+    det = PoseSequence2D(coords, np.where(mask, 0.0, 0.9), mask, SCALE_MM)
+    compare_loss(lambda x: loss_2d(x, det), lambda x: loss_2d_graph(x, coords, mask, SCALE_MM),
+                 (poses(14, (5,)),), (0,))
+
+
+def test_loss_2d_sum_matches_graph_and_per_sample_loss_2d():
+    coords, mask = targets_2d(15, (5,), 0.3)
+    mask[1] = True                       # one fully masked sample
+    scales = [1500.0, 1700.0, 2000.0, 2300.0, 2600.0]
+    pred = poses(16, (5,))
+    value, (grad,) = compare_loss(_loss_2d_sum, loss_2d_sum_graph,
+                                  (pred, coords, mask, scales), (0,))
+    assert not grad[1].any() and not grad[mask].any() and not grad[..., 2].any()
+    assert np.abs(grad[0, :, :2]).max() > 0
+    assert value == pytest.approx(sum(loss_2d(pred[i], coords[i], mask[i], scales[i]).item()
+                                      for i in range(5)), rel=1e-12, abs=0.0)
+
+
+def test_lifter_loss_values_equal_graph_bit_for_bit():
+    # means are sum * (1 / n) as Tensor.mean takes them; np.mean's sum / n
+    # differs in the last bit for some n, which moves training histories
+    for n in range(1, 25):
+        pred, gt = poses(100 + n, (n,)), poses(200 + n, (n,))
+        coords, mask = targets_2d(300 + n, (n,), 0.3)
+        r = rotations(n)
+        scales = list(np.linspace(1500.0, 2500.0, n))
+        for got, want in ((loss_3d(pred, gt), loss_3d_graph(pred, gt)),
+                          (loss_multiview(pred, gt, r), loss_multiview_graph(pred, gt, r)),
+                          (_loss_2d_sum(pred, coords, mask, scales),
+                           loss_2d_sum_graph(pred, coords, mask, scales))):
+            assert got.item() == want.item(), n
+
+
+@pytest.mark.parametrize("leaves", [(0, 1, 2, 3), (0, 2), ()])
+def test_total_loss_matches_graph(leaves):
+    parts = tuple(np.random.default_rng(17).uniform(0.0, 100.0, 4))
+    w = LossWeights(w1=0.3, w2=0.2, w3=0.05)
+    compare_loss(lambda *a: total_loss(*a, w), lambda *a: total_loss_graph(*a, w),
+                 parts, leaves)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_embed_frames_matches_graph(activation):
+    cfg = TcnConfig(n_keypoints=K, embed_dim=6, window_len=9, strides=(1, 2), channels=4,
+                    branch_layers=1, activation=activation)
+    model = TcnModel(cfg, seed=18)
+    coords, mask = targets_2d(19, (11,), 0.2)
+    conf = np.where(mask, 0.0, np.random.default_rng(20).uniform(0.3, 1.0, mask.shape))
+    proj = np.random.default_rng(21).normal(size=(11, 6))
+    outs, grads = [], []
+    for embed in (model.embed_frames, lambda *a: embed_frames_graph(model, *a)):
+        for p in model.parameters():
+            p.grad = None
+        out = embed(coords, conf, mask)
+        (out * Tensor(proj)).sum().backward()
+        outs.append(out.data)
+        grads.append([model._params["embed.w"].grad, model._params["embed.b"].grad])
+    assert np.array_equal(outs[0], outs[1])
+    assert (outs[0] > 0).any() and (outs[0] <= 0).any()
+    for got, want in zip(*grads):
+        assert_same_grad(got, want)
+
+
+def test_lifter_terms_add_one_node():
+    model = TcnModel(TcnConfig(n_keypoints=K, embed_dim=6, window_len=9, strides=(1, 2),
+                               channels=4, branch_layers=2), seed=22)
+    coords, mask = targets_2d(23, (9,), 0.2)
+    emb = model.embed_frames(coords, np.where(mask, 0.0, 0.8), mask)
+    assert emb.parents == (model._params["embed.w"], model._params["embed.b"])
+    out = model.forward(emb)
+    branch_and_head = [p for name, p in model._params.items() if not name.startswith("embed.")]
+    assert out.parents == (emb, *branch_and_head)
+    a, b = Tensor(poses(24, (3,))), Tensor(poses(25, (3,)))
+    assert loss_3d(a, poses(26, (3,))).parents == (a,)
+    assert loss_multiview(a, b, rotations(3)).parents == (a, b)
+    c, m = targets_2d(27, (3,), 0.2)
+    assert _loss_2d_sum(a, c, m, [SCALE_MM] * 3).parents == (a,)
+    parts = [Tensor(1.0), Tensor(2.0), Tensor(3.0)]
+    assert total_loss(parts[0], 0.5, *parts[1:]).parents == tuple(parts)
+
+
+def test_train_matches_graph_losses(monkeypatch):
+    # live multi-view, reprojection and realness terms, half the occluded
+    # keypoints masked: the one-node losses train bit for bit as the graphs do
+    data = generate(SyntheticMotionConfig(n_sequences=3, frames=60, seed=4,
+                                          view_rotations=((0.0, 1.2, 0.0),),
+                                          mask_occluded_prob=0.5), TOPO)
+    model_cfg = TcnConfig(n_keypoints=17, embed_dim=16, window_len=16, strides=(1, 2),
+                          channels=16, kernel=3, branch_layers=2)
+    tcfg = TrainConfig(lr=1e-6, momentum=0.9, steps_per_epoch=6, batch_size=4, seed=0,
+                       lr_decay=0.5, weights=LossWeights(w1=0.5, w2=2000.0, w3=0.01))
+    models = [TcnModel(model_cfg, seed=32) for _ in range(2)]
+    got = train(models[0], data, tcfg, epochs=2, scorer=MODELS[1])
+    for name, graph in (("loss_3d", loss_3d_graph), ("loss_multiview", loss_multiview_graph),
+                        ("_loss_2d_sum", loss_2d_sum_graph), ("total_loss", total_loss_graph)):
+        monkeypatch.setattr(tcn, name, graph)
+    want = train(models[1], data, tcfg, epochs=2, scorer=MODELS[1])
+    assert got == want
+    assert all(h[k] > 0 for h in got for k in ("loss_3d", "loss_mv", "loss_2d", "loss_gen"))
+    a, b = models[0].state_arrays(), models[1].state_arrays()
+    assert all(np.array_equal(a[name], b[name]) for name in a)

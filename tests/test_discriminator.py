@@ -97,18 +97,24 @@ def energy_model():
     return KcsEnergyModel.fit(REAL, TOPO, interval=1)
 
 
+def energy_of_features(model, rows):
+    """Per-row Mahalanobis energy of feature rows under the model's statistics."""
+    d = np.atleast_2d(np.asarray(rows, dtype=np.float64)) - model.mean
+    return np.einsum("nf,fg,ng->n", d, model.precision, d)
+
+
 def test_energy_zero_at_corpus_mean():
     model = energy_model()
-    assert model.energy_of_features(model.mean)[0] == 0.0
+    assert energy_of_features(model, model.mean)[0] == 0.0
 
 
 def test_energy_quadratic_along_rays():
     model = energy_model()
     rng = np.random.default_rng(30)
     d = rng.normal(size=model.mean.shape)
-    e1 = model.energy_of_features(model.mean + d)[0]
-    e2 = model.energy_of_features(model.mean + 2 * d)[0]
-    e4 = model.energy_of_features(model.mean + 4 * d)[0]
+    e1 = energy_of_features(model, model.mean + d)[0]
+    e2 = energy_of_features(model, model.mean + 2 * d)[0]
+    e4 = energy_of_features(model, model.mean + 4 * d)[0]
     assert 0 < e1 < e2 < e4
     assert e2 == pytest.approx(4 * e1, rel=1e-9)
     assert e4 == pytest.approx(16 * e1, rel=1e-9)
@@ -148,6 +154,9 @@ def test_energy_matches_gen_loss():
     model = energy_model()
     w = REAL[7]
     assert model.energy(w) == pytest.approx(model.gen_loss(w).item(), rel=1e-12)
+    # the mean over the window's feature rows of their energies
+    rows = discriminator_features(PoseSequence3D(w), TOPO, model.interval)
+    assert model.energy(w) == pytest.approx(energy_of_features(model, rows).mean(), rel=1e-12)
 
 
 def test_energy_gen_loss_gradient():
