@@ -128,5 +128,8 @@ class KcsEnergyModel:
         if meta.get("kind") != "kcs-energy":
             raise InvalidInputError(
                 f"not an energy checkpoint: kind={meta.get('kind')!r}")
-        return cls(arrays["mean"], arrays["precision"], arrays["incidence"],
-                   meta["interval"], arrays["fit_energies"])
+        try:
+            return cls(arrays["mean"], arrays["precision"], arrays["incidence"],
+                       meta["interval"], arrays["fit_energies"])
+        except KeyError as e:
+            raise InvalidInputError(f"{path}: kcs-energy checkpoint has no {e} entry") from None

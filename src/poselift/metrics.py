@@ -123,8 +123,7 @@ class EvalReport:
         return out
 
 
-def evaluate(pred, gt, topo: Optional[SkeletonTopology] = None,
-             pck_radius_mm: float = PCK_RADIUS_MM) -> EvalReport:
+def evaluate(pred, gt, topo: Optional[SkeletonTopology] = None) -> EvalReport:
     """Run every protocol; per-action rows when gt carries action tags."""
     if topo is None:
         topo = default_topology()
@@ -132,7 +131,7 @@ def evaluate(pred, gt, topo: Optional[SkeletonTopology] = None,
 
     def report(pi, gi):
         return EvalReport(mpjpe(pi, gi), p_mpjpe(pi, gi),
-                          pck(pi, gi, pck_radius_mm), mae(pi, gi, topo),
+                          pck(pi, gi), mae(pi, gi, topo),
                           frames=pi.shape[0])
 
     top = report(p, g)

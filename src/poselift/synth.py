@@ -47,6 +47,14 @@ REST_OFFSETS = {
     "wrist_r": (0.0, -250.0, 0.0),
 }
 
+# the one motion model behind training and held-out sequences
+SMOOTH_WINDOW = 9                 # moving-average width on the walk steps
+MAX_JOINT_ANGLE = 0.8             # rad, rotation-vector norm clamp
+YAW_STEP = 0.02                   # rad/frame of global yaw walk
+WOBBLE = 0.1                      # rad, global pitch/roll amplitude
+CONF_VISIBLE = (0.65, 0.98)       # detection confidence range, visible keypoints
+CONF_OCCLUDED = (0.05, 0.35)      # detection confidence range, occluded keypoints
+
 
 @dataclass(frozen=True)
 class SyntheticMotionConfig:
@@ -54,18 +62,12 @@ class SyntheticMotionConfig:
     frames: int = 240
     seed: int = 0
     angle_step: float = 0.03          # rad/frame of raw joint noise
-    smooth_window: int = 9            # moving-average width on the walk steps
-    max_joint_angle: float = 0.8      # rad, rotation-vector norm clamp
     speed_multipliers: tuple[float, ...] = (1.0,)
     # extra views as (alpha, beta, gamma)
     view_rotations: tuple[tuple[float, float, float], ...] = ()
     scale_mm: float = 2000.0          # crop edge in mm for 2D projection
     noise_px: float = 2.0             # detection noise scale, pixels
     mask_occluded_prob: float = 0.5
-    conf_visible: tuple[float, float] = (0.65, 0.98)
-    conf_occluded: tuple[float, float] = (0.05, 0.35)
-    yaw_step: float = 0.02            # rad/frame of global yaw walk
-    wobble: float = 0.1               # rad, global pitch/roll amplitude
 
     def __post_init__(self):
         if self.n_sequences < 1 or self.frames < 2:
@@ -74,8 +76,6 @@ class SyntheticMotionConfig:
             raise ConfigError("speed multipliers must be > 0")
         if self.scale_mm <= 0:
             raise ConfigError("scale_mm must be > 0")
-        if self.smooth_window < 1:
-            raise ConfigError("smooth_window must be >= 1")
 
 
 @dataclass
@@ -170,16 +170,16 @@ def generate_sequence(cfg: SyntheticMotionConfig, topo: SkeletonTopology,
     """One kinematically consistent motion at the given speed multiplier."""
     offsets = rest_offsets(topo)
     base_len = int(np.ceil(cfg.frames * speed)) + 2
-    walk = _smooth_walk(rng, base_len, topo.M * 3, cfg.angle_step, cfg.smooth_window)
+    walk = _smooth_walk(rng, base_len, topo.M * 3, cfg.angle_step, SMOOTH_WINDOW)
     times = np.arange(cfg.frames) * speed
     rotvecs = _resample(walk, times).reshape(cfg.frames, topo.M, 3)
     norms = np.linalg.norm(rotvecs, axis=2, keepdims=True)
-    scale = np.where(norms > cfg.max_joint_angle, cfg.max_joint_angle / np.maximum(norms, 1e-12), 1.0)
+    scale = np.where(norms > MAX_JOINT_ANGLE, MAX_JOINT_ANGLE / np.maximum(norms, 1e-12), 1.0)
     rotvecs = rotvecs * scale
     yaw0 = rng.uniform(-np.pi, np.pi)
-    yaw_walk = _smooth_walk(rng, base_len, 1, cfg.yaw_step, cfg.smooth_window)
+    yaw_walk = _smooth_walk(rng, base_len, 1, YAW_STEP, SMOOTH_WINDOW)
     yaw = yaw0 + _resample(yaw_walk, times)[:, 0]
-    pitch = cfg.wobble * np.sin(np.linspace(0, 2 * np.pi, cfg.frames) + rng.uniform(0, 2 * np.pi))
+    pitch = WOBBLE * np.sin(np.linspace(0, 2 * np.pi, cfg.frames) + rng.uniform(0, 2 * np.pi))
     global_rots = rotation_matrix(pitch, yaw, 0.0)
     frames = _fk(topo, offsets, rotvecs, global_rots)
     frames -= frames[:, topo.root_index:topo.root_index + 1]  # keep root pinned
@@ -193,8 +193,8 @@ def detections_for_view(pose3d: PoseSequence3D, topo: SkeletonTopology,
     clean = project_to_crop(pose3d, cfg.scale_mm)
     t, k = pose3d.T, pose3d.K
     conf = np.where(visible,
-                    rng.uniform(*cfg.conf_visible, size=(t, k)),
-                    rng.uniform(*cfg.conf_occluded, size=(t, k)))
+                    rng.uniform(*CONF_VISIBLE, size=(t, k)),
+                    rng.uniform(*CONF_OCCLUDED, size=(t, k)))
     # noisier detections at lower confidence
     std_px = cfg.noise_px * (1.3 - conf)
     noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / CROP_PX)[:, :, None]

@@ -634,21 +634,23 @@ def fk_per_frame(topo, offsets, rotvecs, global_rots):
 
 
 def generate_sequence_per_frame(cfg, topo, rng, speed):
-    """poselift.synth.generate_sequence with per-frame global rotations and FK."""
+    """poselift.synth.generate_sequence with per-frame global rotations and FK.
+
+    The motion-model constants (smoothing window 9, joint-angle clamp 0.8 rad,
+    yaw step 0.02 rad, wobble 0.1 rad) are literals here, not imports, so the
+    oracle test pins their values too."""
     offsets = synth.rest_offsets(topo)
     base_len = int(np.ceil(cfg.frames * speed)) + 2
-    walk = synth._smooth_walk(rng, base_len, topo.M * 3, cfg.angle_step, cfg.smooth_window)
+    walk = synth._smooth_walk(rng, base_len, topo.M * 3, cfg.angle_step, 9)
     times = np.arange(cfg.frames) * speed
     rotvecs = synth._resample(walk, times).reshape(cfg.frames, topo.M, 3)
     norms = np.linalg.norm(rotvecs, axis=2, keepdims=True)
-    scale = np.where(norms > cfg.max_joint_angle,
-                     cfg.max_joint_angle / np.maximum(norms, 1e-12), 1.0)
+    scale = np.where(norms > 0.8, 0.8 / np.maximum(norms, 1e-12), 1.0)
     rotvecs = rotvecs * scale
     yaw0 = rng.uniform(-np.pi, np.pi)
-    yaw_walk = synth._smooth_walk(rng, base_len, 1, cfg.yaw_step, cfg.smooth_window)
+    yaw_walk = synth._smooth_walk(rng, base_len, 1, 0.02, 9)
     yaw = yaw0 + synth._resample(yaw_walk, times)[:, 0]
-    pitch = cfg.wobble * np.sin(np.linspace(0, 2 * np.pi, cfg.frames)
-                                + rng.uniform(0, 2 * np.pi))
+    pitch = 0.1 * np.sin(np.linspace(0, 2 * np.pi, cfg.frames) + rng.uniform(0, 2 * np.pi))
     global_rots = np.zeros((cfg.frames, 3, 3))
     for t in range(cfg.frames):
         global_rots[t] = RotationAugment(alpha=pitch[t], beta=yaw[t]).matrix()
@@ -658,7 +660,8 @@ def generate_sequence_per_frame(cfg, topo, rng, speed):
 
 
 def generate_per_frame(cfg, topo):
-    """poselift.synth.generate built from the per-frame references above."""
+    """poselift.synth.generate built from the per-frame references above; the
+    confidence ranges (0.65, 0.98) visible and (0.05, 0.35) occluded are literals."""
     rng = np.random.default_rng(cfg.seed)
     view_rots = [RotationAugment()] + [RotationAugment(*v) for v in cfg.view_rotations]
     out = []
@@ -674,8 +677,8 @@ def generate_per_frame(cfg, topo):
             clean = project_to_crop(vp, cfg.scale_mm)
             t, k = vp.T, vp.K
             conf = np.where(visible,
-                            rng.uniform(*cfg.conf_visible, size=(t, k)),
-                            rng.uniform(*cfg.conf_occluded, size=(t, k)))
+                            rng.uniform(0.65, 0.98, size=(t, k)),
+                            rng.uniform(0.05, 0.35, size=(t, k)))
             std_px = cfg.noise_px * (1.3 - conf)
             noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / CROP_PX)[:, :, None]
             coords = clean.frames + noise

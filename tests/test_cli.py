@@ -2,18 +2,20 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from poselift.cli import _keys, load_config, main
+from poselift.cli import _keys, _section, load_config, main
 from poselift.experiment import ExperimentConfig
 from poselift.iso import IsoConfig
 from poselift.pose_io import parse_config
 from poselift.kcs import discriminator_features
-from poselift.pose_io import default_topology, read_pose2d, read_pose3d, write_pose3d
+from poselift.pose_io import (default_topology, read_pose2d, read_pose3d, save_checkpoint,
+                              write_pose3d)
 from poselift.skeleton import PoseSequence3D, project_to_crop
 from poselift.synth import SyntheticMotionConfig, generate
 from poselift.visibility import sequence_visibility
@@ -386,6 +388,26 @@ def test_infer_on_a_model_file_that_is_not_a_checkpoint_exits_2(sample_files, tm
     assert f"poselift infer: InvalidInputError: {cfg} is not a poselift checkpoint" in err
 
 
+@pytest.mark.parametrize("entry", ["mean", "precision", "incidence", "fit_energies", "interval"])
+def test_iso_refine_on_a_scorer_checkpoint_missing_an_entry_exits_2(sample_files, tmp_path,
+                                                                    capsys, entry):
+    arrays = {"mean": np.zeros(3), "precision": np.eye(3), "incidence": np.zeros((17, 16)),
+              "fit_energies": np.zeros(1)}
+    meta = {"kind": "kcs-energy", "interval": 1}
+    arrays.pop(entry, None)
+    meta.pop(entry, None)
+    scorer = tmp_path / "scorer.npz"
+    save_checkpoint(scorer, arrays, meta)
+    cfg = write_cfg(tmp_path / "r.cfg", scorer=scorer,
+                    pose3d=sample_files / "seq00_v0_gt.pose3d",
+                    det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("iso-refine", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"poselift iso-refine: InvalidInputError: {scorer}: "
+        f"kcs-energy checkpoint has no {entry!r} entry\n")
+    assert not (tmp_path / "o" / "refined.pose3d").exists()
+
+
 def test_train_with_sequences_shorter_than_the_scorer_window_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "t.cfg", **{"synth.n_sequences": 2, "synth.frames": 10})
     assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -440,9 +462,8 @@ CONFIG_KEYS = {
     "aug_copies", "data_dir", "epochs", "seed",
     "scorer_interval", "scorer_reg", "scorer_window",
     *(f"{s}.{k}" for s in ("synth", "eval_synth") for k in (
-        "angle_step", "conf_occluded", "conf_visible", "frames", "mask_occluded_prob",
-        "max_joint_angle", "n_sequences", "noise_px", "scale_mm", "seed", "smooth_window",
-        "speed_multipliers", "view_rotations", "wobble", "yaw_step")),
+        "angle_step", "frames", "mask_occluded_prob", "n_sequences", "noise_px", "scale_mm",
+        "seed", "speed_multipliers", "view_rotations")),
     *(f"{s}.{k}" for s in ("occ", "eval_occlusion") for k in (
         "frame_block_prob", "l", "p1", "p2", "p3", "shift_prob", "shift_px", "swap_prob")),
     "eval_occlusion.seed",
@@ -457,7 +478,7 @@ CONFIG_KEYS = {
 
 
 def test_config_key_census():
-    assert len(CONFIG_KEYS) == 84
+    assert len(CONFIG_KEYS) == 72
     assert set(_keys(ExperimentConfig)) == CONFIG_KEYS
 
 
@@ -465,6 +486,9 @@ def test_config_key_census():
     ("synth-gen", "synth.crop_px"), ("synth-gen", "eval_synth.crop_px"),
     ("augment", "occ.crop_px"), ("synth-gen", "eval_occlusion.crop_px"),
     ("iso-refine", "iso.crop_px"), ("features", "interval"),
+    *(("synth-gen", f"{s}.{k}") for s in ("synth", "eval_synth") for k in (
+        "smooth_window", "max_joint_angle", "yaw_step", "wobble", "conf_visible",
+        "conf_occluded")),
 ])
 def test_retired_key_exits_2(tmp_path, capsys, command, key):
     cfg = write_cfg(tmp_path / "r.cfg", **{key: 256})
@@ -483,6 +507,38 @@ def test_keys_sit_on_experiment_defaults():
     assert (cfg.aug_copies, cfg.scorer_interval, cfg.scorer_reg) == (2, 2, 0.01)
     assert cfg.eval_occlusion.p1 == 0.1 and cfg.occlusion is None
     assert cfg.iso.calibration.bias == 0.5 and cfg.iso.calibration.temperature == 1.0
+
+
+def config_text(value, seps=",:") -> str:
+    """A config value as `key = value` text: the inverse of `parse_value`."""
+    if isinstance(value, tuple):
+        return seps[0].join(config_text(v, seps[1:]) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def all_sections_built(cls, value=None):
+    """`value` (None: `cls()`) with each section it leaves at None built from its class defaults."""
+    value = cls() if value is None else value
+    hints = get_type_hints(cls)
+    return replace(value, **{f.name: all_sections_built(sub, getattr(value, f.name))
+                             for f in fields(cls) if (sub := _section(hints[f.name]))})
+
+
+def test_every_default_round_trips_through_config_text():
+    full = all_sections_built(ExperimentConfig)
+    lines, unset = [], set()
+    for key, (path, _) in _keys(ExperimentConfig).items():
+        value = full
+        for name in path:
+            value = getattr(value, name)
+        if value is None:
+            unset.add(key)
+        else:
+            lines.append(f"{key} = {config_text(value)}")
+    assert unset == {"data_dir"}
+    assert load_config(parse_config("\n".join(lines))) == full
 
 
 def test_readme_demo_config_is_the_experiment_default_plus_its_keys():

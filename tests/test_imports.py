@@ -1,0 +1,32 @@
+"""Runtime dependencies stay the standard library, numpy and scipy."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "poselift"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "poselift"}
+
+
+def imported_packages(tree: ast.AST) -> set:
+    """Top-level package of every absolute import in `tree`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_imports_only_stdlib_numpy_and_scipy(path):
+    assert imported_packages(ast.parse(path.read_text(), str(path))) - ALLOWED == set()
+
+
+def test_the_guard_sees_every_import_form():
+    tree = ast.parse("import a.b, c\nfrom d.e import f\nfrom . import g\nfrom .h import i\n"
+                     "def j():\n    import k\n")
+    assert imported_packages(tree) == {"a", "c", "d", "k"}
