@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .skeleton import CROP_PX, PoseSequence2D, SkeletonTopology
 
+SHIFT_PX = 10.0                  # largest detector-noise shift, crop pixels
+
 
 @dataclass(frozen=True)
 class OcclusionConfig:
@@ -26,7 +28,6 @@ class OcclusionConfig:
     frame_block_prob: float = 0.2  # gate for the continuous frame block in the pipeline
     shift_prob: float = 0.1
     swap_prob: float = 0.1
-    shift_px: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -36,8 +37,6 @@ class OcclusionConfig:
                 raise ConfigError(f"{name}={v} outside [0,1]")
         if self.l < 2:
             raise ConfigError("l must be >= 2")
-        if self.shift_px < 0:
-            raise ConfigError("shift_px must be >= 0")
 
 
 def _rng_for(cfg: OcclusionConfig, rng):
@@ -111,7 +110,7 @@ def noise_corruption(seq: PoseSequence2D, cfg: OcclusionConfig,
 
     Per frame, with swap_prob, one random left/right pair exchanges
     coordinates; per keypoint, with shift_prob, the coordinate moves by up
-    to shift_px pixels (uniform direction, uniform radius). Confidence is
+    to SHIFT_PX crop pixels (uniform direction, uniform radius). Confidence is
     unchanged; masked entries are skipped (nothing was detected there).
     """
     rng = _rng_for(cfg, rng)
@@ -125,7 +124,7 @@ def noise_corruption(seq: PoseSequence2D, cfg: OcclusionConfig,
         shift_draw = rng.random(out.K) < cfg.shift_prob
         for k in np.where(shift_draw & ~out.mask[t])[0]:
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            radius = rng.uniform(0.0, cfg.shift_px) / CROP_PX
+            radius = rng.uniform(0.0, SHIFT_PX) / CROP_PX
             out.frames[t, k] += radius * np.array([np.cos(angle), np.sin(angle)])
     return out
 

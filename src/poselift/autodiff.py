@@ -52,9 +52,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, grad):
         if self.grad is None:
             # a fresh array: `grad` may be a view of another node's gradient
@@ -242,13 +239,12 @@ class Tensor:
                       tuple(tensors), back)
 
 
-def parameter(data, rng=None, scale=None) -> Tensor:
-    """Trainable leaf. With rng, fills uniform(-scale, scale)."""
+def parameter(data, rng=None) -> Tensor:
+    """Trainable leaf. With rng, fills shape `data` uniform(-s, s), s = 1/sqrt(shape[-1])."""
     if rng is not None:
         shape = data if isinstance(data, tuple) else tuple(data)
-        if scale is None:
-            fan_in = shape[-1] if len(shape) > 1 else shape[0]
-            scale = 1.0 / np.sqrt(max(fan_in, 1))
+        fan_in = shape[-1] if len(shape) > 1 else shape[0]
+        scale = 1.0 / np.sqrt(max(fan_in, 1))
         data = rng.uniform(-scale, scale, size=shape)
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 

@@ -129,7 +129,19 @@ class KcsEnergyModel:
             raise InvalidInputError(
                 f"not an energy checkpoint: kind={meta.get('kind')!r}")
         try:
-            return cls(arrays["mean"], arrays["precision"], arrays["incidence"],
-                       meta["interval"], arrays["fit_energies"])
+            mean, precision, incidence, fit_energies = (
+                arrays["mean"], arrays["precision"], arrays["incidence"], arrays["fit_energies"])
+            interval = meta["interval"]
         except KeyError as e:
             raise InvalidInputError(f"{path}: kcs-energy checkpoint has no {e} entry") from None
+        k, m = incidence.shape if incidence.ndim == 2 else (0, 0)
+        f = m * (m + 1) + 3 * k        # feature width: upper(Psi) | upper(Phi) | coords
+        for name, fits, want in (
+                ("incidence", incidence.ndim == 2, "K x M"),
+                ("mean", mean.shape == (f,), f"({f},) for K = {k} keypoints and M = {m} bones"),
+                ("precision", precision.shape == (f, f), f"({f}, {f})"),
+                ("fit_energies", fit_energies.ndim == 1, "1-D")):
+            if not fits:
+                raise InvalidInputError(f"{path}: kcs-energy checkpoint entry {name!r} has "
+                                        f"shape {arrays[name].shape}, not {want}")
+        return cls(mean, precision, incidence, interval, fit_energies)

@@ -24,6 +24,8 @@ from .errors import ConfigError, InvalidInputError
 from .skeleton import CROP_PX, PoseSequence2D, PoseSequence3D
 
 WEIGHT_MODES = ("constant", "confidence", "calibrated", "hard", "soft")
+REFIT_EVERY = 25                  # descent iterations between projection refits
+HARD_THRESHOLD = 0.7              # hard mode zeroes confidences below this
 
 _CLIP = 1e-6
 
@@ -90,8 +92,7 @@ def calibrate(conf=None, correct=None) -> CalibratedConfidence:
     return CalibratedConfidence(float(res.x[0]), float(res.x[1]))
 
 
-def reprojection_weight(mode: str, conf, dist=None, sigma: float = 1.0,
-                        threshold: float = 0.7) -> np.ndarray:
+def reprojection_weight(mode: str, conf, dist=None, sigma: float = 1.0) -> np.ndarray:
     """Per-keypoint weight in [0,1] for the reprojection term."""
     if mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown weight mode {mode!r}; pick from {WEIGHT_MODES}")
@@ -103,9 +104,7 @@ def reprojection_weight(mode: str, conf, dist=None, sigma: float = 1.0,
     if mode in ("confidence", "calibrated"):
         return conf.copy()
     if mode == "hard":
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigError("hard threshold must lie in [0,1]")
-        return np.where(conf >= threshold, conf, 0.0)
+        return np.where(conf >= HARD_THRESHOLD, conf, 0.0)
     # soft
     if sigma <= 0:
         raise ConfigError("soft threshold sigma must be > 0")
@@ -119,12 +118,10 @@ def reprojection_weight(mode: str, conf, dist=None, sigma: float = 1.0,
 class IsoConfig:
     weight_mode: str = "soft"
     sigma: float = 1.0              # soft-threshold width, crop pixels
-    threshold: float = 0.7
     lambda1: float = 0.1            # realness penalty weight
     lambda2: float = 0.05           # temporal smoothness weight
     iterations: int = 150
     step_size: float = 0.5          # mm per unit gradient
-    refit_every: int = 25
     calibration: CalibratedConfidence = None
 
     def __post_init__(self):
@@ -132,16 +129,12 @@ class IsoConfig:
             raise ConfigError(f"unknown weight mode {self.weight_mode!r}")
         if self.sigma <= 0:
             raise ConfigError("sigma must be > 0")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError("threshold must lie in [0,1]")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("lambda weights must be >= 0")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if self.step_size <= 0:
             raise ConfigError("step_size must be > 0")
-        if self.refit_every < 1:
-            raise ConfigError("refit_every must be >= 1")
 
 
 def fit_projection(frames3d: np.ndarray, det2d: PoseSequence2D,
@@ -203,7 +196,7 @@ def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
     frames3d = np.asarray(frames3d, dtype=np.float64)
     proj = frames3d[:, :, :2] * scale + trans[:, None, :]
     dist = np.linalg.norm(proj - det2d.frames, axis=2) * CROP_PX
-    w = reprojection_weight(cfg.weight_mode, conf, dist, cfg.sigma, cfg.threshold)
+    w = reprojection_weight(cfg.weight_mode, conf, dist, cfg.sigma)
     return w * ~det2d.mask
 
 
@@ -284,7 +277,7 @@ def refine(initial_pose3d: PoseSequence3D, det2d: PoseSequence2D, scorer,
     loss0 = None
     best_loss, best_frames = np.inf, frames.copy()
     for it in range(cfg.iterations):
-        if it % cfg.refit_every == 0:
+        if it % REFIT_EVERY == 0:
             # align with the current weights so distrusted detections do
             # not drag the frame; weights then refresh off the new fit
             weights = compute_weights(frames, det2d, cfg, scale, trans)

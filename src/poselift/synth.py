@@ -54,6 +54,7 @@ YAW_STEP = 0.02                   # rad/frame of global yaw walk
 WOBBLE = 0.1                      # rad, global pitch/roll amplitude
 CONF_VISIBLE = (0.65, 0.98)       # detection confidence range, visible keypoints
 CONF_OCCLUDED = (0.05, 0.35)      # detection confidence range, occluded keypoints
+SCALE_MM = 2000.0                 # crop edge in mm for 2D projection
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class SyntheticMotionConfig:
     speed_multipliers: tuple[float, ...] = (1.0,)
     # extra views as (alpha, beta, gamma)
     view_rotations: tuple[tuple[float, float, float], ...] = ()
-    scale_mm: float = 2000.0          # crop edge in mm for 2D projection
     noise_px: float = 2.0             # detection noise scale, pixels
     mask_occluded_prob: float = 0.5
 
@@ -74,8 +74,6 @@ class SyntheticMotionConfig:
             raise ConfigError("need n_sequences >= 1 and frames >= 2")
         if any(s <= 0 for s in self.speed_multipliers):
             raise ConfigError("speed multipliers must be > 0")
-        if self.scale_mm <= 0:
-            raise ConfigError("scale_mm must be > 0")
 
 
 @dataclass
@@ -190,7 +188,7 @@ def detections_for_view(pose3d: PoseSequence3D, topo: SkeletonTopology,
                         cfg: SyntheticMotionConfig, rng: np.random.Generator):
     """Noisy 2D detections + confidence + mask from one view's 3D pose."""
     visible = sequence_visibility(pose3d, topo)
-    clean = project_to_crop(pose3d, cfg.scale_mm)
+    clean = project_to_crop(pose3d, SCALE_MM)
     t, k = pose3d.T, pose3d.K
     conf = np.where(visible,
                     rng.uniform(*CONF_VISIBLE, size=(t, k)),
@@ -202,7 +200,7 @@ def detections_for_view(pose3d: PoseSequence3D, topo: SkeletonTopology,
     mask = (~visible) & (rng.random((t, k)) < cfg.mask_occluded_prob)
     coords[mask] = 0.0
     conf[mask] = 0.0
-    det = PoseSequence2D(coords, confidence=conf, mask=mask, scale_mm=cfg.scale_mm,
+    det = PoseSequence2D(coords, confidence=conf, mask=mask, scale_mm=SCALE_MM,
                          actions=pose3d.actions)
     return det, visible
 

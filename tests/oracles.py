@@ -661,7 +661,8 @@ def generate_sequence_per_frame(cfg, topo, rng, speed):
 
 def generate_per_frame(cfg, topo):
     """poselift.synth.generate built from the per-frame references above; the
-    confidence ranges (0.65, 0.98) visible and (0.05, 0.35) occluded are literals."""
+    confidence ranges (0.65, 0.98) visible and (0.05, 0.35) occluded and the
+    2000 mm crop edge are literals."""
     rng = np.random.default_rng(cfg.seed)
     view_rots = [RotationAugment()] + [RotationAugment(*v) for v in cfg.view_rotations]
     out = []
@@ -674,7 +675,7 @@ def generate_per_frame(cfg, topo):
         for r in view_rots:
             vp = rotate_pose(pose, r)
             visible = sequence_visibility_per_frame(vp, topo)
-            clean = project_to_crop(vp, cfg.scale_mm)
+            clean = project_to_crop(vp, 2000.0)
             t, k = vp.T, vp.K
             conf = np.where(visible,
                             rng.uniform(0.65, 0.98, size=(t, k)),
@@ -686,7 +687,7 @@ def generate_per_frame(cfg, topo):
             coords[mask] = 0.0
             conf[mask] = 0.0
             det = PoseSequence2D(coords, confidence=conf, mask=mask,
-                                 scale_mm=cfg.scale_mm, actions=vp.actions)
+                                 scale_mm=2000.0, actions=vp.actions)
             vp.visibility = visible
             views.append(synth.ViewData(r, vp, det, visible))
         out.append(synth.SyntheticSequence(pose, views, action))

@@ -132,7 +132,7 @@ def test_noise_identity_at_zero(topo):
 def test_noise_shift_bounded_and_conf_unchanged(topo):
     rng = np.random.default_rng(10)
     seq = make_seq(rng, 50, topo.K)
-    cfg = OcclusionConfig(shift_prob=1.0, swap_prob=0.0, shift_px=10.0)
+    cfg = OcclusionConfig(shift_prob=1.0, swap_prob=0.0)
     out = noise_corruption(seq, cfg, topo, np.random.default_rng(0))
     deltas = np.linalg.norm(out.frames - seq.frames, axis=2)
     assert deltas.max() <= 10.0 / 256.0 + 1e-12

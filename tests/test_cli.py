@@ -408,6 +408,29 @@ def test_iso_refine_on_a_scorer_checkpoint_missing_an_entry_exits_2(sample_files
     assert not (tmp_path / "o" / "refined.pose3d").exists()
 
 
+# F = M(M+1) + 3K = 323 feature columns for the 17-keypoint, 16-bone skeleton
+@pytest.mark.parametrize("entry, value, want", [
+    ("incidence", np.zeros(17), "K x M"),
+    ("mean", np.zeros(3), "(323,) for K = 17 keypoints and M = 16 bones"),
+    ("precision", np.eye(3), "(323, 323)"),
+    ("fit_energies", np.zeros((2, 2)), "1-D"),
+])
+def test_iso_refine_on_a_scorer_checkpoint_with_a_misshapen_entry_exits_2(
+        sample_files, tmp_path, capsys, entry, value, want):
+    arrays = {"mean": np.zeros(323), "precision": np.eye(323),
+              "incidence": np.zeros((17, 16)), "fit_energies": np.zeros(1), entry: value}
+    scorer = tmp_path / "scorer.npz"
+    save_checkpoint(scorer, arrays, {"kind": "kcs-energy", "interval": 1})
+    cfg = write_cfg(tmp_path / "r.cfg", scorer=scorer,
+                    pose3d=sample_files / "seq00_v0_gt.pose3d",
+                    det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("iso-refine", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"poselift iso-refine: InvalidInputError: {scorer}: kcs-energy checkpoint entry "
+        f"{entry!r} has shape {value.shape}, not {want}\n")
+    assert not (tmp_path / "o" / "refined.pose3d").exists()
+
+
 def test_train_with_sequences_shorter_than_the_scorer_window_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "t.cfg", **{"synth.n_sequences": 2, "synth.frames": 10})
     assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -462,13 +485,13 @@ CONFIG_KEYS = {
     "aug_copies", "data_dir", "epochs", "seed",
     "scorer_interval", "scorer_reg", "scorer_window",
     *(f"{s}.{k}" for s in ("synth", "eval_synth") for k in (
-        "angle_step", "frames", "mask_occluded_prob", "n_sequences", "noise_px", "scale_mm",
-        "seed", "speed_multipliers", "view_rotations")),
+        "angle_step", "frames", "mask_occluded_prob", "n_sequences", "noise_px", "seed",
+        "speed_multipliers", "view_rotations")),
     *(f"{s}.{k}" for s in ("occ", "eval_occlusion") for k in (
-        "frame_block_prob", "l", "p1", "p2", "p3", "shift_prob", "shift_px", "swap_prob")),
+        "frame_block_prob", "l", "p1", "p2", "p3", "shift_prob", "swap_prob")),
     "eval_occlusion.seed",
     "iso.cal_bias", "iso.cal_temperature", "iso.iterations", "iso.lambda1", "iso.lambda2",
-    "iso.refit_every", "iso.sigma", "iso.step_size", "iso.threshold", "iso.weight_mode",
+    "iso.sigma", "iso.step_size", "iso.weight_mode",
     "tcn.activation", "tcn.branch_layers", "tcn.channels", "tcn.embed_dim", "tcn.kernel",
     "tcn.n_keypoints", "tcn.output_scale_mm", "tcn.strides", "tcn.use_embedding",
     "tcn.window_len",
@@ -478,7 +501,7 @@ CONFIG_KEYS = {
 
 
 def test_config_key_census():
-    assert len(CONFIG_KEYS) == 72
+    assert len(CONFIG_KEYS) == 66
     assert set(_keys(ExperimentConfig)) == CONFIG_KEYS
 
 
@@ -489,6 +512,9 @@ def test_config_key_census():
     *(("synth-gen", f"{s}.{k}") for s in ("synth", "eval_synth") for k in (
         "smooth_window", "max_joint_angle", "yaw_step", "wobble", "conf_visible",
         "conf_occluded")),
+    ("iso-refine", "iso.refit_every"), ("iso-refine", "iso.threshold"),
+    ("augment", "occ.shift_px"), ("synth-gen", "eval_occlusion.shift_px"),
+    ("synth-gen", "synth.scale_mm"), ("synth-gen", "eval_synth.scale_mm"),
 ])
 def test_retired_key_exits_2(tmp_path, capsys, command, key):
     cfg = write_cfg(tmp_path / "r.cfg", **{key: 256})
@@ -549,6 +575,26 @@ def test_readme_demo_config_is_the_experiment_default_plus_its_keys():
         default, tcn=replace(default.tcn, window_len=20),
         train=replace(default.train, steps_per_epoch=60),
         iso=IsoConfig(weight_mode="soft", iterations=120))
+
+
+# a config key in backticks: `<section>.<field>`, optionally `= value`; a
+# module constant (`skeleton.CROP_PX`), a wildcard (`synth.*`), a call and a
+# Python file (`synth.py`) are not keys
+SECTIONS = sorted({key.split(".")[0] for key in _keys(ExperimentConfig) if "." in key})
+DOTTED_KEY = re.compile(r"`((?:%s)\.(?!py`)[a-z_][a-z0-9_]*)(?![\w.(*])[^`]*`"
+                        % "|".join(SECTIONS))
+
+
+def test_readme_key_guard_sees_keys_and_only_keys():
+    text = ("`occ.shift_px`, `synth.view_rotations = 0:1.57:0`, `train.w3 > 0`, `synth.*`, "
+            "`skeleton.CROP_PX`, `synth.SCALE_MM`, `synth.py`, `iso.calibrate()`, `model.ckpt`")
+    assert DOTTED_KEY.findall(text) == ["occ.shift_px", "synth.view_rotations", "train.w3"]
+
+
+def test_every_dotted_key_the_readme_names_is_a_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(DOTTED_KEY.findall(readme))
+    assert named and not named - set(_keys(ExperimentConfig))
 
 
 def test_run_experiment_echoes_scorer_window(tmp_path):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import window_features
 from poselift.autodiff import Tensor
@@ -201,6 +204,36 @@ def test_energy_checkpoint_roundtrip(tmp_path):
     loaded = KcsEnergyModel.load(path)
     assert loaded.interval == model.interval
     assert loaded.energy(REAL[2]) == pytest.approx(model.energy(REAL[2]), rel=1e-12)
+
+
+# finite, and small enough that the loader's symmetrization 0.5 * (P + P.T)
+# of a symmetric P cannot overflow
+ENTRIES = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def energy_models(draw):
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    f = m * (m + 1) + 3 * k
+    upper = np.triu(draw(hnp.arrays(np.float64, (f, f), elements=ENTRIES)))
+    return KcsEnergyModel(
+        draw(hnp.arrays(np.float64, f, elements=ENTRIES)), upper + np.triu(upper, 1).T,
+        draw(hnp.arrays(np.float64, (k, m), elements=ENTRIES)), draw(st.integers(1, 5)),
+        draw(hnp.arrays(np.float64, draw(st.integers(0, 4)), elements=ENTRIES)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(model=energy_models())
+def test_energy_checkpoint_gives_back_every_array_and_the_interval_exactly(
+        tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("energy") / "scorer.npz"
+    model.save(path)
+    loaded = KcsEnergyModel.load(path)
+    assert loaded.interval == model.interval
+    for name in ("mean", "precision", "incidence", "fit_energies"):
+        got, want = getattr(loaded, name), getattr(model, name)
+        assert got.dtype == np.float64 and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
 
 
 def test_energy_kind_guard(tmp_path):

@@ -65,15 +65,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         IsoConfig(sigma=0.0)
     with pytest.raises(ConfigError):
-        IsoConfig(threshold=1.2)
-    with pytest.raises(ConfigError):
         IsoConfig(lambda1=-0.1)
     with pytest.raises(ConfigError):
         IsoConfig(iterations=-1)
     with pytest.raises(ConfigError):
         IsoConfig(step_size=0.0)
-    with pytest.raises(ConfigError):
-        IsoConfig(refit_every=0)
     with pytest.raises(ConfigError):
         CalibratedConfidence(temperature=0.0)
 
@@ -147,7 +143,7 @@ def test_weight_modes():
         reprojection_weight("confidence", conf), conf)
     np.testing.assert_array_equal(
         reprojection_weight("calibrated", conf), conf)
-    hard = reprojection_weight("hard", conf, threshold=0.7)
+    hard = reprojection_weight("hard", conf)
     np.testing.assert_array_equal(hard, [0, 0, 0, 0, 0.7, 0.9, 1.0])
     soft = reprojection_weight("soft", conf, dist, sigma=1.0)
     np.testing.assert_allclose(soft, 1.0 - np.exp(-conf * 4.0 / 2.0))
@@ -177,8 +173,6 @@ def test_weight_errors():
         reprojection_weight("nope", 0.5)
     with pytest.raises(ConfigError):
         reprojection_weight("soft", 0.5, 1.0, sigma=0.0)
-    with pytest.raises(ConfigError):
-        reprojection_weight("hard", 0.5, threshold=-0.1)
     with pytest.raises(InvalidInputError):
         reprojection_weight("soft", 0.5, None)
     with pytest.raises(InvalidInputError):
@@ -486,6 +480,25 @@ def test_refine_mode_ordering_under_corruption():
     assert finals["confidence"] > finals["hard"]
     assert finals["hard"] >= finals["soft"]
     assert finals["soft"] < finals["none"]
+
+
+def test_refine_refits_the_projection_every_25_iterations():
+    # confidence weights do not depend on the projection, so stopping refine
+    # and restarting it from its output only adds a refit at the restart: the
+    # two legs match one unbroken run exactly when the restart falls on a refit
+    gt = gt_window(0, 16)
+    rng = np.random.default_rng(20)
+    det, _ = corrupt_detections(gt, rng)
+    init = PoseSequence3D(gt.frames + smooth_perturbation(rng, gt.frames.shape))
+
+    def run(start, iterations):
+        cfg = IsoConfig(weight_mode="confidence", iterations=iterations, lambda1=0.0)
+        return refine(start, det, None, cfg)[0]
+
+    whole = run(init, 50).frames
+    for restart in (5, 25):
+        legs = run(run(init, restart), 50 - restart).frames
+        assert np.array_equal(legs, whole) == (restart == 25), restart
 
 
 def test_refine_shape_mismatch():

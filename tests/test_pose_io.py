@@ -3,9 +3,13 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poselift.errors import ConfigError, InvalidInputError, TopologyError
 from poselift.pose_io import (
+    default_topology,
     load_checkpoint,
     parse_config,
     parse_topology,
@@ -17,6 +21,8 @@ from poselift.pose_io import (
     write_pose3d,
 )
 from poselift.skeleton import PoseSequence2D, PoseSequence3D
+
+K = default_topology().K
 
 
 def test_pose3d_roundtrip(tmp_path, topo):
@@ -49,6 +55,73 @@ def test_pose2d_roundtrip(tmp_path, topo):
     assert np.allclose(back.confidence, conf, atol=1e-6)
     assert np.array_equal(back.mask, mask)
     assert back.scale_mm == 2000.0
+
+
+# `%.9g` keeps nine significant digits, so a written number is off by at most
+# half a unit in the ninth digit, 5e-9 relative; reading the decimal back
+# rounds once more, by at most 2**-53 relative (normal floats)
+WRITTEN_RTOL = 5e-9 + 2.0 ** -52
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+CONFIDENCES = st.floats(0.0, 1.0, allow_subnormal=False)
+# what a pose table can hold: no comma, line break or trailing whitespace
+ACTIONS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=",\n\r"),
+                  max_size=6).filter(lambda a: a == a.rstrip())
+
+
+def actions_for(t):
+    return st.none() | st.lists(ACTIONS, min_size=t, max_size=t)
+
+
+@st.composite
+def poses3d(draw):
+    t = draw(st.integers(1, 3))
+    return PoseSequence3D(draw(hnp.arrays(np.float64, (t, K, 3), elements=FLOATS)),
+                          visibility=draw(st.none() | hnp.arrays(bool, (t, K))),
+                          root_relative=draw(st.booleans()), actions=draw(actions_for(t)))
+
+
+@st.composite
+def poses2d(draw):
+    t = draw(st.integers(1, 3))
+    mask = draw(hnp.arrays(bool, (t, K)))
+    conf = draw(hnp.arrays(np.float64, (t, K), elements=CONFIDENCES))
+    conf[mask] = 0.0
+    scale = draw(st.none() | st.floats(min_value=1e-3, max_value=1e9))
+    return PoseSequence2D(draw(hnp.arrays(np.float64, (t, K, 2), elements=FLOATS)),
+                          confidence=conf, mask=mask, scale_mm=scale,
+                          actions=draw(actions_for(t)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pose=poses3d())
+def test_pose3d_round_trips_within_the_written_precision(tmp_path_factory, topo, pose):
+    path = tmp_path_factory.mktemp("pose3d") / "p.pose3d"
+    write_pose3d(path, pose, topo)
+    back = read_pose3d(path, topo)
+    np.testing.assert_allclose(back.frames, pose.frames, rtol=WRITTEN_RTOL, atol=0.0)
+    # the table stores hidden keypoints; with none hidden it reads back as no mask
+    if pose.visibility is None or pose.visibility.all():
+        assert back.visibility is None
+    else:
+        assert np.array_equal(back.visibility, pose.visibility)
+    assert back.root_relative == pose.root_relative
+    assert back.actions == pose.actions
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pose=poses2d())
+def test_pose2d_round_trips_within_the_written_precision(tmp_path_factory, topo, pose):
+    path = tmp_path_factory.mktemp("pose2d") / "p.pose2d"
+    write_pose2d(path, pose, topo)
+    back = read_pose2d(path, topo)
+    np.testing.assert_allclose(back.frames, pose.frames, rtol=WRITTEN_RTOL, atol=0.0)
+    np.testing.assert_allclose(back.confidence, pose.confidence, rtol=WRITTEN_RTOL, atol=0.0)
+    assert np.array_equal(back.mask, pose.mask)
+    if pose.scale_mm is None:
+        assert back.scale_mm is None
+    else:
+        assert back.scale_mm == pytest.approx(pose.scale_mm, rel=WRITTEN_RTOL, abs=0.0)
+    assert back.actions == pose.actions
 
 
 def test_read_pose_missing_record(tmp_path, topo):

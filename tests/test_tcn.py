@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poselift import synth
 from poselift.autodiff import Tensor
@@ -11,7 +13,7 @@ from poselift.errors import (ConfigError, InvalidInputError, InvalidWindowError,
 from poselift.experiment import real_windows
 from poselift.skeleton import (PoseSequence2D, PoseSequence3D, project_to_crop,
                                rotation_matrix)
-from poselift.tcn import (LossWeights, TcnConfig, TcnModel, TrainConfig,
+from poselift.tcn import (ACTIVATIONS, LossWeights, TcnConfig, TcnModel, TrainConfig,
                           frame_inputs, loss_2d, loss_3d, loss_multiview,
                           total_loss, train)
 
@@ -551,6 +553,41 @@ def test_checkpoint_roundtrip(tmp_path, topo):
     coords, conf, mask = random_window(model.config, rng)
     assert np.array_equal(predict_window(loaded, coords, conf, mask),
                           predict_window(model, coords, conf, mask))
+
+
+@st.composite
+def tcn_configs(draw):
+    strides = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3))))
+    kernel = draw(st.sampled_from((1, 3, 5)))
+    branch_layers = draw(st.integers(1, 2))
+    widest = 1 + branch_layers * (kernel - 1) * strides[-1]
+    return TcnConfig(
+        n_keypoints=draw(st.integers(1, 4)), embed_dim=draw(st.integers(1, 5)),
+        window_len=widest + draw(st.integers(0, 3)), strides=strides,
+        channels=draw(st.integers(1, 5)), kernel=kernel, branch_layers=branch_layers,
+        use_embedding=draw(st.booleans()), activation=draw(st.sampled_from(sorted(ACTIVATIONS))),
+        output_scale_mm=draw(st.floats(min_value=0.0, exclude_min=True,
+                                       allow_infinity=False)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cfg=tcn_configs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_checkpoint_gives_back_every_array_and_the_config_exactly(tmp_path_factory, cfg,
+                                                                    seed):
+    model = TcnModel(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    # every parameter random, the zero-initialised head included
+    model.load_state({name: rng.normal(0.0, 10.0 ** rng.integers(-3, 4), a.shape)
+                      for name, a in model.state_arrays().items()})
+    path = tmp_path_factory.mktemp("tcn") / "model.npz"
+    model.save(path)
+    loaded = TcnModel.load(path)
+    assert loaded.config == cfg
+    want, got = model.state_arrays(), loaded.state_arrays()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == np.float64
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_checkpoint_kind_guard(tmp_path):
