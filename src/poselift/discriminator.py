@@ -144,4 +144,7 @@ class KcsEnergyModel:
             if not fits:
                 raise InvalidInputError(f"{path}: kcs-energy checkpoint entry {name!r} has "
                                         f"shape {arrays[name].shape}, not {want}")
+        if type(interval) is not int or interval < 1:
+            raise InvalidInputError(f"{path}: kcs-energy checkpoint entry 'interval' is "
+                                    f"{interval!r}, not an integer >= 1")
         return cls(mean, precision, incidence, interval, fit_energies)

@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
 from .skeleton import CROP_PX, PoseSequence2D, PoseSequence3D
 
-WEIGHT_MODES = ("constant", "confidence", "calibrated", "hard", "soft")
+WEIGHT_MODES = ("constant", "confidence", "hard", "soft")
 REFIT_EVERY = 25                  # descent iterations between projection refits
 HARD_THRESHOLD = 0.7              # hard mode zeroes confidences below this
 
@@ -101,7 +101,7 @@ def reprojection_weight(mode: str, conf, dist=None, sigma: float = 1.0) -> np.nd
         raise InvalidInputError("confidence values must lie in [0,1]")
     if mode == "constant":
         return np.ones_like(conf)
-    if mode in ("confidence", "calibrated"):
+    if mode == "confidence":
         return conf.copy()
     if mode == "hard":
         return np.where(conf >= HARD_THRESHOLD, conf, 0.0)
@@ -126,7 +126,8 @@ class IsoConfig:
 
     def __post_init__(self):
         if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(f"unknown weight mode {self.weight_mode!r}")
+            raise ConfigError(f"weight_mode {self.weight_mode!r} is not one of "
+                              + "/".join(WEIGHT_MODES))
         if self.sigma <= 0:
             raise ConfigError("sigma must be > 0")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -189,9 +190,10 @@ def _lift_window(pose) -> Tensor:
 
 def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
                     scale: float, trans: np.ndarray) -> np.ndarray:
-    """T x K reprojection weights; masked detections weigh exactly zero."""
+    """T x K reprojection weights, read from the mapped confidences when a
+    calibration map is set; masked detections weigh exactly zero."""
     conf = det2d.confidence
-    if cfg.calibration is not None and cfg.weight_mode in ("calibrated", "hard", "soft"):
+    if cfg.calibration is not None:
         conf = np.where(det2d.mask, 0.0, cfg.calibration(conf))
     frames3d = np.asarray(frames3d, dtype=np.float64)
     proj = frames3d[:, :, :2] * scale + trans[:, None, :]

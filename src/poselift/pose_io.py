@@ -80,149 +80,140 @@ def default_topology() -> SkeletonTopology:
 
 # ---------------------------------------------------------------- pose tables
 
-def _split_meta(lines):
-    """({key: value} of the comment lines, [(line number, text)] of the rest)."""
-    meta = {}
-    body = []
-    for lineno, line in enumerate(lines, 1):
-        s = line.strip()
-        if not s:
-            continue
-        if s.startswith("#"):
-            s = s[1:].strip()
-            if "=" in s:
-                key, val = s.split("=", 1)
-                meta[key.strip()] = val.strip()
-            continue
-        body.append((lineno, s))
-    return meta, body
+def _lines(path):
+    """(line number, text) of each line of a file that is not blank, stripped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if s := line.strip():
+                yield lineno, s
 
 
 _MASK = {"0": False, "false": False, "False": False, "1": True, "true": True, "True": True}
 
 
-def _read_table(path, want_z, topo: SkeletonTopology):
-    """(meta, coords, conf, mask, actions) of a pose table file.
+def _columns(dim: int) -> list:
+    """The header of a `dim`-D pose table, which an `action` column may follow."""
+    return ["frame", "keypoint", "x", "y", "z"][:2 + dim] + ["conf", "mask"]
+
+
+def _read_table(path, dim: int, topo: SkeletonTopology):
+    """(meta, coords, conf, mask, actions) of a `dim`-D pose table file.
 
     The header is the base columns, optionally followed by `action`, at
     least one row follows it, and every row has one parseable field per
     column; InvalidInputError names the file (and line) that breaks this.
+
+    A complete table of n rows holds frames 0 .. n/K - 1, so each row goes
+    straight to slot frame * K + keypoint of arrays sized n. A row whose
+    slot lies outside them is a stray, which only a table with a frame gap
+    or a missing record has.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        meta, body = _split_meta(fh.readlines())
-    base = ["frame", "keypoint", "x", "y"] + (["z"] if want_z else []) + ["conf", "mask"]
-    lineno, text = body[0] if body else (1, "")
+    meta, n = {}, -1                  # n counts the rows after the header
+    for _, s in _lines(path):
+        if not s.startswith("#"):
+            n += 1
+        elif "=" in s:
+            key, val = s[1:].split("=", 1)
+            meta[key.strip()] = val.strip()
+    base, rows = _columns(dim), _lines(path)
+    lineno, text = next(((i, s) for i, s in rows if not s.startswith("#")), (1, ""))
     header = text.split(",")
     if header not in (base, base + ["action"]):
         raise InvalidInputError(f"{path}:{lineno}: pose header {text!r} is not "
                                 f"{','.join(base)}[,action]")
-    if len(body) == 1:
+    if n == 0:
         raise InvalidInputError(f"{path}: pose table has a header but no rows")
-    dim = 3 if want_z else 2
-    records = {}
-    actions = {}
-    for lineno, row in body[1:]:
+    k_all = topo.K
+    values = np.empty((n, dim + 1))                 # coordinates, then conf
+    mask = np.empty(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
+    strays = set()
+    keypoint = {name: k for k, name in enumerate(topo.keypoint_names)}
+    actions = [""] * -(-n // k_all) if len(header) > len(base) else None    # per frame
+    for lineno, row in rows:
+        if row.startswith("#"):
+            continue
         parts = row.split(",")
         if len(parts) != len(header):
             raise InvalidInputError(f"{path}:{lineno}: {len(parts)} fields, header has {len(header)}")
         try:
             f = int(parts[0])
-            coords = [float(v) for v in parts[2:2 + dim]]
-            conf = float(parts[2 + dim])
-            mask = _MASK[parts[3 + dim].strip()]
+            vals = list(map(float, parts[2:3 + dim]))
+            masked = _MASK[parts[3 + dim].strip()]
         except ValueError as e:
             raise InvalidInputError(f"{path}:{lineno}: {e}") from None
         except KeyError:
             raise InvalidInputError(f"{path}:{lineno}: mask {parts[3 + dim]!r} is not one of "
                                     + "/".join(_MASK)) from None
-        try:
-            k = topo.index(parts[1])
-        except TopologyError as e:
-            raise TopologyError(f"{path}:{lineno}: {e}") from None
-        if (f, k) in records:
+        if parts[1] not in keypoint:
+            raise TopologyError(f"{path}:{lineno}: unknown keypoint {parts[1]!r}")
+        slot = f * k_all + keypoint[parts[1]]
+        inside = 0 <= slot < n
+        if seen[slot] if inside else slot in strays:
             raise InvalidInputError(f"{path}:{lineno}: duplicate record frame={f} keypoint={parts[1]}")
-        records[(f, k)] = (coords, conf, mask)
-        if len(header) > len(base):
+        if not inside:
+            strays.add(slot)
+            continue
+        seen[slot] = True
+        values[slot] = vals
+        mask[slot] = masked
+        if actions is not None:
             actions[f] = parts[4 + dim]
-    frames_present = sorted({f for f, _ in records})
-    if frames_present != list(range(len(frames_present))):
-        raise InvalidInputError(f"{path}: frame indices must be contiguous from 0")
-    t, k = len(frames_present), topo.K
-    coords = np.zeros((t, k, dim))
-    conf = np.zeros((t, k))
-    mask = np.zeros((t, k), dtype=bool)
-    for f in range(t):
-        for j in range(k):
-            if (f, j) not in records:
-                raise InvalidInputError(f"{path}: missing record frame={f} "
-                                        f"keypoint={topo.keypoint_names[j]}")
-            c, cf, m = records[(f, j)]
-            coords[f, j] = c
-            conf[f, j] = cf
-            mask[f, j] = m
-    action_list = [actions.get(f, "") for f in range(t)] if actions else None
-    return meta, coords, conf, mask, action_list
+    if strays:
+        present = {s // k_all for s in strays}.union((np.flatnonzero(seen) // k_all).tolist())
+        if present != set(range(len(present))):
+            raise InvalidInputError(f"{path}: frame indices must be contiguous from 0")
+    if strays or n % k_all:
+        first = int(np.argmin(seen)) if strays else n
+        raise InvalidInputError(f"{path}: missing record frame={first // k_all} "
+                                f"keypoint={topo.keypoint_names[first % k_all]}")
+    shape = (n // k_all, k_all)
+    return (meta, values[:, :dim].reshape(shape + (dim,)).copy(),
+            values[:, dim].reshape(shape).copy(), mask.reshape(shape), actions)
+
+
+def _write_table(path, meta: list, coords, conf, mask, actions, topo: SkeletonTopology) -> None:
+    """The `meta` comment lines, the header and one row per frame and keypoint; an
+    action cannot hold a comma or line break, nor end in whitespace the reader strips."""
+    for a in set(actions or ()):
+        if any(c in a for c in ",\n\r") or a != a.rstrip():
+            raise InvalidInputError(f"action {a!r} contains a comma or line break or ends "
+                                    "in whitespace, which a pose table cannot hold")
+    dim = coords.shape[-1]
+    header = ",".join(_columns(dim)) + ("" if actions is None else ",action")
+    row = "%d,%s" + ",%.9g" * (dim + 1) + ",%d" + ("" if actions is None else ",%s")
+    cols = np.concatenate([coords, conf[..., None], mask[..., None]], axis=-1).tolist()
+    lines = meta + [header]
+    for f, frame in enumerate(cols):
+        tail = () if actions is None else (actions[f],)
+        lines.extend([row % (f, name, *v, *tail)
+                      for name, v in zip(topo.keypoint_names, frame, strict=True)])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_pose3d(path, topo: SkeletonTopology) -> PoseSequence3D:
-    meta, coords, conf, mask, actions = _read_table(path, True, topo)
+    meta, coords, conf, mask, actions = _read_table(path, 3, topo)
     vis = ~mask if mask.any() else None
     root_rel = meta.get("root_relative", "1") not in ("0", "false", "False")
     return PoseSequence3D(coords, visibility=vis, root_relative=root_rel, actions=actions)
 
 
-def _check_actions(actions) -> None:
-    """An action cannot hold a comma or line break, nor end in whitespace the reader strips."""
-    for a in set(actions or ()):
-        if any(c in a for c in ",\n\r") or a != a.rstrip():
-            raise InvalidInputError(f"action {a!r} contains a comma or line break or ends "
-                                    "in whitespace, which a pose table cannot hold")
-
-
 def write_pose3d(path, pose: PoseSequence3D, topo: SkeletonTopology) -> None:
-    _check_actions(pose.actions)
-    lines = [f"# root_relative = {1 if pose.root_relative else 0}"]
-    cols = "frame,keypoint,x,y,z,conf,mask"
-    if pose.actions is not None:
-        cols += ",action"
-    lines.append(cols)
-    vis = pose.visibility
-    for f in range(pose.T):
-        for j, name in enumerate(topo.keypoint_names):
-            x, y, z = pose.frames[f, j]
-            masked = 0 if vis is None else int(not vis[f, j])
-            row = f"{f},{name},{x:.9g},{y:.9g},{z:.9g},1,{masked}"
-            if pose.actions is not None:
-                row += f",{pose.actions[f]}"
-            lines.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    hidden = np.zeros(pose.frames.shape[:2], bool) if pose.visibility is None else ~pose.visibility
+    _write_table(path, [f"# root_relative = {1 if pose.root_relative else 0}"], pose.frames,
+                 np.ones(hidden.shape), hidden, pose.actions, topo)
 
 
 def read_pose2d(path, topo: SkeletonTopology) -> PoseSequence2D:
-    meta, coords, conf, mask, actions = _read_table(path, False, topo)
+    meta, coords, conf, mask, actions = _read_table(path, 2, topo)
     scale = float(meta["scale_mm"]) if "scale_mm" in meta else None
     return PoseSequence2D(coords, confidence=conf, mask=mask, scale_mm=scale, actions=actions)
 
 
 def write_pose2d(path, pose: PoseSequence2D, topo: SkeletonTopology) -> None:
-    _check_actions(pose.actions)
-    lines = []
-    if pose.scale_mm is not None:
-        lines.append(f"# scale_mm = {pose.scale_mm:.9g}")
-    cols = "frame,keypoint,x,y,conf,mask"
-    if pose.actions is not None:
-        cols += ",action"
-    lines.append(cols)
-    for f in range(pose.T):
-        for j, name in enumerate(topo.keypoint_names):
-            x, y = pose.frames[f, j]
-            row = f"{f},{name},{x:.9g},{y:.9g},{pose.confidence[f, j]:.9g},{int(pose.mask[f, j])}"
-            if pose.actions is not None:
-                row += f",{pose.actions[f]}"
-            lines.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    meta = [] if pose.scale_mm is None else [f"# scale_mm = {pose.scale_mm:.9g}"]
+    _write_table(path, meta, pose.frames, pose.confidence, pose.mask, pose.actions, topo)
 
 
 def write_json(path, obj) -> None:

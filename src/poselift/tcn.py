@@ -163,10 +163,11 @@ class TcnModel:
         if meta.get("kind") != "tcn":
             raise InvalidInputError(f"not a model checkpoint: kind={meta.get('kind')!r}")
         try:   # tkcs_interval is a retired field that older checkpoints still hold
-            cfg = TcnConfig(**{k: v for k, v in meta["config"].items() if k != "tkcs_interval"})
-        except (KeyError, AttributeError, TypeError, ConfigError) as e:
-            raise InvalidInputError(f"checkpoint config does not build a model: {e}") from None
-        model = cls(cfg)
+            model = cls(TcnConfig(**{k: v for k, v in meta["config"].items()
+                                     if k != "tkcs_interval"}))
+        except (KeyError, AttributeError, TypeError, ValueError, ConfigError) as e:
+            raise InvalidInputError(f"checkpoint config in {path} does not build a model: "
+                                    f"{e}") from None
         model.load_state(arrays)
         return model
 

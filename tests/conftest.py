@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from poselift.pose_io import default_topology
+
+# every property test: no per-example deadline (the suite shares its machine),
+# the same examples on every run, and no example database left behind
+settings.register_profile("poselift", deadline=None, derandomize=True, database=None)
+settings.load_profile("poselift")
 
 
 @pytest.fixture(scope="session")

@@ -8,16 +8,19 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poselift.cli import _keys, _section, load_config, main
 from poselift.experiment import ExperimentConfig
-from poselift.iso import IsoConfig
+from poselift.iso import WEIGHT_MODES, IsoConfig
 from poselift.pose_io import parse_config
 from poselift.kcs import discriminator_features
-from poselift.pose_io import (default_topology, read_pose2d, read_pose3d, save_checkpoint,
-                              write_pose3d)
+from poselift.pose_io import (default_topology, load_checkpoint, read_pose2d, read_pose3d,
+                              save_checkpoint, write_pose3d)
 from poselift.skeleton import PoseSequence3D, project_to_crop
 from poselift.synth import SyntheticMotionConfig, generate
+from poselift.tcn import ACTIVATIONS
 from poselift.visibility import sequence_visibility
 
 TOPO = default_topology()
@@ -275,6 +278,8 @@ def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path,
 @pytest.mark.parametrize("key, value, named", [
     ("occ.p1", 2, "occ.p1=2.0 outside [0,1]"),
     ("iso.sigma", 0, "iso.sigma must be > 0"),
+    ("iso.weight_mode", "calibrated",
+     "iso.weight_mode 'calibrated' is not one of constant/confidence/hard/soft"),
     ("tcn.kernel", 4, "tcn.kernel must be odd"),
     ("train.w1", -1, "train.*: loss weights must be nonnegative"),
     ("iso.cal_temperature", 0, "iso.cal_*: calibration temperature"),
@@ -431,6 +436,43 @@ def test_iso_refine_on_a_scorer_checkpoint_with_a_misshapen_entry_exits_2(
     assert not (tmp_path / "o" / "refined.pose3d").exists()
 
 
+@pytest.mark.parametrize("interval", [1.5, "x", None, 0, -2, True])
+def test_iso_refine_on_a_scorer_checkpoint_with_a_bad_interval_exits_2(
+        sample_files, tmp_path, capsys, interval):
+    arrays = {"mean": np.zeros(323), "precision": np.eye(323),
+              "incidence": np.zeros((17, 16)), "fit_energies": np.zeros(1)}
+    scorer = tmp_path / "scorer.npz"
+    save_checkpoint(scorer, arrays, {"kind": "kcs-energy", "interval": interval})
+    cfg = write_cfg(tmp_path / "r.cfg", scorer=scorer,
+                    pose3d=sample_files / "seq00_v0_gt.pose3d",
+                    det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("iso-refine", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"poselift iso-refine: InvalidInputError: {scorer}: kcs-energy checkpoint entry "
+        f"'interval' is {interval!r}, not an integer >= 1\n")
+    assert not (tmp_path / "o" / "refined.pose3d").exists()
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("embed_dim", 1.5, "'float' object cannot be interpreted as an integer"),
+    ("strides", "ab", "invalid literal for int()"),
+    ("channels", "32", "'<' not supported"),
+])
+def test_infer_on_a_model_checkpoint_with_a_bad_config_value_exits_2(
+        trained, sample_files, tmp_path, capsys, key, value, named):
+    arrays, meta = load_checkpoint(trained / "model.ckpt.npz")
+    model = tmp_path / "odd.npz"
+    save_checkpoint(model, arrays, {**meta, "config": {**meta["config"], key: value}})
+    cfg = write_cfg(tmp_path / "i.cfg", model=model, det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("infer", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"poselift infer: InvalidInputError: checkpoint config in {model} "
+                          "does not build a model: ")
+    assert named in err
+    assert not (tmp_path / "o" / "pred.pose3d").exists()
+
+
 def test_train_with_sequences_shorter_than_the_scorer_window_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "t.cfg", **{"synth.n_sequences": 2, "synth.frames": 10})
     assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -565,6 +607,71 @@ def test_every_default_round_trips_through_config_text():
             lines.append(f"{key} = {config_text(value)}")
     assert unset == {"data_dir"}
     assert load_config(parse_config("\n".join(lines))) == full
+
+
+def floats(lo=None, hi=None, **bounds):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **bounds)
+
+
+POSITIVE = floats(0.0, exclude_min=True)
+NONNEGATIVE = floats(0.0)
+UNIT = floats(0.0, 1.0)
+# a valid value for each config field, by field name; window_len and
+# scorer_window are drawn as their excess over the least value the other
+# fields allow
+FIELD_VALUES = {
+    **dict.fromkeys(("seed", "epochs", "iterations", "window_len", "scorer_window"),
+                    st.integers(0, 2**32)),
+    **dict.fromkeys(("aug_copies", "scorer_interval", "n_sequences", "branch_layers",
+                     "channels", "embed_dim", "n_keypoints", "batch_size", "snapshot_every",
+                     "steps_per_epoch"), st.integers(1, 10**6)),
+    **dict.fromkeys(("frames", "l", "gen_window"), st.integers(2, 10**6)),
+    "kernel": st.integers(0, 10).map(lambda i: 2 * i + 1),
+    "strides": st.lists(st.integers(1, 99), min_size=1, max_size=5, unique=True).map(
+        lambda s: tuple(sorted(s))),
+    **dict.fromkeys(("angle_step", "noise_px", "bias"), floats()),
+    **dict.fromkeys(("scorer_reg", "temperature", "sigma", "step_size", "output_scale_mm",
+                     "lr_decay"), POSITIVE),
+    **dict.fromkeys(("lambda1", "lambda2", "lr", "w1", "w2", "w3"), NONNEGATIVE),
+    **dict.fromkeys(("mask_occluded_prob", "p1", "p2", "p3", "frame_block_prob",
+                     "shift_prob", "swap_prob"), UNIT),
+    "momentum": floats(0.0, 1.0, exclude_max=True),
+    "speed_multipliers": st.lists(POSITIVE, max_size=4).map(tuple),
+    "view_rotations": st.lists(st.tuples(floats(), floats(), floats()), max_size=3).map(tuple),
+    "use_embedding": st.booleans(),
+    "activation": st.sampled_from(sorted(ACTIVATIONS)),
+    "weight_mode": st.sampled_from(WEIGHT_MODES),
+    "data_dir": st.sampled_from([str(Path(__file__).parent), str(Path(__file__).parents[1])]),
+}
+
+
+@st.composite
+def config_values(draw):
+    """{key: value} for every config key, values that build together."""
+    values = {key: draw(FIELD_VALUES[path[-1]])
+              for key, (path, _) in _keys(ExperimentConfig).items()}
+    values["tcn.window_len"] += 1 + (values["tcn.branch_layers"] * (values["tcn.kernel"] - 1)
+                                     * max(values["tcn.strides"]))
+    values["scorer_window"] += values["scorer_interval"] + 1
+    return values
+
+
+def config_value(cfg, path):
+    for name in path:
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+@settings(max_examples=60)
+@given(values=config_values())
+def test_every_key_round_trips_through_config_text(values):
+    keys = _keys(ExperimentConfig)
+    cfg = load_config(parse_config("".join(f"{key} = {config_text(value)}\n"
+                                           for key, value in values.items())))
+    assert {key: config_value(cfg, path) for key, (path, _) in keys.items()} == values
+    again = "".join(f"{key} = {config_text(config_value(cfg, path))}\n"
+                    for key, (path, _) in keys.items())
+    assert load_config(parse_config(again)) == cfg
 
 
 def test_readme_demo_config_is_the_experiment_default_plus_its_keys():

@@ -231,7 +231,7 @@ def test_train_matches_graph_scorer(topo):
         assert np.abs(a[name] - b[name]).max() <= 1e-9, name
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), interval=st.integers(1, 3),
        extra=st.integers(0, 6), spread=st.floats(50.0, 500.0))
 def test_energy_gradient_matches_central_differences(seed, interval, extra, spread):

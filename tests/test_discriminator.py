@@ -222,7 +222,7 @@ def energy_models(draw):
         draw(hnp.arrays(np.float64, draw(st.integers(0, 4)), elements=ENTRIES)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(model=energy_models())
 def test_energy_checkpoint_gives_back_every_array_and_the_interval_exactly(
         tmp_path_factory, model):

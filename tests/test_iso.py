@@ -7,8 +7,8 @@ from scipy.ndimage import uniform_filter1d
 from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
 from poselift.errors import ConfigError, InvalidInputError
-from poselift.iso import (CalibratedConfidence, IsoConfig, calibrate,
-                          compute_weights, fit_projection, iso_loss, refine,
+from poselift.iso import (HARD_THRESHOLD, WEIGHT_MODES, CalibratedConfidence, IsoConfig,
+                          calibrate, compute_weights, fit_projection, iso_loss, refine,
                           rep_loss, reprojection_weight, smooth_loss)
 from poselift.pose_io import default_topology
 from poselift.skeleton import PoseSequence2D, PoseSequence3D, project_to_crop
@@ -141,8 +141,6 @@ def test_weight_modes():
         reprojection_weight("constant", conf), np.ones(7))
     np.testing.assert_array_equal(
         reprojection_weight("confidence", conf), conf)
-    np.testing.assert_array_equal(
-        reprojection_weight("calibrated", conf), conf)
     hard = reprojection_weight("hard", conf)
     np.testing.assert_array_equal(hard, [0, 0, 0, 0, 0.7, 0.9, 1.0])
     soft = reprojection_weight("soft", conf, dist, sigma=1.0)
@@ -190,20 +188,23 @@ def test_compute_weights_masked_zero_and_calibration_routing():
     det = PoseSequence2D(det.frames, conf, mask, SCALE_MM)
     sharp = CalibratedConfidence(50.0, 0.0)
     scale, trans = fit_projection(gt.frames, det)
-    for mode in ("constant", "confidence", "calibrated", "hard", "soft"):
+    for mode in WEIGHT_MODES:
         cfg = IsoConfig(weight_mode=mode, calibration=sharp)
         w = compute_weights(gt.frames, det, cfg, scale, trans)
         assert w.shape == mask.shape
         assert np.all(w[mask] == 0.0)
         assert np.all((w >= 0) & (w <= 1))
-    # confidence mode must use the raw scores even with a map configured
+    # confidence mode weighs by the raw scores, or by their map when one is set
+    w = compute_weights(gt.frames, det, IsoConfig(weight_mode="confidence"), scale, trans)
+    np.testing.assert_array_equal(w[~mask], conf[~mask])
     cfg = IsoConfig(weight_mode="confidence", calibration=sharp)
     w = compute_weights(gt.frames, det, cfg, scale, trans)
-    np.testing.assert_array_equal(w[~mask], conf[~mask])
-    # calibrated mode must not
-    cfg = IsoConfig(weight_mode="calibrated", calibration=sharp)
-    w = compute_weights(gt.frames, det, cfg, scale, trans)
     np.testing.assert_allclose(w[~mask], sharp(conf[~mask]))
+    # hard mode thresholds the mapped scores
+    cfg = IsoConfig(weight_mode="hard", calibration=sharp)
+    w = compute_weights(gt.frames, det, cfg, scale, trans)
+    mapped = sharp(conf[~mask])
+    np.testing.assert_array_equal(w[~mask], np.where(mapped >= HARD_THRESHOLD, mapped, 0.0))
 
 
 # ------------------------------------------------------------- alignment
@@ -266,7 +267,7 @@ def test_rep_loss_zero_at_exact_projection():
     det = project_to_crop(gt, SCALE_MM)
     det = PoseSequence2D(det.frames, np.full(det.frames.shape[:2], 0.9),
                          np.zeros(det.frames.shape[:2], bool), SCALE_MM)
-    for mode in ("constant", "confidence", "calibrated", "hard", "soft"):
+    for mode in WEIGHT_MODES:
         cfg = IsoConfig(weight_mode=mode)
         assert rep_loss(gt.frames, det, cfg).item() == pytest.approx(0.0, abs=1e-18)
 

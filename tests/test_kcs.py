@@ -184,7 +184,7 @@ def test_features_reject_a_window_of_another_skeleton(topo):
         discriminator_features(PoseSequence3D(frames), topo)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), interval=st.integers(1, 3),
        extra=st.integers(0, 8), shift_mm=st.floats(0.0, 5000.0))
 def test_features_psi_phi_invariant_to_rigid_motion(topo, seed, interval, extra, shift_mm):

@@ -92,7 +92,7 @@ def poses2d(draw):
                           actions=draw(actions_for(t)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(pose=poses3d())
 def test_pose3d_round_trips_within_the_written_precision(tmp_path_factory, topo, pose):
     path = tmp_path_factory.mktemp("pose3d") / "p.pose3d"
@@ -108,7 +108,7 @@ def test_pose3d_round_trips_within_the_written_precision(tmp_path_factory, topo,
     assert back.actions == pose.actions
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(pose=poses2d())
 def test_pose2d_round_trips_within_the_written_precision(tmp_path_factory, topo, pose):
     path = tmp_path_factory.mktemp("pose2d") / "p.pose2d"
@@ -156,6 +156,103 @@ def test_read_pose_rejects_malformed_tables_naming_the_line(tmp_path, topo, text
     path.write_text(text)
     with pytest.raises(InvalidInputError, match=re.escape(f"{path}{named}")):
         read_pose3d(path, topo)
+
+
+# the 2D reader checks the same way, on two columns fewer
+@pytest.mark.parametrize("text, named", [
+    ("", ":1: pose header '' is not frame,keypoint,x,y,conf,mask[,action]"),
+    ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1,0\n", ":1: pose header"),
+    ("# scale_mm = 2000\nframe,keypoint,x,y,conf,mask\n", ": pose table has a header but no rows"),
+    ("frame,keypoint,x,y,conf,mask\n0,pelvis,0,0,1\n", ":2: 5 fields, header has 6"),
+    ("frame,keypoint,x,y,conf,mask,action\n0,pelvis,0,0,1,0\n", ":2: 6 fields, header has 7"),
+    ("frame,keypoint,x,y,conf,mask\n\n0,pelvis,0,0,1,yes\n", ":3: mask 'yes' is not one of"),
+    ("frame,keypoint,x,y,conf,mask\n0,pelvis,0,0,high,0\n", ":2: could not convert"),
+    ("frame,keypoint,x,y,conf,mask\nfirst,pelvis,0,0,1,0\n", ":2: invalid literal for int()"),
+    ("frame,keypoint,x,y,conf,mask\n-1,pelvis,0,0,1,0\n",
+     ": frame indices must be contiguous from 0"),
+    ("frame,keypoint,x,y,conf,mask\n0,pelvis,0,0,1,0\n", ": missing record frame=0 keypoint=hip_r"),
+])
+def test_read_pose2d_rejects_malformed_tables_naming_the_line(tmp_path, topo, text, named):
+    path = tmp_path / "bad.pose2d"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}{named}")):
+        read_pose2d(path, topo)
+
+
+def table_rows(dim, frames, keypoints):
+    """Rows of a well-formed `dim`-D table body, zero coordinates, nothing masked."""
+    return "".join(f"{f},{name}" + ",0" * dim + ",1,0\n" for f in frames for name in keypoints)
+
+
+@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
+def test_read_pose_names_each_single_fault(tmp_path, topo, read, dim):
+    header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
+    names = topo.keypoint_names
+    path = tmp_path / "bad.pose"
+    for body, named, err in (
+            (table_rows(dim, [0, 0], names[:1]) + table_rows(dim, [0], names[1:]),
+             ":3: duplicate record frame=0 keypoint=pelvis", InvalidInputError),
+            (table_rows(dim, [0, 1], names) + table_rows(dim, [1], names[3:4]),
+             f":{2 + 2 * len(names)}: duplicate record frame=1 keypoint={names[3]}",
+             InvalidInputError),
+            (table_rows(dim, [0, 2], names), ": frame indices must be contiguous from 0",
+             InvalidInputError),
+            (table_rows(dim, [1], names), ": frame indices must be contiguous from 0",
+             InvalidInputError),
+            (table_rows(dim, [0], names[1:]) + table_rows(dim, [1], names),
+             ": missing record frame=0 keypoint=pelvis", InvalidInputError),
+            (table_rows(dim, [0, 1], names[:-1]) + table_rows(dim, [2], names),
+             f": missing record frame=0 keypoint={names[-1]}", InvalidInputError),
+            (table_rows(dim, [0], names) + table_rows(dim, [1], names[:-1]),
+             f": missing record frame=1 keypoint={names[-1]}", InvalidInputError),
+            (table_rows(dim, [0], names[:5]) + table_rows(dim, [0], ["knuckle"]),
+             ":7: unknown keypoint 'knuckle'", TopologyError)):
+        path.write_text(header + body)
+        with pytest.raises(err, match=re.escape(f"{path}{named}")):
+            read(path, topo)
+
+
+# a three-keypoint skeleton keeps the golden tables short
+TINY = parse_topology("keypoint pelvis\nkeypoint neck\nkeypoint head_top\n"
+                      "bone pelvis neck 50\nbone neck head_top 40\nhead head_top neck\n"
+                      "torso neck pelvis pelvis pelvis pelvis\n")
+
+
+def test_write_pose3d_golden_bytes(tmp_path):
+    frames = [[[0.0, 0.0, 0.0], [0.1, -1234.5678, 1 / 3], [1e-10, 123456789012.0, -0.0]],
+              [[2.5, -3.0, 4.0], [100.0, 200.0, 300.0], [-7.25, 1e21, 0.000123]]]
+    pose = PoseSequence3D(frames, visibility=[[True, False, True], [True, True, False]],
+                          root_relative=False, actions=["walk", "sit down"])
+    path = tmp_path / "p.pose3d"
+    write_pose3d(path, pose, TINY)
+    assert path.read_bytes() == (
+        b"# root_relative = 0\n"
+        b"frame,keypoint,x,y,z,conf,mask,action\n"
+        b"0,pelvis,0,0,0,1,0,walk\n"
+        b"0,neck,0.1,-1234.5678,0.333333333,1,1,walk\n"
+        b"0,head_top,1e-10,1.23456789e+11,-0,1,0,walk\n"
+        b"1,pelvis,2.5,-3,4,1,0,sit down\n"
+        b"1,neck,100,200,300,1,0,sit down\n"
+        b"1,head_top,-7.25,1e+21,0.000123,1,1,sit down\n")
+
+
+def test_write_pose2d_golden_bytes(tmp_path):
+    frames = [[[0.5, 0.25], [0.0, 0.0], [1 / 7, 0.999999999999]],
+              [[0.0, 0.0], [1e-5, -0.125], [2.0, 0.3]]]
+    mask = [[False, True, False], [True, False, False]]
+    conf = [[0.9, 0.0, 1.0], [0.0, 0.123456789123, 2 / 3]]
+    pose = PoseSequence2D(frames, confidence=conf, mask=mask, scale_mm=1234.56789)
+    path = tmp_path / "d.pose2d"
+    write_pose2d(path, pose, TINY)
+    assert path.read_bytes() == (
+        b"# scale_mm = 1234.56789\n"
+        b"frame,keypoint,x,y,conf,mask\n"
+        b"0,pelvis,0.5,0.25,0.9,0\n"
+        b"0,neck,0,0,0,1\n"
+        b"0,head_top,0.142857143,1,1,0\n"
+        b"1,pelvis,0,0,0,1\n"
+        b"1,neck,1e-05,-0.125,0.123456789,0\n"
+        b"1,head_top,2,0.3,0.666666667,0\n")
 
 
 def test_topology_parse_errors():

@@ -277,7 +277,7 @@ def _grid_frames():
 GRID_FRAMES = _grid_frames()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(start=st.integers(0, 199), length=st.integers(1, 40),
        dz=st.integers(-10_000, 10_000))
 def test_hard_visibility_invariant_to_z_translation(topo, start, length, dz):

@@ -570,7 +570,7 @@ def tcn_configs(draw):
                                        allow_infinity=False)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(cfg=tcn_configs(), seed=st.integers(0, 2 ** 32 - 1))
 def test_checkpoint_gives_back_every_array_and_the_config_exactly(tmp_path_factory, cfg,
                                                                     seed):
