@@ -594,13 +594,17 @@ def all_sections_built(cls, value=None):
                              for f in fields(cls) if (sub := _section(hints[f.name]))})
 
 
+def config_value(cfg, path):
+    for name in path:
+        cfg = getattr(cfg, name)
+    return cfg
+
+
 def test_every_default_round_trips_through_config_text():
     full = all_sections_built(ExperimentConfig)
     lines, unset = [], set()
     for key, (path, _) in _keys(ExperimentConfig).items():
-        value = full
-        for name in path:
-            value = getattr(value, name)
+        value = config_value(full, path)
         if value is None:
             unset.add(key)
         else:
@@ -654,12 +658,6 @@ def config_values(draw):
                                      * max(values["tcn.strides"]))
     values["scorer_window"] += values["scorer_interval"] + 1
     return values
-
-
-def config_value(cfg, path):
-    for name in path:
-        cfg = getattr(cfg, name)
-    return cfg
 
 
 @settings(max_examples=60)

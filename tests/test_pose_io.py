@@ -185,7 +185,7 @@ def table_rows(dim, frames, keypoints):
 
 
 @pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
-def test_read_pose_names_each_single_fault(tmp_path, topo, read, dim):
+def test_read_pose_names_record_faults(tmp_path, topo, read, dim):
     header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
     names = topo.keypoint_names
     path = tmp_path / "bad.pose"
@@ -197,6 +197,9 @@ def test_read_pose_names_each_single_fault(tmp_path, topo, read, dim):
              InvalidInputError),
             (table_rows(dim, [0, 2], names), ": frame indices must be contiguous from 0",
              InvalidInputError),
+            # a duplicate is named before the gap it lies beyond
+            (table_rows(dim, [0], names) + table_rows(dim, [2, 2], names[:1]),
+             f":{3 + len(names)}: duplicate record frame=2 keypoint=pelvis", InvalidInputError),
             (table_rows(dim, [1], names), ": frame indices must be contiguous from 0",
              InvalidInputError),
             (table_rows(dim, [0], names[1:]) + table_rows(dim, [1], names),
