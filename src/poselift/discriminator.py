@@ -46,7 +46,13 @@ class KcsEnergyModel:
         self.incidence = np.asarray(incidence, dtype=np.float64)
         self.interval = int(interval)
         self.fit_energies = np.asarray(fit_energies, dtype=np.float64)
-        self._iu = np.triu_indices(self.incidence.shape[1])
+        m = self.incidence.shape[1]
+        self._iu = np.triu_indices(m)
+        # M*M map of bone pair (a, b) to the upper-triangle slot of (min, max)
+        slot = np.empty((m, m), dtype=np.intp)
+        slot[self._iu] = np.arange(len(self._iu[0]))
+        slot.T[self._iu] = slot[self._iu]
+        self._sym = slot.reshape(-1)
 
     @classmethod
     def fit(cls, windows: list, topo: SkeletonTopology, interval: int = 1,
@@ -88,26 +94,29 @@ class KcsEnergyModel:
         x = frames if isinstance(frames, Tensor) else Tensor(
             np.asarray(frames, dtype=np.float64))
         bones, rows = feature_rows(x.data, self.incidence, self.interval, self._iu)
-        d = rows - self.mean
-        y = d @ self.precision
-        t, i = d.shape[-2], self.interval
-        (iu0, iu1), m = self._iu, self.incidence.shape[1]
-        u = len(iu0)
-        energies = (y * d).sum(axis=-1).sum(axis=-1) * (1.0 / t)
+        rows -= self.mean                            # rows is fresh: centre it in place
+        y = rows @ self.precision
+        t, i = rows.shape[-2], self.interval
+        u, m = len(self._iu[0]), self.incidence.shape[1]
+        rows *= y                                    # the bits of y * d, as x * y == y * x
+        energies = rows.sum(axis=-1).sum(axis=-1) * (1.0 / t)
         total = 0.0
         for energy in energies.reshape(-1).tolist():
             total += energy
 
         def back(out):
             gf = y * (2.0 * out.grad / t)            # d(energy)/d(rows), P symmetric
-            gpsi = gf[..., :u].copy()
+            gpsi = gf[..., :u]
             gphi = gf[..., :t - i, u: 2 * u]         # Phi_t = Psi_{t+i} - Psi_t
             gpsi[..., i:, :] += gphi
             gpsi[..., :t - i, :] -= gphi
-            g = np.zeros(gpsi.shape[:-1] + (m, m))
-            g[..., iu0, iu1] = gpsi                  # upper-triangle indices are unique
-            gbones = bones @ (g + np.swapaxes(g, -1, -2))
-            gx = self.incidence @ np.swapaxes(gbones, -1, -2)
+            # g + g^T of the upper triangle g holding gpsi: slot (a, b) of either
+            # triangle plus the zero across it, and twice the diagonal
+            gsym = np.take(gpsi, self._sym, axis=-1)
+            gsym[..., ::m + 1] *= 2.0
+            gbones = bones @ gsym.reshape(gsym.shape[:-1] + (m, m))
+            gx = np.swapaxes((gbones.reshape(-1, m) @ self.incidence.T).reshape(
+                gbones.shape[:-1] + (-1,)), -1, -2)
             gx += gf[..., 2 * u:].reshape(gx.shape)
             x._accumulate(gx)
 
@@ -127,7 +136,7 @@ class KcsEnergyModel:
         arrays, meta = load_checkpoint(path)
         if meta.get("kind") != "kcs-energy":
             raise InvalidInputError(
-                f"not an energy checkpoint: kind={meta.get('kind')!r}")
+                f"{path}: not an energy checkpoint: kind={meta.get('kind')!r}")
         try:
             mean, precision, incidence, fit_energies = (
                 arrays["mean"], arrays["precision"], arrays["incidence"], arrays["fit_energies"])

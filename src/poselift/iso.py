@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
@@ -79,6 +78,8 @@ def calibrate(conf=None, correct=None) -> CalibratedConfidence:
         warnings.warn("degenerate calibration labels (all identical); "
                       "falling back to the identity map")
         return CalibratedConfidence()
+    from scipy.optimize import minimize     # loaded only here: no pipeline stage fits a map
+
     z = _logit(conf)
 
     def bce(params):

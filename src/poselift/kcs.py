@@ -42,7 +42,8 @@ def tkcs(frame_t: np.ndarray, frame_t_plus_i: np.ndarray, topo: SkeletonTopology
 def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
                  iu: tuple = None) -> tuple:
     """(bones, rows) of a T x K x 3 window: the T x 3 x M bone matrices and
-    the T x F feature rows [upper(Psi_t) | upper(Phi_t) | coords].
+    the T x F feature rows [upper(Psi_t) | upper(Phi_t) | coords], filled
+    column block by column block into one fresh array the caller owns.
 
     Leading batch axes, (..., T, K, 3), carry through to both results.
     One routine for discriminator_features and the KCS energy model, so
@@ -62,12 +63,16 @@ def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
         iu = np.triu_indices(m)
     bones = np.swapaxes(frames, -1, -2) @ incidence        # ... x T x 3 x M
     psi = np.swapaxes(bones, -1, -2) @ bones               # ... x T x M x M
-    psi_flat = psi[..., iu[0], iu[1]]
-    phi_flat = np.zeros_like(psi_flat)
-    phi_flat[..., :t - interval, :] = psi_flat[..., interval:, :] \
-        - psi_flat[..., :t - interval, :]
-    coords = frames.reshape(frames.shape[:-2] + (-1,))
-    return bones, np.concatenate([psi_flat, phi_flat, coords], axis=-1)
+    u = len(iu[0])
+    rows = np.empty(frames.shape[:-2] + (2 * u + 3 * k,))
+    psi_flat, phi_flat = rows[..., :u], rows[..., u:2 * u]
+    np.take(psi.reshape(psi.shape[:-2] + (m * m,)), iu[0] * m + iu[1], axis=-1,
+            out=psi_flat)
+    np.subtract(psi_flat[..., interval:, :], psi_flat[..., :t - interval, :],
+                out=phi_flat[..., :t - interval, :])
+    phi_flat[..., t - interval:, :] = 0.0
+    rows[..., 2 * u:] = frames.reshape(frames.shape[:-2] + (-1,))
+    return bones, rows
 
 
 def discriminator_features(window: PoseSequence3D, topo: SkeletonTopology,

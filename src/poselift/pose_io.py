@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import zipfile
 from typing import Union, get_args, get_origin
 
@@ -96,12 +97,33 @@ def _columns(dim: int) -> list:
     return ["frame", "keypoint", "x", "y", "z"][:2 + dim] + ["conf", "mask"]
 
 
+def _scale_mm(path, lineno: int, text: str) -> float:
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidInputError(f"{path}:{lineno}: scale_mm = {text} is not a finite "
+                                "number > 0")
+    return scale
+
+
+def _number_fault(columns: list, vals: list) -> str:
+    """Why a row's coordinates and confidence (last of `vals`) cannot load."""
+    for name, v in zip(columns, vals):
+        if not math.isfinite(v):
+            return f"{name} = {v} is not finite"
+    return f"conf = {vals[-1]} is outside [0, 1]"
+
+
 def _read_table(path, dim: int, topo: SkeletonTopology):
     """(meta, coords, conf, mask, actions) of a `dim`-D pose table file.
 
     The header is the base columns, optionally followed by `action`, at
-    least one row follows it, and every row has one parseable field per
-    column; InvalidInputError names the file (and line) that breaks this.
+    least one row follows it, every row has one parseable field per column,
+    finite coordinates and a confidence in [0, 1], and a `scale_mm` comment
+    holds a finite number > 0; InvalidInputError names the file (and line)
+    that breaks this.
 
     A complete table of n rows holds frames 0 .. n/K - 1, so each row goes
     straight to slot frame * K + keypoint of arrays sized n. A row whose
@@ -109,12 +131,12 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
     or a missing record has.
     """
     meta, n = {}, -1                  # n counts the rows after the header
-    for _, s in _lines(path):
+    for lineno, s in _lines(path):
         if not s.startswith("#"):
             n += 1
         elif "=" in s:
-            key, val = s[1:].split("=", 1)
-            meta[key.strip()] = val.strip()
+            key, val = (p.strip() for p in s[1:].split("=", 1))
+            meta[key] = _scale_mm(path, lineno, val) if key == "scale_mm" else val
     base, rows = _columns(dim), _lines(path)
     lineno, text = next(((i, s) for i, s in rows if not s.startswith("#")), (1, ""))
     header = text.split(",")
@@ -145,6 +167,8 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
         except KeyError:
             raise InvalidInputError(f"{path}:{lineno}: mask {parts[3 + dim]!r} is not one of "
                                     + "/".join(_MASK)) from None
+        if not (all(map(math.isfinite, vals)) and 0.0 <= vals[dim] <= 1.0):
+            raise InvalidInputError(f"{path}:{lineno}: {_number_fault(header[2:], vals)}")
         if parts[1] not in keypoint:
             raise TopologyError(f"{path}:{lineno}: unknown keypoint {parts[1]!r}")
         slot = f * k_all + keypoint[parts[1]]
@@ -207,8 +231,8 @@ def write_pose3d(path, pose: PoseSequence3D, topo: SkeletonTopology) -> None:
 
 def read_pose2d(path, topo: SkeletonTopology) -> PoseSequence2D:
     meta, coords, conf, mask, actions = _read_table(path, 2, topo)
-    scale = float(meta["scale_mm"]) if "scale_mm" in meta else None
-    return PoseSequence2D(coords, confidence=conf, mask=mask, scale_mm=scale, actions=actions)
+    return PoseSequence2D(coords, confidence=conf, mask=mask, scale_mm=meta.get("scale_mm"),
+                          actions=actions)
 
 
 def write_pose2d(path, pose: PoseSequence2D, topo: SkeletonTopology) -> None:

@@ -161,14 +161,17 @@ class TcnModel:
     def load(cls, path) -> "TcnModel":
         arrays, meta = load_checkpoint(path)
         if meta.get("kind") != "tcn":
-            raise InvalidInputError(f"not a model checkpoint: kind={meta.get('kind')!r}")
+            raise InvalidInputError(f"{path}: not a model checkpoint: kind={meta.get('kind')!r}")
         try:   # tkcs_interval is a retired field that older checkpoints still hold
             model = cls(TcnConfig(**{k: v for k, v in meta["config"].items()
                                      if k != "tkcs_interval"}))
         except (KeyError, AttributeError, TypeError, ValueError, ConfigError) as e:
             raise InvalidInputError(f"checkpoint config in {path} does not build a model: "
                                     f"{e}") from None
-        model.load_state(arrays)
+        try:
+            model.load_state(arrays)
+        except InvalidInputError as e:
+            raise InvalidInputError(f"{path}: {e}") from None
         return model
 
     # ------------------------------------------------------------- forward

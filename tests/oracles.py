@@ -14,7 +14,10 @@ The loss-term oracles are the per-op Tensor graphs of the lifter's
 embedding and its 3D, multi-view, 2D reprojection and total losses, of the
 KCS energy (over the Tensor-graph KCS/TKCS feature rows, window_features),
 the ISO reprojection term and the ISO smoothness term, against which the
-closed-form single-node versions are checked.
+closed-form single-node versions are checked. The KCS energy also has a
+bit-exact oracle: its closed form written with a fresh array per step
+(concatenated feature rows, a zeroed M x M scatter for the symmetric
+gradient), which the one-buffer kernel must reproduce bit for bit.
 
 The synthesis and metric oracles are the per-frame forms of the
 frame-batched code: cylinder visibility one frame at a time, Rodrigues
@@ -509,6 +512,65 @@ class GraphEnergy:
         for b in range(x.shape[0]):
             total = total + energy_gen_loss_graph(self.model, x[b])
         return total
+
+
+def feature_rows_concat(frames, incidence, interval):
+    """kcs.feature_rows as three fresh arrays joined by np.concatenate."""
+    t, m = frames.shape[-3], incidence.shape[1]
+    iu = np.triu_indices(m)
+    bones = np.swapaxes(frames, -1, -2) @ incidence
+    psi = np.swapaxes(bones, -1, -2) @ bones
+    psi_flat = psi[..., iu[0], iu[1]]
+    phi_flat = np.zeros_like(psi_flat)
+    phi_flat[..., :t - interval, :] = psi_flat[..., interval:, :] \
+        - psi_flat[..., :t - interval, :]
+    coords = frames.reshape(frames.shape[:-2] + (-1,))
+    return bones, np.concatenate([psi_flat, phi_flat, coords], axis=-1)
+
+
+def energy_gen_loss_closed_form(model, window):
+    """KcsEnergyModel.gen_loss with fresh temporaries: d = rows - mean, the
+    energy from y * d, and g + g^T from a zeroed M x M scatter of the
+    upper-triangle gradient, then a batched incidence product."""
+    if isinstance(window, PoseSequence3D):
+        window = window.frames
+    x = window if isinstance(window, Tensor) else Tensor(np.asarray(window, dtype=np.float64))
+    bones, rows = feature_rows_concat(x.data, model.incidence, model.interval)
+    d = rows - model.mean
+    y = d @ model.precision
+    t, i = d.shape[-2], model.interval
+    m = model.incidence.shape[1]
+    iu0, iu1 = np.triu_indices(m)
+    u = len(iu0)
+    energies = (y * d).sum(axis=-1).sum(axis=-1) * (1.0 / t)
+    total = 0.0
+    for energy in energies.reshape(-1).tolist():
+        total += energy
+
+    def back(out):
+        gf = y * (2.0 * out.grad / t)
+        gpsi = gf[..., :u].copy()
+        gphi = gf[..., :t - i, u: 2 * u]
+        gpsi[..., i:, :] += gphi
+        gpsi[..., :t - i, :] -= gphi
+        g = np.zeros(gpsi.shape[:-1] + (m, m))
+        g[..., iu0, iu1] = gpsi
+        gbones = bones @ (g + np.swapaxes(g, -1, -2))
+        gx = model.incidence @ np.swapaxes(gbones, -1, -2)
+        gx += gf[..., 2 * u:].reshape(gx.shape)
+        x._accumulate(gx)
+
+    return Tensor(total, (x,), back)
+
+
+class ClosedFormEnergy:
+    """A KcsEnergyModel scorer whose gen_loss is energy_gen_loss_closed_form."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def gen_loss(self, window):
+        return energy_gen_loss_closed_form(self.model, window)
 
 
 def rep_loss_graph(pose, det2d, cfg, scale=None, translation=None, weights=None):

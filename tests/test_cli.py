@@ -473,6 +473,62 @@ def test_infer_on_a_model_checkpoint_with_a_bad_config_value_exits_2(
     assert not (tmp_path / "o" / "pred.pose3d").exists()
 
 
+@pytest.mark.parametrize("fault, named", [
+    ("head.w", "array 'head.w' has shape (3, 3), expected (8, 51)"),
+    ("no head.b", "checkpoint missing arrays: ['head.b']"),
+    ("kind", "not a model checkpoint: kind='kcs-energy'"),
+])
+def test_infer_on_a_malformed_model_checkpoint_names_the_file_and_exits_2(
+        trained, sample_files, tmp_path, capsys, fault, named):
+    arrays, meta = load_checkpoint(trained / "model.ckpt.npz")
+    if fault == "head.w":
+        arrays["head.w"] = np.zeros((3, 3))
+    elif fault == "no head.b":
+        del arrays["head.b"]
+    else:
+        meta = {**meta, "kind": "kcs-energy"}
+    model = tmp_path / "odd.npz"
+    save_checkpoint(model, arrays, meta)
+    cfg = write_cfg(tmp_path / "i.cfg", model=model, det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("infer", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"poselift infer: InvalidInputError: {model}: {named}\n"
+    assert not (tmp_path / "o" / "pred.pose3d").exists()
+
+
+def test_iso_refine_with_a_model_checkpoint_as_scorer_names_the_file_and_exits_2(
+        trained, sample_files, tmp_path, capsys):
+    scorer = trained / "model.ckpt.npz"
+    cfg = write_cfg(tmp_path / "r.cfg", scorer=scorer,
+                    pose3d=sample_files / "seq00_v0_gt.pose3d",
+                    det2d=sample_files / "seq00_v0_det.pose2d")
+    assert run("iso-refine", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"poselift iso-refine: InvalidInputError: {scorer}: not an energy checkpoint: "
+        "kind='tcn'\n")
+
+
+@pytest.mark.parametrize("lineno, field, value, named", [
+    (3, 4, "nan", "conf = nan is not finite"),          # first row: frame,keypoint,x,y,conf
+    (5, 4, "1.25", "conf = 1.25 is outside [0, 1]"),
+    (4, 2, "-inf", "x = -inf is not finite"),
+    (1, 0, "# scale_mm = -2000", "scale_mm = -2000 is not a finite number > 0"),
+])
+def test_iso_refine_on_detections_with_a_bad_number_names_the_line_and_exits_2(
+        sample_files, trained, tmp_path, capsys, lineno, field, value, named):
+    lines = (sample_files / "seq00_v0_det.pose2d").read_text().splitlines()
+    cells = lines[lineno - 1].split(",")
+    cells[field] = value
+    lines[lineno - 1] = ",".join(cells)
+    det = tmp_path / "bad.pose2d"
+    det.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path / "r.cfg", scorer=trained / "scorer.ckpt.npz",
+                    pose3d=sample_files / "seq00_v0_gt.pose3d", det2d=det)
+    assert run("iso-refine", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"poselift iso-refine: InvalidInputError: {det}:{lineno}: {named}\n")
+    assert not (tmp_path / "o" / "refined.pose3d").exists()
+
+
 def test_train_with_sequences_shorter_than_the_scorer_window_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "t.cfg", **{"synth.n_sequences": 2, "synth.frames": 10})
     assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2

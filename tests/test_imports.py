@@ -1,6 +1,7 @@
 """Runtime dependencies stay the standard library, numpy and scipy."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +31,14 @@ def test_the_guard_sees_every_import_form():
     tree = ast.parse("import a.b, c\nfrom d.e import f\nfrom . import g\nfrom .h import i\n"
                      "def j():\n    import k\n")
     assert imported_packages(tree) == {"a", "c", "d", "k"}
+
+
+def test_importing_every_module_leaves_scipy_optimize_unloaded():
+    # only iso.calibrate needs scipy.optimize, and it imports it when called
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n"
+             f"import poselift\nfrom poselift import {', '.join(modules)}\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

@@ -215,6 +215,50 @@ def test_read_pose_names_record_faults(tmp_path, topo, read, dim):
             read(path, topo)
 
 
+@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
+@pytest.mark.parametrize("field, text, named", [
+    (0, "nan", "x = nan is not finite"),
+    (1, "-inf", "y = -inf is not finite"),
+    (-1, "inf", "conf = inf is not finite"),
+    (-1, "NaN", "conf = nan is not finite"),
+    (-1, "1.5", "conf = 1.5 is outside [0, 1]"),
+    (-1, "-0.25", "conf = -0.25 is outside [0, 1]"),
+])
+def test_read_pose_rejects_non_finite_numbers_and_confidences_outside_0_1(
+        tmp_path, topo, read, dim, field, text, named):
+    header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
+    rows = table_rows(dim, [0, 1], topo.keypoint_names).splitlines(keepends=True)
+    cells = rows[20].split(",")                     # frame 1, keypoint 3: line 22
+    cells[2 + field if field >= 0 else 2 + dim] = text
+    rows[20] = ",".join(cells)
+    path = tmp_path / "bad.pose"
+    path.write_text(header + "".join(rows))
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}:22: {named}")):
+        read(path, topo)
+
+
+@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
+@pytest.mark.parametrize("scale", ["abc", "nan", "inf", "1e400", "0", "-5", ""])
+def test_read_pose_rejects_a_scale_that_is_not_a_finite_positive_number(
+        tmp_path, topo, read, dim, scale):
+    header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
+    path = tmp_path / "bad.pose"
+    path.write_text("# root_relative = 1\n# scale_mm = " + scale + "\n" + header
+                    + table_rows(dim, [0], topo.keypoint_names))
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}:2: scale_mm = {scale} is not a finite number > 0")):
+        read(path, topo)
+
+
+def test_read_pose2d_keeps_a_positive_scale_and_the_confidence_bounds(tmp_path, topo):
+    path = tmp_path / "ok.pose2d"
+    rows = table_rows(2, [0], topo.keypoint_names).replace(",1,0\n", ",0,0\n", 1)
+    path.write_text("# scale_mm = 1e-3\nframe,keypoint,x,y,conf,mask\n" + rows)
+    pose = read_pose2d(path, topo)
+    assert pose.scale_mm == 1e-3
+    assert pose.confidence[0, 0] == 0.0 and pose.confidence[0, 1:].min() == 1.0
+
+
 # a three-keypoint skeleton keeps the golden tables short
 TINY = parse_topology("keypoint pelvis\nkeypoint neck\nkeypoint head_top\n"
                       "bone pelvis neck 50\nbone neck head_top 40\nhead head_top neck\n"
