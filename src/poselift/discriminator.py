@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
-from .kcs import bone_incidence, discriminator_features, feature_rows
+from .kcs import bone_incidence, discriminator_features, feature_rows, scratch
 from .pose_io import load_checkpoint, save_checkpoint
 from .skeleton import PoseSequence3D, SkeletonTopology
 
@@ -83,6 +83,50 @@ class KcsEnergyModel:
         """Mean per-frame Mahalanobis energy of the window."""
         return self.gen_loss(_frames_of(window)).item()
 
+    def _kernel(self, frames: np.ndarray, work: dict = None) -> tuple:
+        """(energies, grad) of a (..., T, K, 3) stack: each window's mean per-frame
+        energy, and grad(weight), the gradient of weight times their sum. With a
+        `work` dict every large array is a buffer kept there (kcs.scratch), and
+        the gradient returned is a view into one of them."""
+        bones, rows = feature_rows(frames, self.incidence, self.interval, self._iu, work)
+        rows -= self.mean                            # rows is ours: centre it in place
+        y = np.matmul(rows, self.precision, out=scratch(work, "y", rows.shape))
+        t, i = rows.shape[-2], self.interval
+        (k, m), u = self.incidence.shape, len(self._iu[0])
+        rows *= y                                    # the bits of y * d, as x * y == y * x
+        energies = rows.sum(axis=-1).sum(axis=-1) * (1.0 / t)
+
+        def grad(weight):
+            # d(energy)/d(rows), P symmetric
+            gf = np.multiply(y, 2.0 * weight / t, out=scratch(work, "gf", y.shape))
+            gpsi = gf[..., :u]
+            gphi = gf[..., :t - i, u: 2 * u]         # Phi_t = Psi_{t+i} - Psi_t
+            gpsi[..., i:, :] += gphi
+            gpsi[..., :t - i, :] -= gphi
+            # g + g^T of the upper triangle g holding gpsi: slot (a, b) of either
+            # triangle plus the zero across it, and twice the diagonal
+            # mode "clip" (every slot is in range) lets np.take write `out` directly
+            gsym = np.take(gpsi, self._sym, axis=-1, mode="clip",
+                           out=scratch(work, "gsym", gpsi.shape[:-1] + (m * m,)))
+            gsym[..., ::m + 1] *= 2.0
+            gbones = np.matmul(bones, gsym.reshape(gsym.shape[:-1] + (m, m)),
+                               out=scratch(work, "gbones", bones.shape))
+            gx = np.swapaxes(np.matmul(gbones.reshape(-1, m), self.incidence.T,
+                                       out=scratch(work, "gx", (gbones.size // m, k))
+                                       ).reshape(gbones.shape[:-1] + (k,)), -1, -2)
+            gx += gf[..., 2 * u:].reshape(gx.shape)
+            return gx
+
+        return energies, grad
+
+    def energies_and_grad(self, frames, weight: float, work: dict = None) -> tuple:
+        """Each window's mean per-frame energy over a (..., T, K, 3) stack, and the
+        gradient of `weight` times their sum w.r.t. the stack: gen_loss without
+        a graph, value and gradient bit for bit the node's. A `work` dict
+        passed to every call keeps the kernel's buffers between calls."""
+        energies, grad = self._kernel(np.asarray(frames, dtype=np.float64), work)
+        return energies, grad(weight)
+
     def gen_loss(self, window) -> Tensor:
         """Mean per-frame energy as one graph node with a closed-form backward.
 
@@ -93,34 +137,11 @@ class KcsEnergyModel:
         frames = _frames_of(window)
         x = frames if isinstance(frames, Tensor) else Tensor(
             np.asarray(frames, dtype=np.float64))
-        bones, rows = feature_rows(x.data, self.incidence, self.interval, self._iu)
-        rows -= self.mean                            # rows is fresh: centre it in place
-        y = rows @ self.precision
-        t, i = rows.shape[-2], self.interval
-        u, m = len(self._iu[0]), self.incidence.shape[1]
-        rows *= y                                    # the bits of y * d, as x * y == y * x
-        energies = rows.sum(axis=-1).sum(axis=-1) * (1.0 / t)
+        energies, grad = self._kernel(x.data)
         total = 0.0
         for energy in energies.reshape(-1).tolist():
             total += energy
-
-        def back(out):
-            gf = y * (2.0 * out.grad / t)            # d(energy)/d(rows), P symmetric
-            gpsi = gf[..., :u]
-            gphi = gf[..., :t - i, u: 2 * u]         # Phi_t = Psi_{t+i} - Psi_t
-            gpsi[..., i:, :] += gphi
-            gpsi[..., :t - i, :] -= gphi
-            # g + g^T of the upper triangle g holding gpsi: slot (a, b) of either
-            # triangle plus the zero across it, and twice the diagonal
-            gsym = np.take(gpsi, self._sym, axis=-1)
-            gsym[..., ::m + 1] *= 2.0
-            gbones = bones @ gsym.reshape(gsym.shape[:-1] + (m, m))
-            gx = np.swapaxes((gbones.reshape(-1, m) @ self.incidence.T).reshape(
-                gbones.shape[:-1] + (-1,)), -1, -2)
-            gx += gf[..., 2 * u:].reshape(gx.shape)
-            x._accumulate(gx)
-
-        return Tensor(total, (x,), back)
+        return Tensor(total, (x,), lambda out: x._accumulate(grad(out.grad)))
 
     def reference_percentile(self, q: float) -> float:
         return float(np.percentile(self.fit_energies, q))

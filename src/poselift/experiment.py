@@ -11,7 +11,7 @@ import numpy as np
 from .augment import OcclusionConfig, apply_occlusions
 from .discriminator import KcsEnergyModel
 from .errors import ConfigError, InvalidInputError
-from .iso import IsoConfig, refine
+from .iso import IsoConfig, refine_many
 from .metrics import evaluate, mpjpe
 from .pose_io import (default_topology, read_pose2d, read_pose3d, write_json, write_pose2d,
                       write_pose3d)
@@ -199,14 +199,13 @@ def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
     def stage_refine():
         if cfg.iso is None:
             return "skipped (no refinement configured)"
-        refined = []
-        for i, (gt, det) in enumerate(state["eval_pairs"]):
-            scorer = state.get("scorer") if cfg.iso.lambda1 > 0 else None
-            pose, trace = refine(state["raw_preds"][i], det, scorer, cfg.iso, gt3d=gt)
+        scorer = state.get("scorer") if cfg.iso.lambda1 > 0 else None
+        gts, dets = zip(*state["eval_pairs"])
+        refined = refine_many(state["raw_preds"], dets, scorer, cfg.iso, gts=gts)
+        for i, (pose, trace) in enumerate(refined):
             write_pose3d(out / f"eval{i:02d}_iso.pose3d", pose, topo)
             write_json(out / f"eval{i:02d}_trace.json", trace)
-            refined.append(pose)
-        state["refined_preds"] = refined
+        state["refined_preds"] = [pose for pose, _ in refined]
         return "ok"
 
     def stage_eval():

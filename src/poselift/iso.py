@@ -9,10 +9,19 @@ feeding the soft threshold are measured in crop pixels.
 The orthographic scale ambiguity is resolved by a closed-form least-squares
 fit of one scale per window and one 2D translation per frame between the
 projected pose and the detections, refitted periodically during descent.
+
+The descent builds no autodiff graph. refine_many stacks windows of equal
+length into one B x T x K x 3 array, and each iteration evaluates every
+window's three terms and the gradient of their sum in closed form, into
+buffers reused across iterations; refine is its one-window case. Each
+term is written once, as array functions with leading batch axes, and the
+public Tensor nodes rep_loss, smooth_loss and iso_loss wrap the same
+functions.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +34,7 @@ from .skeleton import CROP_PX, PoseSequence2D, PoseSequence3D
 WEIGHT_MODES = ("constant", "confidence", "hard", "soft")
 REFIT_EVERY = 25                  # descent iterations between projection refits
 HARD_THRESHOLD = 0.7              # hard mode zeroes confidences below this
+STACK_FRAMES = 1024               # most frames refine_many descends as one stack
 
 _CLIP = 1e-6
 
@@ -93,13 +103,28 @@ def calibrate(conf=None, correct=None) -> CalibratedConfidence:
     return CalibratedConfidence(float(res.x[0]), float(res.x[1]))
 
 
+def _check_confidence(conf: np.ndarray) -> None:
+    if np.any(conf < 0) or np.any(conf > 1) or not np.all(np.isfinite(conf)):
+        raise InvalidInputError("confidence values must lie in [0,1]")
+
+
+def _soft_weight(neg_conf, dist, sigma: float, out=None) -> np.ndarray:
+    """1 - exp(-c d^2 / (2 sigma^2)) from -c and d, written into `out` (not `dist`)."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(neg_conf), np.shape(dist)))
+    np.multiply(neg_conf, dist, out=out)
+    out *= dist
+    out /= 2.0 * sigma * sigma
+    np.exp(out, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
 def reprojection_weight(mode: str, conf, dist=None, sigma: float = 1.0) -> np.ndarray:
     """Per-keypoint weight in [0,1] for the reprojection term."""
     if mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown weight mode {mode!r}; pick from {WEIGHT_MODES}")
     conf = np.asarray(conf, dtype=np.float64)
-    if np.any(conf < 0) or np.any(conf > 1) or not np.all(np.isfinite(conf)):
-        raise InvalidInputError("confidence values must lie in [0,1]")
+    _check_confidence(conf)
     if mode == "constant":
         return np.ones_like(conf)
     if mode == "confidence":
@@ -111,8 +136,7 @@ def reprojection_weight(mode: str, conf, dist=None, sigma: float = 1.0) -> np.nd
         raise ConfigError("soft threshold sigma must be > 0")
     if dist is None:
         raise InvalidInputError("soft mode needs reprojection distances")
-    dist = np.asarray(dist, dtype=np.float64)
-    return 1.0 - np.exp(-conf * dist * dist / (2.0 * sigma * sigma))
+    return _soft_weight(-conf, np.asarray(dist, dtype=np.float64), sigma)
 
 
 @dataclass(frozen=True)
@@ -177,6 +201,70 @@ def fit_projection(frames3d: np.ndarray, det2d: PoseSequence2D,
     return float(scale), trans
 
 
+# ------------------------------------------------------------ the terms
+#
+# Each term is written once over windows with any leading batch axes,
+# (..., T, K, 3); the Tensor nodes below and the batched objective of
+# refine both call these. `out` arguments let refine reuse its buffers.
+
+
+def _residual(frames, scale, trans, det_frames, out=None) -> np.ndarray:
+    """Projection minus detection in crop units, (..., T, K, 2)."""
+    out = np.multiply(frames[..., :2], scale, out=out)
+    out += trans[..., None, :]
+    out -= det_frames
+    return out
+
+
+def _squared_norm(v, sq=None, out=None) -> np.ndarray:
+    """|v|^2 of (..., 2) vectors, (...); `sq` takes the squared components."""
+    sq = np.multiply(v, v, out=sq)
+    return np.add(sq[..., 0], sq[..., 1], out=out)
+
+
+def _pixel_dist(resid, sq=None, out=None) -> np.ndarray:
+    """|residual| in crop pixels, (..., T, K)."""
+    out = _squared_norm(resid, sq, out)
+    np.sqrt(out, out=out)
+    out *= CROP_PX
+    return out
+
+
+def _mapped_confidence(det2d: PoseSequence2D, cfg: IsoConfig) -> np.ndarray:
+    """The detections' confidences, through the calibration map when one is set."""
+    if cfg.calibration is None:
+        return det2d.confidence
+    return np.where(det2d.mask, 0.0, cfg.calibration(det2d.confidence))
+
+
+def _rep_terms(d, weights, sq=None, out=None) -> np.ndarray:
+    """Per-keypoint weighted squared pixel residual w |d|^2, (..., T, K)."""
+    out = _squared_norm(d, sq, out)
+    out *= weights
+    return out
+
+
+def _rep_grad(d, weights, coef, out=None, cw=None) -> np.ndarray:
+    """(coef * w) d: the x, y gradient of the reprojection term, with coef
+    2 * CROP_PX * scale times the upstream gradient."""
+    cw = np.multiply(weights, coef, out=cw)
+    return np.multiply(cw[..., None], d, out=out)
+
+
+def _smooth_diff(frames, out=None) -> np.ndarray:
+    """Consecutive-frame coordinate differences, (..., T - 1, K, 3)."""
+    return np.subtract(frames[..., 1:, :, :], frames[..., :-1, :, :], out=out)
+
+
+def _smooth_grad(diff, coef, out, g=None) -> np.ndarray:
+    """Gradient of coef * sum(diff^2) w.r.t. the frames, written into `out`."""
+    g = np.multiply(2.0 * coef, diff, out=g)
+    out[..., :1, :, :] = 0.0
+    out[..., 1:, :, :] = g
+    out[..., :-1, :, :] -= g
+    return out
+
+
 def _lift_window(pose) -> Tensor:
     if isinstance(pose, Tensor):
         x = pose
@@ -193,13 +281,9 @@ def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
                     scale: float, trans: np.ndarray) -> np.ndarray:
     """T x K reprojection weights, read from the mapped confidences when a
     calibration map is set; masked detections weigh exactly zero."""
-    conf = det2d.confidence
-    if cfg.calibration is not None:
-        conf = np.where(det2d.mask, 0.0, cfg.calibration(conf))
     frames3d = np.asarray(frames3d, dtype=np.float64)
-    proj = frames3d[:, :, :2] * scale + trans[:, None, :]
-    dist = np.linalg.norm(proj - det2d.frames, axis=2) * CROP_PX
-    w = reprojection_weight(cfg.weight_mode, conf, dist, cfg.sigma)
+    dist = _pixel_dist(_residual(frames3d, scale, trans, det2d.frames))
+    w = reprojection_weight(cfg.weight_mode, _mapped_confidence(det2d, cfg), dist, cfg.sigma)
     return w * ~det2d.mask
 
 
@@ -219,14 +303,15 @@ def rep_loss(pose, det2d: PoseSequence2D, cfg: IsoConfig, scale: float = None,
     if weights is None:
         weights = compute_weights(x.data, det2d, cfg, scale, translation)
     weights = np.asarray(weights, dtype=np.float64)
-    d = (x.data[:, :, :2] * scale + translation[:, None, :] - det2d.frames) * CROP_PX
+    d = _residual(x.data, scale, translation, det2d.frames)
+    d *= CROP_PX
 
     def back(out):
         gx = np.zeros_like(x.data)
-        gx[:, :, :2] = (2.0 * CROP_PX * scale * out.grad) * weights[:, :, None] * d
+        _rep_grad(d, weights, 2.0 * CROP_PX * scale * out.grad, out=gx[:, :, :2])
         x._accumulate(gx)
 
-    return Tensor(((d * d).sum(axis=2) * weights).sum(), (x,), back)
+    return Tensor(_rep_terms(d, weights).sum(), (x,), back)
 
 
 def smooth_loss(pose) -> Tensor:
@@ -234,14 +319,10 @@ def smooth_loss(pose) -> Tensor:
     x = _lift_window(pose)
     if x.shape[0] < 2:
         return Tensor(0.0)
-    d = x.data[1:] - x.data[:-1]
+    d = _smooth_diff(x.data)
 
     def back(out):
-        g = (2.0 * out.grad) * d
-        gx = np.zeros_like(x.data)
-        gx[1:] += g
-        gx[:-1] -= g
-        x._accumulate(gx)
+        x._accumulate(_smooth_grad(d, out.grad, np.empty_like(x.data)))
 
     return Tensor((d * d).sum(), (x,), back)
 
@@ -258,55 +339,193 @@ def iso_loss(pose, det2d: PoseSequence2D, scorer, cfg: IsoConfig,
     return total
 
 
+# ------------------------------------------------------------ refinement
+
+
+class _Objective:
+    """iso_loss of every window of a B x T x K x 3 stack, without a graph.
+
+    A call returns each window's rep, gen and smooth parts and the
+    gradient of its total, summed into one reused buffer in the order a
+    Tensor graph of the three terms accumulates it: smoothness, then
+    energy, then reprojection. Confidences are mapped and checked once,
+    weights that do not move with the pose are formed once, and one
+    projection residual serves both the soft weights and the reprojection
+    term. `take` keeps only the given windows.
+    """
+
+    def __init__(self, dets: list, scorer, cfg: IsoConfig):
+        n, t, k = len(dets), dets[0].T, dets[0].K
+        self.cfg = cfg
+        self.scorer = scorer if cfg.lambda1 > 0 else None
+        self.dets = list(dets)
+        self.det = np.stack([d.frames for d in dets])
+        self.keep = ~np.stack([d.mask for d in dets])
+        conf = np.stack([_mapped_confidence(d, cfg) for d in dets])
+        if cfg.weight_mode == "soft":
+            _check_confidence(conf)
+            self.neg_conf, self.fixed = -conf, None
+        else:
+            self.neg_conf, self.fixed = None, reprojection_weight(cfg.weight_mode, conf) * self.keep
+        self._resid, self._sq = np.empty((n, t, k, 2)), np.empty((n, t, k, 2))
+        self._w, self._key = np.empty((n, t, k)), np.empty((n, t, k))
+        self._diff, self._g = np.empty((n, t - 1, k, 3)), np.empty((n, t - 1, k, 3))
+        self._grad = np.empty((n, t, k, 3))
+        self._energy_work = {}
+
+    def take(self, keep: list) -> None:
+        self.dets = [self.dets[b] for b in keep]
+        self.det, self.keep = self.det[keep], self.keep[keep]
+        if self.fixed is None:
+            self.neg_conf = self.neg_conf[keep]
+        else:
+            self.fixed = self.fixed[keep]
+
+    def weights(self, x, scale, trans) -> np.ndarray:
+        """B x T x K weights at the fit (scale, trans); the residual stays in a buffer."""
+        n = len(x)
+        r = _residual(x, scale[:, None, None, None], trans, self.det, out=self._resid[:n])
+        if self.fixed is not None:
+            return self.fixed
+        dist = _pixel_dist(r, sq=self._sq[:n], out=self._key[:n])
+        w = _soft_weight(self.neg_conf, dist, self.cfg.sigma, out=self._w[:n])
+        w *= self.keep
+        return w
+
+    def __call__(self, x, scale, trans) -> tuple:
+        """(rep, gen, smooth, gradient) of the stack x at the fit (scale, trans)."""
+        n, cfg = len(x), self.cfg
+        w = self.weights(x, scale, trans)
+        d = self._resid[:n]
+        d *= CROP_PX
+        rep = _rep_terms(d, w, sq=self._sq[:n], out=self._key[:n]).reshape(n, -1).sum(axis=1)
+        grad = self._grad[:n]
+        if x.shape[1] > 1:
+            diff = _smooth_diff(x, out=self._diff[:n])
+            smooth = np.multiply(diff, diff, out=self._g[:n]).reshape(n, -1).sum(axis=1)
+            _smooth_grad(diff, cfg.lambda2, grad, g=self._g[:n])
+        else:
+            smooth = np.zeros(n)
+            grad.fill(0.0)
+        if self.scorer is not None:
+            gen, gen_grad = self.scorer.energies_and_grad(x, cfg.lambda1, self._energy_work)
+            grad += gen_grad
+        else:
+            gen = np.zeros(n)
+        grad[..., :2] += _rep_grad(d, w, 2.0 * CROP_PX * scale[:, None, None],
+                                   out=self._sq[:n], cw=self._key[:n])
+        return rep, gen, smooth, grad
+
+
+def _descend(frames: np.ndarray, dets: list, gts, scorer, cfg: IsoConfig) -> tuple:
+    """Gradient descent of a stack of equal-length windows: (frames, trace) of each.
+
+    Every window keeps its own scale, translation, trace, best-so-far
+    frames and 10x abort; an aborted window leaves the stack.
+    """
+    n, t = frames.shape[:2]
+    x, objective = frames, _Objective(dets, scorer, cfg)
+    scale, trans = np.empty(n), np.empty((n, t, 2))
+    for b, det in enumerate(dets):
+        scale[b], trans[b] = fit_projection(x[b], det)
+    ids = list(range(n))                  # input position of each stacked window
+    traces, done = [[] for _ in range(n)], [None] * n
+    best, best_loss = x.copy(), [np.inf] * n
+    if gts is not None:
+        err, err_norm = np.empty_like(x), np.empty(x.shape[:3])
+    for it in range(cfg.iterations):
+        if it % REFIT_EVERY == 0:
+            # align with the current weights so distrusted detections do
+            # not drag the frame; weights then refresh off the new fit
+            w = objective.weights(x, scale, trans)
+            for b, det in enumerate(objective.dets):
+                scale[b], trans[b] = fit_projection(x[b], det, w[b])
+        rep, gen, smooth, grad = objective(x, scale, trans)
+        if gts is not None:
+            e = np.subtract(x, gts, out=err[:len(x)])
+            e *= e
+            dist = np.add.reduce(e, axis=-1, out=err_norm[:len(x)])
+            mpjpe = np.sqrt(dist, out=dist).reshape(len(x), -1).mean(axis=1).tolist()
+        stay = []
+        for b, (i, r, g, s) in enumerate(zip(ids, rep.tolist(), gen.tolist(), smooth.tolist())):
+            loss = r + cfg.lambda1 * g + cfg.lambda2 * s
+            row = {"iteration": it, "loss": loss, "rep": r, "gen": g, "smooth": s}
+            if gts is not None:
+                row["mpjpe"] = mpjpe[b]
+            traces[i].append(row)
+            if loss < best_loss[b]:
+                best_loss[b] = loss
+                best[b] = x[b]
+            if not math.isfinite(loss) or loss > 10.0 * traces[i][0]["loss"]:
+                done[i] = best[b].copy()
+            else:
+                stay.append(b)
+        grad *= cfg.step_size
+        x -= grad
+        if len(stay) < len(ids):
+            ids = [ids[b] for b in stay]
+            x, best, scale, trans = x[stay], best[stay], scale[stay], trans[stay]
+            best_loss = [best_loss[b] for b in stay]
+            gts = None if gts is None else gts[stay]
+            objective.take(stay)
+            if not ids:
+                break
+    for b, i in enumerate(ids):
+        done[i] = x[b].copy()
+    return done, traces
+
+
+def _as_pose(pose) -> PoseSequence3D:
+    return pose if isinstance(pose, PoseSequence3D) \
+        else PoseSequence3D(np.asarray(pose, dtype=np.float64))
+
+
+def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = None) -> list:
+    """refine of every (pose, detections[, ground truth]) triple: a list of
+    (refined PoseSequence3D, trace), in input order.
+
+    Windows of equal length descend together as one B x T x K x 3 stack
+    of at most STACK_FRAMES frames (a longer window is a stack of one).
+    Each keeps its own projection fit, refits, trace, best-so-far frames
+    and abort, so each result equals refine of that window alone.
+    """
+    poses = [_as_pose(p) for p in poses]
+    dets = list(dets)
+    if len(dets) != len(poses) or (gts is not None and len(gts) != len(poses)):
+        raise InvalidInputError(f"{len(poses)} poses need as many detections (got {len(dets)})"
+                                + ("" if gts is None else f" and ground truths (got {len(gts)})"))
+    groups = {}
+    for i, (pose, det) in enumerate(zip(poses, dets)):
+        if pose.T != det.T or pose.K != det.K:
+            raise InvalidInputError("3D window and detections must match in T and K")
+        gt = None if gts is None else gts[i]
+        if gt is not None and (gt.T != pose.T or gt.K != pose.K):
+            raise InvalidInputError(f"ground truth is {gt.T} x {gt.K} (T x K), "
+                                    f"the window {pose.T} x {pose.K}")
+        groups.setdefault((pose.T, pose.K), []).append(i)
+    results = [None] * len(poses)
+    for (t, _), members in groups.items():
+        per_stack = max(1, STACK_FRAMES // t)
+        for start in range(0, len(members), per_stack):
+            idx = members[start: start + per_stack]
+            frames = np.stack([poses[i].frames for i in idx])
+            stack_gts = None if gts is None else np.stack([gts[i].frames for i in idx])
+            outs, traces = _descend(frames, [dets[i] for i in idx], stack_gts, scorer, cfg)
+            for i, out_frames, trace in zip(idx, outs, traces):
+                out = poses[i].copy()
+                out.frames = out_frames
+                results[i] = (out, trace)
+    return results
+
+
 def refine(initial_pose3d: PoseSequence3D, det2d: PoseSequence2D, scorer,
            cfg: IsoConfig, gt3d: PoseSequence3D = None):
-    """Gradient descent on the window's 3D coordinates.
+    """Gradient descent on the window's 3D coordinates: refine_many of one window.
 
     Returns (refined PoseSequence3D, trace). The trace holds one dict per
     iteration: loss pieces before that iteration's update, plus MPJPE when
     ground truth is given. Aborts and returns the best-so-far coordinates
     if the loss grows past 10x its starting value.
     """
-    pose = initial_pose3d if isinstance(initial_pose3d, PoseSequence3D) \
-        else PoseSequence3D(np.asarray(initial_pose3d, dtype=np.float64))
-    if pose.T != det2d.T or pose.K != det2d.K:
-        raise InvalidInputError("3D window and detections must match in T and K")
-    if gt3d is not None and (gt3d.T != pose.T or gt3d.K != pose.K):
-        raise InvalidInputError(f"ground truth is {gt3d.T} x {gt3d.K} (T x K), "
-                                f"the window {pose.T} x {pose.K}")
-    frames = pose.frames.copy()
-    scale, trans = fit_projection(frames, det2d)
-    trace = []
-    loss0 = None
-    best_loss, best_frames = np.inf, frames.copy()
-    for it in range(cfg.iterations):
-        if it % REFIT_EVERY == 0:
-            # align with the current weights so distrusted detections do
-            # not drag the frame; weights then refresh off the new fit
-            weights = compute_weights(frames, det2d, cfg, scale, trans)
-            scale, trans = fit_projection(frames, det2d, weights)
-        weights = compute_weights(frames, det2d, cfg, scale, trans)
-        x = Tensor(frames, requires_grad=True)
-        rep = rep_loss(x, det2d, cfg, scale, trans, weights)
-        gen = scorer.gen_loss(x) if (scorer is not None and cfg.lambda1 > 0) \
-            else Tensor(0.0)
-        sm = smooth_loss(x)
-        loss = rep + cfg.lambda1 * gen + cfg.lambda2 * sm
-        loss.backward()
-        lval = loss.item()
-        row = {"iteration": it, "loss": lval, "rep": rep.item(),
-               "gen": gen.item(), "smooth": sm.item()}
-        if gt3d is not None:
-            row["mpjpe"] = float(np.linalg.norm(frames - gt3d.frames, axis=2).mean())
-        trace.append(row)
-        if loss0 is None:
-            loss0 = lval
-        if lval < best_loss:
-            best_loss, best_frames = lval, frames.copy()
-        if not np.isfinite(lval) or lval > 10.0 * loss0:
-            frames = best_frames
-            break
-        frames = frames - cfg.step_size * x.grad
-    out = pose.copy()
-    out.frames = frames
-    return out, trace
+    return refine_many([initial_pose3d], [det2d], scorer, cfg,
+                       None if gt3d is None else [gt3d])[0]

@@ -9,6 +9,8 @@ Both are invariant to rotation and translation of the pose.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError, InvalidWindowError
@@ -39,11 +41,24 @@ def tkcs(frame_t: np.ndarray, frame_t_plus_i: np.ndarray, topo: SkeletonTopology
     return kcs(frame_t_plus_i, topo) - kcs(frame_t, topo)
 
 
+def scratch(work, name: str, shape: tuple) -> np.ndarray:
+    """np.empty(shape), or, given a `work` dict, a view of the buffer it keeps
+    under `name` (grown when too small), so that repeated calls reuse memory."""
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
-                 iu: tuple = None) -> tuple:
+                 iu: tuple = None, work: dict = None) -> tuple:
     """(bones, rows) of a T x K x 3 window: the T x 3 x M bone matrices and
     the T x F feature rows [upper(Psi_t) | upper(Phi_t) | coords], filled
-    column block by column block into one fresh array the caller owns.
+    column block by column block into one array: a fresh one the caller
+    owns, or the `work` buffer of that name (see scratch).
 
     Leading batch axes, (..., T, K, 3), carry through to both results.
     One routine for discriminator_features and the KCS energy model, so
@@ -61,10 +76,13 @@ def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
         raise InvalidWindowError(f"window length {t} < interval + 1 = {interval + 1}")
     if iu is None:
         iu = np.triu_indices(m)
-    bones = np.swapaxes(frames, -1, -2) @ incidence        # ... x T x 3 x M
-    psi = np.swapaxes(bones, -1, -2) @ bones               # ... x T x M x M
+    lead = frames.shape[:-2]
+    bones = np.matmul(np.swapaxes(frames, -1, -2), incidence,
+                      out=scratch(work, "bones", lead + (3, m)))          # ... x T x 3 x M
+    psi = np.matmul(np.swapaxes(bones, -1, -2), bones,
+                    out=scratch(work, "psi", lead + (m, m)))              # ... x T x M x M
     u = len(iu[0])
-    rows = np.empty(frames.shape[:-2] + (2 * u + 3 * k,))
+    rows = scratch(work, "rows", lead + (2 * u + 3 * k,))
     psi_flat, phi_flat = rows[..., :u], rows[..., u:2 * u]
     np.take(psi.reshape(psi.shape[:-2] + (m * m,)), iu[0] * m + iu[1], axis=-1,
             out=psi_flat)

@@ -121,9 +121,9 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
 
     The header is the base columns, optionally followed by `action`, at
     least one row follows it, every row has one parseable field per column,
-    finite coordinates and a confidence in [0, 1], and a `scale_mm` comment
-    holds a finite number > 0; InvalidInputError names the file (and line)
-    that breaks this.
+    finite coordinates and a confidence in [0, 1] (exactly 0 on a masked 2D
+    row), and a `scale_mm` comment holds a finite number > 0;
+    InvalidInputError names the file (and line) that breaks this.
 
     A complete table of n rows holds frames 0 .. n/K - 1, so each row goes
     straight to slot frame * K + keypoint of arrays sized n. A row whose
@@ -169,6 +169,9 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
                                     + "/".join(_MASK)) from None
         if not (all(map(math.isfinite, vals)) and 0.0 <= vals[dim] <= 1.0):
             raise InvalidInputError(f"{path}:{lineno}: {_number_fault(header[2:], vals)}")
+        if masked and dim == 2 and vals[dim] != 0.0:    # 3D tables write hidden as conf 1
+            raise InvalidInputError(f"{path}:{lineno}: masked entry has conf = {vals[dim]}, "
+                                    "not 0")
         if parts[1] not in keypoint:
             raise TopologyError(f"{path}:{lineno}: unknown keypoint {parts[1]!r}")
         slot = f * k_all + keypoint[parts[1]]

@@ -24,6 +24,7 @@ from .errors import TopologyError
 from .skeleton import PoseSequence3D, SkeletonTopology, vector_norm
 
 _EPS_GEOM = 1e-9
+CHUNK_FRAMES = 256      # frames labelled per pass: about 13.5 KB of tests per frame
 
 
 @dataclass
@@ -93,9 +94,18 @@ def _occlusion_tests(frames: np.ndarray, topo: SkeletonTopology):
 
 
 def sequence_visibility(pose_seq: PoseSequence3D, topo: SkeletonTopology) -> np.ndarray:
-    """T x K boolean visibility (True = visible) over a sequence, all frames at once."""
-    gated, dist = _occlusion_tests(pose_seq.frames, topo)
-    return np.all((dist > 0.0) | ~gated, axis=2)
+    """T x K boolean visibility (True = visible) over a sequence.
+
+    Frames are labelled CHUNK_FRAMES at a time, so the T x K x C tests of
+    a long sequence are never held at once; each frame's label depends on
+    that frame alone.
+    """
+    frames = pose_seq.frames
+    hard = np.empty(frames.shape[:2], dtype=bool)
+    for start in range(0, len(frames), CHUNK_FRAMES):
+        gated, dist = _occlusion_tests(frames[start: start + CHUNK_FRAMES], topo)
+        np.all((dist > 0.0) | ~gated, axis=2, out=hard[start: start + CHUNK_FRAMES])
+    return hard
 
 
 def frame_visibility(frame: np.ndarray, topo: SkeletonTopology) -> VisibilityReport:

@@ -32,7 +32,7 @@ from poselift import synth
 from poselift.autodiff import SGD, Tensor
 from poselift.errors import (ConfigError, DegenerateInputError, InvalidInputError,
                              InvalidWindowError, TopologyError, TrainingDivergedError)
-from poselift.iso import compute_weights, fit_projection
+from poselift.iso import HARD_THRESHOLD, REFIT_EVERY, compute_weights, fit_projection
 from poselift.skeleton import (CROP_PX, PoseSequence2D, PoseSequence3D, RotationAugment,
                                project_to_crop, rotate_pose)
 from poselift.tcn import LossWeights, frame_inputs
@@ -494,6 +494,21 @@ def energy_gen_loss_graph(model, window):
     return ((d @ Tensor(model.precision)) * d).sum(axis=1).mean()
 
 
+def energies_and_grad_by_graph(gen_loss, frames, weight):
+    """KcsEnergyModel.energies_and_grad through a Tensor-graph gen_loss, one
+    window at a time: each window's energy, and the gradient that
+    backward() leaves on it under a `weight` * energy node."""
+    frames = np.asarray(frames, dtype=np.float64)
+    windows = frames.reshape((-1,) + frames.shape[-3:])
+    energies, grad = np.empty(len(windows)), np.empty_like(windows)
+    for b, window in enumerate(windows):
+        x = Tensor(window.copy(), requires_grad=True)
+        energy = gen_loss(x)
+        (energy * weight).backward()
+        energies[b], grad[b] = energy.item(), x.grad
+    return energies.reshape(frames.shape[:-3]), grad.reshape(frames.shape)
+
+
 class GraphEnergy:
     """A KcsEnergyModel scorer whose gen_loss is the per-op graph.
 
@@ -512,6 +527,9 @@ class GraphEnergy:
         for b in range(x.shape[0]):
             total = total + energy_gen_loss_graph(self.model, x[b])
         return total
+
+    def energies_and_grad(self, frames, weight, work=None):
+        return energies_and_grad_by_graph(self.gen_loss, frames, weight)
 
 
 def feature_rows_concat(frames, incidence, interval):
@@ -572,6 +590,9 @@ class ClosedFormEnergy:
     def gen_loss(self, window):
         return energy_gen_loss_closed_form(self.model, window)
 
+    def energies_and_grad(self, frames, weight, work=None):
+        return energies_and_grad_by_graph(self.gen_loss, frames, weight)
+
 
 def rep_loss_graph(pose, det2d, cfg, scale=None, translation=None, weights=None):
     """poselift.iso.rep_loss through Tensor ops."""
@@ -593,6 +614,99 @@ def smooth_loss_graph(pose):
         return Tensor(0.0)
     d = x[1:] - x[: x.shape[0] - 1]
     return (d * d).sum()
+
+
+# ------------------------------------------------------ refinement oracle
+
+
+def weights_per_window(frames, det2d, cfg, scale, trans):
+    """poselift.iso.compute_weights with fresh arrays: map, project, weigh, mask."""
+    conf = det2d.confidence
+    if cfg.calibration is not None:
+        conf = np.where(det2d.mask, 0.0, cfg.calibration(conf))
+    proj = frames[:, :, :2] * scale + trans[:, None, :]
+    dist = np.linalg.norm(proj - det2d.frames, axis=2) * CROP_PX
+    w = {"constant": lambda: np.ones_like(conf),
+         "confidence": lambda: conf.copy(),
+         "hard": lambda: np.where(conf >= HARD_THRESHOLD, conf, 0.0),
+         "soft": lambda: 1.0 - np.exp(-conf * dist * dist / (2.0 * cfg.sigma * cfg.sigma)),
+         }[cfg.weight_mode]()
+    return w * ~det2d.mask
+
+
+def rep_loss_node(x, det2d, scale, translation, weights):
+    """poselift.iso.rep_loss at a given fit and weights, one node over fresh arrays."""
+    d = (x.data[:, :, :2] * scale + translation[:, None, :] - det2d.frames) * CROP_PX
+
+    def back(out):
+        gx = np.zeros_like(x.data)
+        gx[:, :, :2] = (2.0 * CROP_PX * scale * out.grad) * weights[:, :, None] * d
+        x._accumulate(gx)
+
+    return Tensor(((d * d).sum(axis=2) * weights).sum(), (x,), back)
+
+
+def smooth_loss_node(x):
+    """poselift.iso.smooth_loss, one node over fresh arrays."""
+    if x.shape[0] < 2:
+        return Tensor(0.0)
+    d = x.data[1:] - x.data[:-1]
+
+    def back(out):
+        g = (2.0 * out.grad) * d
+        gx = np.zeros_like(x.data)
+        gx[1:] += g
+        gx[:-1] -= g
+        x._accumulate(gx)
+
+    return Tensor((d * d).sum(), (x,), back)
+
+
+def refine_graph(initial_pose3d, det2d, scorer, cfg, gt3d=None):
+    """poselift.iso.refine for one window, one Tensor graph per iteration.
+
+    Each iteration refits the projection every REFIT_EVERY steps, weighs
+    the detections afresh, builds rep + lambda1 gen + lambda2 smooth from
+    rep_loss_node, the scorer's gen_loss and smooth_loss_node, and steps
+    along the gradient backward() leaves on the frames. Returns (refined
+    PoseSequence3D, trace) exactly as refine does.
+    """
+    pose = initial_pose3d if isinstance(initial_pose3d, PoseSequence3D) \
+        else PoseSequence3D(np.asarray(initial_pose3d, dtype=np.float64))
+    frames = pose.frames.copy()
+    scale, trans = fit_projection(frames, det2d)
+    trace = []
+    loss0 = None
+    best_loss, best_frames = np.inf, frames.copy()
+    for it in range(cfg.iterations):
+        if it % REFIT_EVERY == 0:
+            weights = weights_per_window(frames, det2d, cfg, scale, trans)
+            scale, trans = fit_projection(frames, det2d, weights)
+        weights = weights_per_window(frames, det2d, cfg, scale, trans)
+        x = Tensor(frames, requires_grad=True)
+        rep = rep_loss_node(x, det2d, scale, trans, weights)
+        gen = scorer.gen_loss(x) if (scorer is not None and cfg.lambda1 > 0) \
+            else Tensor(0.0)
+        sm = smooth_loss_node(x)
+        loss = rep + cfg.lambda1 * gen + cfg.lambda2 * sm
+        loss.backward()
+        lval = loss.item()
+        row = {"iteration": it, "loss": lval, "rep": rep.item(),
+               "gen": gen.item(), "smooth": sm.item()}
+        if gt3d is not None:
+            row["mpjpe"] = float(np.linalg.norm(frames - gt3d.frames, axis=2).mean())
+        trace.append(row)
+        if loss0 is None:
+            loss0 = lval
+        if lval < best_loss:
+            best_loss, best_frames = lval, frames.copy()
+        if not np.isfinite(lval) or lval > 10.0 * loss0:
+            frames = best_frames
+            break
+        frames = frames - cfg.step_size * x.grad
+    out = pose.copy()
+    out.frames = frames
+    return out, trace
 
 
 # ------------------------------------------------------ per-frame synthesis

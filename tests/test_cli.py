@@ -529,6 +529,23 @@ def test_iso_refine_on_detections_with_a_bad_number_names_the_line_and_exits_2(
     assert not (tmp_path / "o" / "refined.pose3d").exists()
 
 
+def test_iso_refine_on_detections_with_a_masked_confident_row_names_the_line_and_exits_2(
+        sample_files, trained, tmp_path, capsys):
+    lines = (sample_files / "seq00_v0_det.pose2d").read_text().splitlines()
+    cells = lines[3].split(",")                     # line 4: frame 0, second keypoint
+    cells[4:6] = ["0.75", "1"]
+    lines[3] = ",".join(cells)
+    det = tmp_path / "bad.pose2d"
+    det.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path / "r.cfg", scorer=trained / "scorer.ckpt.npz",
+                    pose3d=sample_files / "seq00_v0_gt.pose3d", det2d=det)
+    assert run("iso-refine", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"poselift iso-refine: InvalidInputError: {det}:4: masked entry has conf = 0.75, "
+        "not 0\n")
+    assert not (tmp_path / "o" / "refined.pose3d").exists()
+
+
 def test_train_with_sequences_shorter_than_the_scorer_window_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "t.cfg", **{"synth.n_sequences": 2, "synth.frames": 10})
     assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2

@@ -122,6 +122,52 @@ def test_run_experiment_reads_eval_pairs_from_data_dir(tmp_path):
         json.loads((first / "manifest.json").read_text())["files"]["eval00_gt.pose3d"]
 
 
+@pytest.mark.parametrize("stack_frames", [1024, 40])
+def test_refine_stage_writes_what_refining_each_pair_alone_writes(tmp_path, monkeypatch,
+                                                                  stack_frames):
+    # eval pairs of 40, 30 and 40 frames: one stack per length, or with a
+    # 40-frame cap one stack per pair
+    import poselift.experiment as experiment
+    import poselift.iso as iso
+    from poselift.pose_io import write_json, write_pose2d, write_pose3d
+    from poselift.synth import generate
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, frames, seed in (("a", 40, 1), ("b", 30, 2), ("c", 40, 3)):
+        view = generate(SyntheticMotionConfig(n_sequences=1, frames=frames, seed=seed,
+                                              mask_occluded_prob=0.9), TOPO)[0].views[0]
+        write_pose3d(data / f"{name}_gt.pose3d", view.pose3d, TOPO)
+        write_pose2d(data / f"{name}_det.pose2d", view.det2d, TOPO)
+    monkeypatch.setattr(iso, "STACK_FRAMES", stack_frames)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return iso.refine_many(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "refine_many", recording)
+    out = tmp_path / "run"
+    cfg = tiny_config(out, data_dir=str(data),
+                      train=TrainConfig(steps_per_epoch=5, batch_size=2,
+                                        weights=LossWeights(w1=0.0, w2=0.0, w3=0.01)),
+                      iso=IsoConfig(iterations=30, lambda1=0.01))
+    run_experiment(cfg, TOPO)
+    assert len(calls) == 1
+    (preds, dets, scorer, iso_cfg), kwargs = calls[0]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for i, (pred, det, gt) in enumerate(zip(preds, dets, kwargs["gts"], strict=True)):
+        pose, trace = iso.refine(pred, det, scorer, iso_cfg, gt3d=gt)
+        write_pose3d(alone / "iso.pose3d", pose, TOPO)
+        write_json(alone / "trace.json", trace)
+        assert (out / f"eval{i:02d}_iso.pose3d").read_bytes() == \
+            (alone / "iso.pose3d").read_bytes()
+        assert (out / f"eval{i:02d}_trace.json").read_bytes() == \
+            (alone / "trace.json").read_bytes()
+    assert [p.T for p in preds] == [40, 30, 40]
+
+
 def test_config_validation(tmp_path):
     # every check runs when the config is built
     for field, value in [("out_dir", ""), ("epochs", -1), ("aug_copies", 0),

@@ -237,6 +237,21 @@ def test_read_pose_rejects_non_finite_numbers_and_confidences_outside_0_1(
         read(path, topo)
 
 
+def test_read_pose2d_rejects_a_masked_row_with_confidence_naming_the_line(tmp_path, topo):
+    # 2D only: a 3D table writes its hidden keypoints as conf 1, mask 1
+    rows = table_rows(2, [0, 1], topo.keypoint_names).splitlines(keepends=True)
+    rows[20] = rows[20].replace(",1,0\n", ",0.5,1\n")   # frame 1, keypoint 3: line 22
+    path = tmp_path / "bad.pose2d"
+    path.write_text("frame,keypoint,x,y,conf,mask\n" + "".join(rows))
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}:22: masked entry has conf = 0.5, not 0")):
+        read_pose2d(path, topo)
+    rows3d = table_rows(3, [0, 1], topo.keypoint_names).splitlines(keepends=True)
+    rows3d[20] = rows3d[20].replace(",1,0\n", ",0.5,1\n")
+    path.write_text("frame,keypoint,x,y,z,conf,mask\n" + "".join(rows3d))
+    assert read_pose3d(path, topo).visibility.sum() == 2 * len(topo.keypoint_names) - 1
+
+
 @pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
 @pytest.mark.parametrize("scale", ["abc", "nan", "inf", "1e400", "0", "-5", ""])
 def test_read_pose_rejects_a_scale_that_is_not_a_finite_positive_number(

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import poselift.visibility as visibility
 from poselift.errors import TopologyError
 from poselift.skeleton import PoseSequence3D, RotationAugment, rotate_pose
 from poselift.visibility import (
@@ -13,7 +14,8 @@ from poselift.visibility import (
 )
 
 from conftest import plausible_pose_bank, random_cloud_pose, rest_pose
-from oracles import visible_by_rectangle_oracle, visible_by_solid_oracle
+from oracles import (sequence_visibility_per_frame, visible_by_rectangle_oracle,
+                     visible_by_solid_oracle)
 
 
 def named_pose(topo, **overrides):
@@ -132,6 +134,16 @@ def test_sequence_visibility_shape(topo):
     vis = sequence_visibility(PoseSequence3D(frames), topo)
     assert vis.shape == (4, topo.K)
     assert vis.all()
+
+
+def test_sequence_visibility_in_chunks_labels_as_in_one_pass(topo, monkeypatch):
+    pose = PoseSequence3D(plausible_pose_bank(topo, 50, seed=4))
+    whole = sequence_visibility(pose, topo)
+    monkeypatch.setattr(visibility, "CHUNK_FRAMES", 7)
+    chunked = sequence_visibility(pose, topo)
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(chunked, sequence_visibility_per_frame(pose, topo))
+    assert not chunked.all()
 
 
 # ------------------------------------------------------------- properties
