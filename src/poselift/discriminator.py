@@ -127,6 +127,16 @@ class KcsEnergyModel:
         energies, grad = self._kernel(np.asarray(frames, dtype=np.float64), work)
         return energies, grad(weight)
 
+    def workspace(self, lead: tuple) -> dict:
+        """A `work` dict for (*lead, K, 3) stacks (lead ends in T) holding every
+        buffer the kernel keeps there at full size, allocated but unwritten:
+        calls on such stacks, or on fewer of their windows, allocate none."""
+        (k, m), f = self.incidence.shape, self.mean.size
+        per_frame = {"bones": 3 * m, "psi": m * m, "rows": f, "y": f, "gf": f,
+                     "gsym": m * m, "gbones": 3 * m, "gx": 3 * k}
+        frames = int(np.prod(lead))
+        return {name: np.empty(frames * size) for name, size in per_frame.items()}
+
     def gen_loss(self, window) -> Tensor:
         """Mean per-frame energy as one graph node with a closed-form backward.
 

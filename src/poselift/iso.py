@@ -13,15 +13,20 @@ projected pose and the detections, refitted periodically during descent.
 The descent builds no autodiff graph. refine_many stacks windows of equal
 length into one B x T x K x 3 array, and each iteration evaluates every
 window's three terms and the gradient of their sum in closed form, into
-buffers reused across iterations; refine is its one-window case. Each
-term is written once, as array functions with leading batch axes, and the
-public Tensor nodes rep_loss, smooth_loss and iso_loss wrap the same
-functions.
+buffers reused across iterations; refine is its one-window case. No
+window's descent depends on another's, so refine_many descends its stacks
+on one thread per available core (numpy releases the GIL in its array
+loops and BLAS calls), and the results are bit for bit the serial ones.
+Each term is written once, as array functions with leading batch axes,
+and the public Tensor nodes rep_loss, smooth_loss and iso_loss wrap the
+same functions.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -371,7 +376,7 @@ class _Objective:
         self._w, self._key = np.empty((n, t, k)), np.empty((n, t, k))
         self._diff, self._g = np.empty((n, t - 1, k, 3)), np.empty((n, t - 1, k, 3))
         self._grad = np.empty((n, t, k, 3))
-        self._energy_work = {}
+        self._energy_work = None if self.scorer is None else self.scorer.workspace((n, t))
 
     def take(self, keep: list) -> None:
         self.dets = [self.dets[b] for b in keep]
@@ -417,62 +422,115 @@ class _Objective:
         return rep, gen, smooth, grad
 
 
-def _descend(frames: np.ndarray, dets: list, gts, scorer, cfg: IsoConfig) -> tuple:
-    """Gradient descent of a stack of equal-length windows: (frames, trace) of each.
+class _Stack:
+    """Gradient descent of a stack of equal-length windows.
 
-    Every window keeps its own scale, translation, trace, best-so-far
-    frames and 10x abort; an aborted window leaves the stack.
+    __init__ builds everything the descent writes into: the objective with
+    its buffers and the energy kernel's, the fit, the best-so-far frames and
+    the error buffers. run() descends and returns (frames, trace) of each
+    window; every window keeps its own scale, translation, trace,
+    best-so-far frames and 10x abort, and an aborted window leaves the
+    stack. run() may go to a worker thread, which then allocates only small
+    temporaries: buffers first made on a worker would sit in a malloc arena
+    of its own and raise peak memory.
     """
-    n, t = frames.shape[:2]
-    x, objective = frames, _Objective(dets, scorer, cfg)
-    scale, trans = np.empty(n), np.empty((n, t, 2))
-    for b, det in enumerate(dets):
-        scale[b], trans[b] = fit_projection(x[b], det)
-    ids = list(range(n))                  # input position of each stacked window
-    traces, done = [[] for _ in range(n)], [None] * n
-    best, best_loss = x.copy(), [np.inf] * n
-    if gts is not None:
-        err, err_norm = np.empty_like(x), np.empty(x.shape[:3])
-    for it in range(cfg.iterations):
-        if it % REFIT_EVERY == 0:
-            # align with the current weights so distrusted detections do
-            # not drag the frame; weights then refresh off the new fit
-            w = objective.weights(x, scale, trans)
-            for b, det in enumerate(objective.dets):
-                scale[b], trans[b] = fit_projection(x[b], det, w[b])
-        rep, gen, smooth, grad = objective(x, scale, trans)
+
+    def __init__(self, frames: np.ndarray, dets: list, gts, scorer, cfg: IsoConfig):
+        n, t = frames.shape[:2]
+        self.x, self.dets, self.gts, self.cfg = frames, dets, gts, cfg
+        self.objective = _Objective(dets, scorer, cfg)
+        self.scale, self.trans = np.empty(n), np.empty((n, t, 2))
+        self.best = frames.copy()
         if gts is not None:
-            e = np.subtract(x, gts, out=err[:len(x)])
-            e *= e
-            dist = np.add.reduce(e, axis=-1, out=err_norm[:len(x)])
-            mpjpe = np.sqrt(dist, out=dist).reshape(len(x), -1).mean(axis=1).tolist()
-        stay = []
-        for b, (i, r, g, s) in enumerate(zip(ids, rep.tolist(), gen.tolist(), smooth.tolist())):
-            loss = r + cfg.lambda1 * g + cfg.lambda2 * s
-            row = {"iteration": it, "loss": loss, "rep": r, "gen": g, "smooth": s}
+            self.err, self.err_norm = np.empty_like(frames), np.empty(frames.shape[:3])
+
+    def run(self) -> tuple:
+        x, gts, cfg, objective = self.x, self.gts, self.cfg, self.objective
+        scale, trans, best = self.scale, self.trans, self.best
+        n = len(x)
+        for b, det in enumerate(self.dets):
+            scale[b], trans[b] = fit_projection(x[b], det)
+        ids = list(range(n))              # input position of each stacked window
+        traces, done = [[] for _ in range(n)], [None] * n
+        best_loss = [np.inf] * n
+        for it in range(cfg.iterations):
+            if it % REFIT_EVERY == 0:
+                # align with the current weights so distrusted detections do
+                # not drag the frame; weights then refresh off the new fit
+                w = objective.weights(x, scale, trans)
+                for b, det in enumerate(objective.dets):
+                    scale[b], trans[b] = fit_projection(x[b], det, w[b])
+            rep, gen, smooth, grad = objective(x, scale, trans)
             if gts is not None:
-                row["mpjpe"] = mpjpe[b]
-            traces[i].append(row)
-            if loss < best_loss[b]:
-                best_loss[b] = loss
-                best[b] = x[b]
-            if not math.isfinite(loss) or loss > 10.0 * traces[i][0]["loss"]:
-                done[i] = best[b].copy()
-            else:
-                stay.append(b)
-        grad *= cfg.step_size
-        x -= grad
-        if len(stay) < len(ids):
-            ids = [ids[b] for b in stay]
-            x, best, scale, trans = x[stay], best[stay], scale[stay], trans[stay]
-            best_loss = [best_loss[b] for b in stay]
-            gts = None if gts is None else gts[stay]
-            objective.take(stay)
-            if not ids:
-                break
-    for b, i in enumerate(ids):
-        done[i] = x[b].copy()
-    return done, traces
+                e = np.subtract(x, gts, out=self.err[:len(x)])
+                e *= e
+                dist = np.add.reduce(e, axis=-1, out=self.err_norm[:len(x)])
+                mpjpe = np.sqrt(dist, out=dist).reshape(len(x), -1).mean(axis=1).tolist()
+            stay = []
+            for b, (i, r, g, s) in enumerate(zip(ids, rep.tolist(), gen.tolist(),
+                                                 smooth.tolist())):
+                loss = r + cfg.lambda1 * g + cfg.lambda2 * s
+                row = {"iteration": it, "loss": loss, "rep": r, "gen": g, "smooth": s}
+                if gts is not None:
+                    row["mpjpe"] = mpjpe[b]
+                traces[i].append(row)
+                if loss < best_loss[b]:
+                    best_loss[b] = loss
+                    best[b] = x[b]
+                if not math.isfinite(loss) or loss > 10.0 * traces[i][0]["loss"]:
+                    done[i] = best[b].copy()
+                else:
+                    stay.append(b)
+            grad *= cfg.step_size
+            x -= grad
+            if len(stay) < len(ids):
+                ids = [ids[b] for b in stay]
+                x, best, scale, trans = x[stay], best[stay], scale[stay], trans[stay]
+                best_loss = [best_loss[b] for b in stay]
+                gts = None if gts is None else gts[stay]
+                objective.take(stay)
+                if not ids:
+                    break
+        for b, i in enumerate(ids):
+            done[i] = x[b].copy()
+        return done, traces
+
+
+def _cores() -> int:
+    """The cores this process may run on: the most threads refine_many uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_stacks(stacks: list, threads: int) -> list:
+    """run() of every stack, on `threads` threads counting the calling one:
+    thread j takes stacks j, j + threads, ... and stops at its first failure.
+    Once every thread has finished, the first failure in stack order is
+    raised; otherwise the results come back in stack order."""
+    results, errors = [None] * len(stacks), [None] * len(stacks)
+
+    def work(j):
+        for s in range(j, len(stacks), threads):
+            try:
+                results[s] = stacks[s].run()
+            except Exception as err:      # re-raised by the caller below
+                errors[s] = err
+                return
+
+    workers = [threading.Thread(target=work, args=(j,)) for j in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    try:
+        work(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
 
 
 def _as_pose(pose) -> PoseSequence3D:
@@ -484,10 +542,14 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
     """refine of every (pose, detections[, ground truth]) triple: a list of
     (refined PoseSequence3D, trace), in input order.
 
-    Windows of equal length descend together as one B x T x K x 3 stack
-    of at most STACK_FRAMES frames (a longer window is a stack of one).
-    Each keeps its own projection fit, refits, trace, best-so-far frames
-    and abort, so each result equals refine of that window alone.
+    Windows of equal length descend together as B x T x K x 3 stacks of
+    at most STACK_FRAMES frames (a longer window is a stack of one), dealt
+    into at least as many stacks per length as there are cores, up to one
+    per window. With more than one stack and core, the stacks descend on
+    one thread per core, the calling thread one of them; every stack is
+    built before any thread starts. Each window keeps its own projection
+    fit, refits, trace, best-so-far frames and abort, so each result is,
+    bit for bit, refine of that window alone.
     """
     poses = [_as_pose(p) for p in poses]
     dets = list(dets)
@@ -503,18 +565,30 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
             raise InvalidInputError(f"ground truth is {gt.T} x {gt.K} (T x K), "
                                     f"the window {pose.T} x {pose.K}")
         groups.setdefault((pose.T, pose.K), []).append(i)
-    results = [None] * len(poses)
+    cores = _cores()
+    stacks = []                           # the input positions of each stack
     for (t, _), members in groups.items():
         per_stack = max(1, STACK_FRAMES // t)
-        for start in range(0, len(members), per_stack):
-            idx = members[start: start + per_stack]
-            frames = np.stack([poses[i].frames for i in idx])
-            stack_gts = None if gts is None else np.stack([gts[i].frames for i in idx])
-            outs, traces = _descend(frames, [dets[i] for i in idx], stack_gts, scorer, cfg)
-            for i, out_frames, trace in zip(idx, outs, traces):
-                out = poses[i].copy()
-                out.frames = out_frames
-                results[i] = (out, trace)
+        count = max(-(-len(members) // per_stack), min(cores, len(members)))
+        bounds = [len(members) * j // count for j in range(count + 1)]
+        stacks += [members[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def build(idx):
+        return _Stack(np.stack([poses[i].frames for i in idx]), [dets[i] for i in idx],
+                      None if gts is None else np.stack([gts[i].frames for i in idx]),
+                      scorer, cfg)
+
+    threads = min(cores, len(stacks))
+    if threads < 2:
+        outs = [build(idx).run() for idx in stacks]
+    else:
+        outs = _run_stacks([build(idx) for idx in stacks], threads)
+    results = [None] * len(poses)
+    for idx, (frames, traces) in zip(stacks, outs):
+        for i, out_frames, trace in zip(idx, frames, traces):
+            out = poses[i].copy()
+            out.frames = out_frames
+            results[i] = (out, trace)
     return results
 
 

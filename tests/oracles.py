@@ -531,6 +531,9 @@ class GraphEnergy:
     def energies_and_grad(self, frames, weight, work=None):
         return energies_and_grad_by_graph(self.gen_loss, frames, weight)
 
+    def workspace(self, lead):
+        return {}
+
 
 def feature_rows_concat(frames, incidence, interval):
     """kcs.feature_rows as three fresh arrays joined by np.concatenate."""
@@ -593,6 +596,9 @@ class ClosedFormEnergy:
     def energies_and_grad(self, frames, weight, work=None):
         return energies_and_grad_by_graph(self.gen_loss, frames, weight)
 
+    def workspace(self, lead):
+        return {}
+
 
 def rep_loss_graph(pose, det2d, cfg, scale=None, translation=None, weights=None):
     """poselift.iso.rep_loss through Tensor ops."""
@@ -634,8 +640,9 @@ def weights_per_window(frames, det2d, cfg, scale, trans):
     return w * ~det2d.mask
 
 
-def rep_loss_node(x, det2d, scale, translation, weights):
-    """poselift.iso.rep_loss at a given fit and weights, one node over fresh arrays."""
+def rep_loss_node(x, det2d, cfg, scale, translation, weights):
+    """poselift.iso.rep_loss at a given fit and weights, one node over fresh arrays;
+    `cfg` is unused, as the given weights already carry it."""
     d = (x.data[:, :, :2] * scale + translation[:, None, :] - det2d.frames) * CROP_PX
 
     def back(out):
@@ -662,14 +669,17 @@ def smooth_loss_node(x):
     return Tensor((d * d).sum(), (x,), back)
 
 
-def refine_graph(initial_pose3d, det2d, scorer, cfg, gt3d=None):
+def refine_graph(initial_pose3d, det2d, scorer, cfg, gt3d=None, rep=rep_loss_node,
+                 smooth=smooth_loss_node):
     """poselift.iso.refine for one window, one Tensor graph per iteration.
 
     Each iteration refits the projection every REFIT_EVERY steps, weighs
     the detections afresh, builds rep + lambda1 gen + lambda2 smooth from
-    rep_loss_node, the scorer's gen_loss and smooth_loss_node, and steps
-    along the gradient backward() leaves on the frames. Returns (refined
-    PoseSequence3D, trace) exactly as refine does.
+    rep(x, det2d, cfg, scale, translation, weights), the scorer's gen_loss
+    and smooth(x), and steps along the gradient backward() leaves on the
+    frames. Returns (refined PoseSequence3D, trace) exactly as refine does.
+    The default terms are one node each; rep_loss_graph and
+    smooth_loss_graph build the same terms op by op.
     """
     pose = initial_pose3d if isinstance(initial_pose3d, PoseSequence3D) \
         else PoseSequence3D(np.asarray(initial_pose3d, dtype=np.float64))
@@ -684,14 +694,14 @@ def refine_graph(initial_pose3d, det2d, scorer, cfg, gt3d=None):
             scale, trans = fit_projection(frames, det2d, weights)
         weights = weights_per_window(frames, det2d, cfg, scale, trans)
         x = Tensor(frames, requires_grad=True)
-        rep = rep_loss_node(x, det2d, scale, trans, weights)
+        rep_term = rep(x, det2d, cfg, scale, trans, weights)
         gen = scorer.gen_loss(x) if (scorer is not None and cfg.lambda1 > 0) \
             else Tensor(0.0)
-        sm = smooth_loss_node(x)
-        loss = rep + cfg.lambda1 * gen + cfg.lambda2 * sm
+        sm = smooth(x)
+        loss = rep_term + cfg.lambda1 * gen + cfg.lambda2 * sm
         loss.backward()
         lval = loss.item()
-        row = {"iteration": it, "loss": lval, "rep": rep.item(),
+        row = {"iteration": it, "loss": lval, "rep": rep_term.item(),
                "gen": gen.item(), "smooth": sm.item()}
         if gt3d is not None:
             row["mpjpe"] = float(np.linalg.norm(frames - gt3d.frames, axis=2).mean())

@@ -4,8 +4,8 @@ The lifter's embedding and its loss_3d, loss_multiview, loss_2d,
 _loss_2d_sum and total_loss, KcsEnergyModel.gen_loss, iso.rep_loss and
 iso.smooth_loss are each one graph node whose backward is written out in
 numpy; tests/oracles.py keeps the same terms built from Tensor ops, and
-these tests hold the two equal in value, in gradient, inside iso.refine and
-inside tcn.train. A batch of windows passed to gen_loss at once equals the
+these tests hold the two equal in value, in gradient, inside tcn.train, and
+in iso.refine against oracles.refine_graph descending on the per-op terms. A batch of windows passed to gen_loss at once equals the
 per-window calls summed.
 """
 
@@ -29,7 +29,7 @@ from poselift.tcn import (LossWeights, TcnConfig, TcnModel, TrainConfig, _loss_2
 
 from oracles import (GraphEnergy, embed_frames_graph, energy_gen_loss_graph,
                      loss_2d_graph, loss_2d_sum_graph, loss_3d_graph, loss_multiview_graph,
-                     rep_loss_graph, smooth_loss_graph, total_loss_graph)
+                     refine_graph, rep_loss_graph, smooth_loss_graph, total_loss_graph)
 
 TOPO = default_topology()
 K = TOPO.K
@@ -192,17 +192,17 @@ def test_precision_exactly_symmetric_after_fit_and_load(tmp_path):
     np.testing.assert_allclose(skewed.precision, model.precision, rtol=0.0, atol=1e-9)
 
 
-def test_refine_matches_graph_terms(monkeypatch):
+def test_refine_matches_graph_terms():
+    # the oracle descent with every term built op by op: per-op reprojection,
+    # smoothness and energy graphs
     gt = noisy_window(24, seed=10, noise_mm=0.0)
     init = PoseSequence3D(gt + np.random.default_rng(11).normal(0.0, 25.0, gt.shape))
     det = detections(gt, seed=12)
     cfg = IsoConfig(weight_mode="soft", iterations=120, lambda1=0.01, lambda2=0.05,
                     step_size=0.1)
     got, got_trace = refine(init, det, MODELS[1], cfg, gt3d=PoseSequence3D(gt))
-    monkeypatch.setattr(iso, "rep_loss", rep_loss_graph)
-    monkeypatch.setattr(iso, "smooth_loss", smooth_loss_graph)
-    want, want_trace = refine(init, det, GraphEnergy(MODELS[1]), cfg,
-                              gt3d=PoseSequence3D(gt))
+    want, want_trace = refine_graph(init, det, GraphEnergy(MODELS[1]), cfg, PoseSequence3D(gt),
+                                    rep=rep_loss_graph, smooth=smooth_loss_graph)
     assert len(got_trace) == len(want_trace) == 120
     assert np.abs(got.frames - want.frames).max() <= 1e-9
     for g, w in zip(got_trace, want_trace):

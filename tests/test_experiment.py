@@ -122,6 +122,27 @@ def test_run_experiment_reads_eval_pairs_from_data_dir(tmp_path):
         json.loads((first / "manifest.json").read_text())["files"]["eval00_gt.pose3d"]
 
 
+def mixed_length_data(data):
+    """Eval pairs of 40, 30 and 40 frames written under `data`, for data_dir."""
+    from poselift.pose_io import write_pose2d, write_pose3d
+    from poselift.synth import generate
+
+    data.mkdir()
+    for name, frames, seed in (("a", 40, 1), ("b", 30, 2), ("c", 40, 3)):
+        view = generate(SyntheticMotionConfig(n_sequences=1, frames=frames, seed=seed,
+                                              mask_occluded_prob=0.9), TOPO)[0].views[0]
+        write_pose3d(data / f"{name}_gt.pose3d", view.pose3d, TOPO)
+        write_pose2d(data / f"{name}_det.pose2d", view.det2d, TOPO)
+    return data
+
+
+def refining_config(out, data):
+    return tiny_config(out, data_dir=str(data),
+                       train=TrainConfig(steps_per_epoch=5, batch_size=2,
+                                         weights=LossWeights(w1=0.0, w2=0.0, w3=0.01)),
+                       iso=IsoConfig(iterations=30, lambda1=0.01))
+
+
 @pytest.mark.parametrize("stack_frames", [1024, 40])
 def test_refine_stage_writes_what_refining_each_pair_alone_writes(tmp_path, monkeypatch,
                                                                   stack_frames):
@@ -129,16 +150,9 @@ def test_refine_stage_writes_what_refining_each_pair_alone_writes(tmp_path, monk
     # 40-frame cap one stack per pair
     import poselift.experiment as experiment
     import poselift.iso as iso
-    from poselift.pose_io import write_json, write_pose2d, write_pose3d
-    from poselift.synth import generate
+    from poselift.pose_io import write_json, write_pose3d
 
-    data = tmp_path / "data"
-    data.mkdir()
-    for name, frames, seed in (("a", 40, 1), ("b", 30, 2), ("c", 40, 3)):
-        view = generate(SyntheticMotionConfig(n_sequences=1, frames=frames, seed=seed,
-                                              mask_occluded_prob=0.9), TOPO)[0].views[0]
-        write_pose3d(data / f"{name}_gt.pose3d", view.pose3d, TOPO)
-        write_pose2d(data / f"{name}_det.pose2d", view.det2d, TOPO)
+    data = mixed_length_data(tmp_path / "data")
     monkeypatch.setattr(iso, "STACK_FRAMES", stack_frames)
     calls = []
 
@@ -148,11 +162,7 @@ def test_refine_stage_writes_what_refining_each_pair_alone_writes(tmp_path, monk
 
     monkeypatch.setattr(experiment, "refine_many", recording)
     out = tmp_path / "run"
-    cfg = tiny_config(out, data_dir=str(data),
-                      train=TrainConfig(steps_per_epoch=5, batch_size=2,
-                                        weights=LossWeights(w1=0.0, w2=0.0, w3=0.01)),
-                      iso=IsoConfig(iterations=30, lambda1=0.01))
-    run_experiment(cfg, TOPO)
+    run_experiment(refining_config(out, data), TOPO)
     assert len(calls) == 1
     (preds, dets, scorer, iso_cfg), kwargs = calls[0]
     alone = tmp_path / "alone"
@@ -166,6 +176,23 @@ def test_refine_stage_writes_what_refining_each_pair_alone_writes(tmp_path, monk
         assert (out / f"eval{i:02d}_trace.json").read_bytes() == \
             (alone / "trace.json").read_bytes()
     assert [p.T for p in preds] == [40, 30, 40]
+
+
+def test_run_experiment_writes_the_same_files_on_one_core_and_two(tmp_path, monkeypatch):
+    # criterion 10 across core counts: on two cores the two 40-frame pairs
+    # descend on two threads, the 30-frame pair after one of them
+    import poselift.iso as iso
+
+    data = mixed_length_data(tmp_path / "data")
+    files = []
+    for cores in (1, 2):
+        monkeypatch.setattr(iso, "_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        run_experiment(refining_config(out, data), TOPO)
+        files.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert "manifest.json" in files[0] and "eval02_trace.json" in files[0]
+    assert files[0] == files[1]
 
 
 def test_config_validation(tmp_path):

@@ -33,12 +33,24 @@ def test_the_guard_sees_every_import_form():
     assert imported_packages(tree) == {"a", "c", "d", "k"}
 
 
-def test_importing_every_module_leaves_scipy_optimize_unloaded():
-    # only iso.calibrate needs scipy.optimize, and it imports it when called
+def loaded_after_importing_every_module(prefixes: tuple) -> str:
+    """The loaded modules starting with one of `prefixes`, printed by a fresh
+    interpreter after importing every poselift module."""
     modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
     probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n"
              f"import poselift\nfrom poselift import {', '.join(modules)}\n"
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "[]\n"
+             f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_importing_every_module_leaves_scipy_optimize_unloaded():
+    # only iso.calibrate needs scipy.optimize, and it imports it when called
+    assert loaded_after_importing_every_module(("scipy.optimize",)) == "[]\n"
+
+
+def test_importing_every_module_loads_no_pool_of_workers():
+    # iso.refine_many starts plain threads (numpy loads threading anyway);
+    # neither executor package is loaded
+    assert loaded_after_importing_every_module(("concurrent.futures", "multiprocessing")) \
+        == "[]\n"

@@ -4,8 +4,13 @@ iso.refine descends a stack of windows through one graph-free objective;
 oracles.refine_graph is the same descent as one Tensor graph per iteration
 and window. Every refined frame and every trace value must be bit for bit
 the oracle's, whatever the weight mode, calibration, realness and
-smoothness weights, window length, batch split or abort.
+smoothness weights, window length, batch split, abort or number of threads
+the stacks descend on.
 """
+
+import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -155,3 +160,125 @@ def test_refine_builds_no_tensor(monkeypatch):
     assert made == []
     SCORERS[1].gen_loss(pairs[0][0])          # the counter does see a Tensor
     assert made
+
+
+# ------------------------------------------------------------ threads
+#
+# refine_many deals each length's windows into at least as many stacks as
+# there are cores and descends them on one thread per core. The core count
+# comes from iso._cores, patched here; results must not depend on it.
+
+STACKED = [window(t, seed=40 + i) for i, t in enumerate((24, 31, 24, 24, 31))]
+STACKED_CFG = cfg_of(iterations=30)
+
+
+@functools.cache
+def alone(i):
+    init, det, gt = STACKED[i]
+    return refine(init, det, SCORERS[1], STACKED_CFG, gt)
+
+
+@functools.cache
+def oracle(i):
+    init, det, gt = STACKED[i]
+    return refine_graph(init, det, SCORERS[1], STACKED_CFG, gt)
+
+
+def refine_on(monkeypatch, cores, pairs, scorer, cfg):
+    """refine_many with `cores` cores: (results, the threads that ran a stack)."""
+    monkeypatch.setattr(iso, "_cores", lambda: cores)
+    ran, run = [], iso._Stack.run
+
+    def recording(self):
+        ran.append(threading.get_ident())
+        return run(self)
+
+    monkeypatch.setattr(iso._Stack, "run", recording)
+    before = threading.active_count()
+    got = refine_many([p[0] for p in pairs], [p[1] for p in pairs], scorer, cfg,
+                      gts=[p[2] for p in pairs])
+    assert threading.active_count() == before
+    return got, set(ran)
+
+
+def assert_each_alone(got, picks):
+    for (pose, trace), i in zip(got, picks, strict=True):
+        for want_pose, want_trace in (alone(i), oracle(i)):
+            assert np.array_equal(pose.frames, want_pose.frames)
+            assert trace == want_trace
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_refine_many_on_threads_equals_each_window_alone(monkeypatch, cores, n):
+    got, threads = refine_on(monkeypatch, cores, STACKED[:n], SCORERS[1], STACKED_CFG)
+    assert_each_alone(got, range(n))
+    if cores == 1 or n == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert threading.get_ident() in threads and len(threads) == min(cores, n)
+
+
+def test_refine_many_of_no_windows_starts_no_thread(monkeypatch):
+    assert refine_on(monkeypatch, 2, [], SCORERS[1], STACKED_CFG) == ([], set())
+
+
+@pytest.mark.parametrize("cores", [2, 3, 8])
+def test_refine_many_on_threads_splits_a_length_past_the_stack_cap(monkeypatch, cores):
+    # a 50-frame cap holds two 24-frame windows or one 31-frame window, so
+    # there are more stacks than two or three threads; the threads switch
+    # as often as the interpreter allows
+    monkeypatch.setattr(iso, "STACK_FRAMES", 50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, threads = refine_on(monkeypatch, cores, STACKED, SCORERS[1], STACKED_CFG)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_each_alone(got, range(5))
+    assert len(threads) == min(cores, 5)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_refine_many_on_threads_when_a_worker_window_aborts(monkeypatch, cores):
+    # the diverging window of the abort test above, last: a worker's stack
+    # holds it, the calling thread's does not
+    pairs = [window(24, seed=7), window(24, seed=8), window(24, seed=6, scale_mm=500.0)]
+    cfg = cfg_of(weight_mode="constant", iterations=40, step_size=50.0, lambda1=1e-5,
+                 lambda2=0.0)
+    got, threads = refine_on(monkeypatch, cores, pairs, SCORERS[1], cfg)
+    assert len(threads) == cores
+    lengths = []
+    for (pose, trace), (init, det, gt) in zip(got, pairs):
+        want_pose, want_trace = refine(init, det, SCORERS[1], cfg, gt)
+        assert np.array_equal(pose.frames, want_pose.frames) and trace == want_trace
+        lengths.append(len(assert_matches_oracle((pose, trace), init, det, SCORERS[1], cfg, gt)))
+    assert lengths[:2] == [40, 40] and lengths[2] < 40
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_refine_many_on_threads_raises_the_first_failing_stack(monkeypatch, cores):
+    # the 2- and 1-frame windows are too short for an interval-2 scorer; the
+    # 2-frame stack comes first, so its error is the one the serial path raises
+    pairs = [window(24, seed=50), window(2, seed=51), window(1, seed=52)]
+    cfg = cfg_of(iterations=3)
+    raised = []
+    for n in (1, cores):
+        with pytest.raises(InvalidWindowError) as err:
+            refine_on(monkeypatch, n, pairs, SCORERS[2], cfg)
+        raised.append(str(err.value))
+    assert raised[0] == raised[1] == "window length 2 < interval + 1 = 3"
+
+
+def test_workspace_holds_every_kernel_buffer():
+    scorer = SCORERS[1]
+    work = scorer.workspace((3, 24))
+    held = dict(work)
+    # a full stack, then one window of it, as after two windows abort
+    for stack in (np.stack([STACKED[i][0].frames for i in (0, 2, 3)]),
+                  STACKED[0][0].frames[None]):
+        got = scorer.energies_and_grad(stack, 0.1, work)
+        want = scorer.energies_and_grad(stack, 0.1)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert work.keys() == held.keys()
+    assert all(work[name] is held[name] for name in held)
