@@ -9,17 +9,37 @@ differentiable w.r.t. the window coordinates, so it plugs into the lifter's
 training loss and into inference-stage refinement. A BCE-trained
 temporal-conv scorer over the same features did not beat it on the ablation
 ladder and took over twice the wall time (the comparison is in CHANGES.md).
+
+One kernel computes every window's energy and its gradient. Given a part
+count it cuts the frames into ranges and runs them on threads in two
+rounds: the feature rows, the precision product and per-frame energies,
+then, once every range has finished, the gradient. Phi needs Psi of a few
+frames past its range, and the gradient of Phi needs the few rows of the
+precision product just before it; a range forms those again from the
+frames, or reads them once they are final, so no range reads a row
+another is still writing. Cuts sit on multiples of CUT_FRAMES = 48 frames
+because a product cut into row blocks keeps every bit only at some
+offsets: on numpy's bundled OpenBLAS 0.3.31 (AVX-512 double kernels, one
+BLAS thread) cuts at multiples of 12 rows kept every bit of a 480 x 323
+by 323 x 323 product and no other cut did. A BLAS that splits a product
+among its own threads cuts it by size, so the split is bit for bit only
+with BLAS on one thread (parallel.blas_threads).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
-from .kcs import bone_incidence, discriminator_features, feature_rows, scratch
+from .kcs import bone_incidence, check_window, discriminator_features, fill_rows, scratch
+from .parallel import run
 from .pose_io import load_checkpoint, save_checkpoint
 from .skeleton import PoseSequence3D, SkeletonTopology
+
+CUT_FRAMES = 48        # every cut of a split kernel call falls on a multiple of this
 
 
 def _frames_of(window):
@@ -47,11 +67,12 @@ class KcsEnergyModel:
         self.interval = int(interval)
         self.fit_energies = np.asarray(fit_energies, dtype=np.float64)
         m = self.incidence.shape[1]
-        self._iu = np.triu_indices(m)
+        iu = np.triu_indices(m)
+        self._pick = iu[0] * m + iu[1]             # flat M*M slots of the upper triangle
         # M*M map of bone pair (a, b) to the upper-triangle slot of (min, max)
         slot = np.empty((m, m), dtype=np.intp)
-        slot[self._iu] = np.arange(len(self._iu[0]))
-        slot.T[self._iu] = slot[self._iu]
+        slot[iu] = np.arange(len(iu[0]))
+        slot.T[iu] = slot[iu]
         self._sym = slot.reshape(-1)
 
     @classmethod
@@ -83,48 +104,103 @@ class KcsEnergyModel:
         """Mean per-frame Mahalanobis energy of the window."""
         return self.gen_loss(_frames_of(window)).item()
 
-    def _kernel(self, frames: np.ndarray, work: dict = None) -> tuple:
+    def _kernel(self, frames: np.ndarray, work: dict = None, parts: int = 1) -> tuple:
         """(energies, grad) of a (..., T, K, 3) stack: each window's mean per-frame
         energy, and grad(weight), the gradient of weight times their sum. With a
         `work` dict every large array is a buffer kept there (kcs.scratch), and
-        the gradient returned is a view into one of them."""
-        bones, rows = feature_rows(frames, self.incidence, self.interval, self._iu, work)
-        rows -= self.mean                            # rows is ours: centre it in place
-        y = np.matmul(rows, self.precision, out=scratch(work, "y", rows.shape))
-        t, i = rows.shape[-2], self.interval
-        (k, m), u = self.incidence.shape, len(self._iu[0])
-        rows *= y                                    # the bits of y * d, as x * y == y * x
-        energies = rows.sum(axis=-1).sum(axis=-1) * (1.0 / t)
+        the gradient returned is a view into one of them.
+
+        With `parts` > 1 the frames are cut into up to that many ranges, every
+        cut on a multiple of CUT_FRAMES, and the ranges run on threads in two
+        rounds (parallel.run): the energy, then the gradient. A range writes
+        only its own frames of the buffers, made here before any thread
+        starts, and reads another's only between rounds, when they are final.
+        """
+        check_window(frames, self.incidence, self.interval)
+        lead, t, i = frames.shape[:-2], frames.shape[-3], self.interval
+        (k, m), u, f = self.incidence.shape, len(self._pick), self.mean.size
+        bones = scratch(work, "bones", lead + (3, m))
+        gsym = scratch(work, "gsym", lead + (m * m,))   # Psi, then g + g^T
+        rows = scratch(work, "rows", lead + (f,))
+        y = scratch(work, "y", lead + (f,))
+        sums = scratch(work, "sums", lead)
+        spans = [(0, t)]
+        if parts > 1:
+            cuts = {CUT_FRAMES * round(j * t / (parts * CUT_FRAMES)) for j in range(1, parts)}
+            # no one-frame range: numpy takes a one-row product as a vector product
+            bounds = [0, *sorted(c for c in cuts if 0 < c < t - 1), t]
+            spans = list(zip(bounds, bounds[1:]))
+
+        def each(fn):
+            # fn(a, b) of every range, on threads when there are several
+            if len(spans) == 1:
+                fn(0, t)
+            else:
+                run([functools.partial(fn, a, b) for a, b in spans], len(spans))
+
+        def energy(a, b):
+            fill_rows(frames, self.incidence, i, self._pick, bones, gsym, rows, a, b)
+            d = rows[..., a:b, :]
+            d -= self.mean                           # rows is ours: centre it in place
+            ya = np.matmul(d, self.precision, out=y[..., a:b, :])
+            d *= ya                                  # the bits of y * d, as x * y == y * x
+            np.add.reduce(d, axis=-1, out=sums[..., a:b])
+
+        each(energy)
+        energies = sums.sum(axis=-1) * (1.0 / t)
 
         def grad(weight):
             # d(energy)/d(rows), P symmetric
-            gf = np.multiply(y, 2.0 * weight / t, out=scratch(work, "gf", y.shape))
-            gpsi = gf[..., :u]
-            gphi = gf[..., :t - i, u: 2 * u]         # Phi_t = Psi_{t+i} - Psi_t
-            gpsi[..., i:, :] += gphi
-            gpsi[..., :t - i, :] -= gphi
-            # g + g^T of the upper triangle g holding gpsi: slot (a, b) of either
-            # triangle plus the zero across it, and twice the diagonal
-            # mode "clip" (every slot is in range) lets np.take write `out` directly
-            gsym = np.take(gpsi, self._sym, axis=-1, mode="clip",
-                           out=scratch(work, "gsym", gpsi.shape[:-1] + (m * m,)))
-            gsym[..., ::m + 1] *= 2.0
-            gbones = np.matmul(bones, gsym.reshape(gsym.shape[:-1] + (m, m)),
-                               out=scratch(work, "gbones", bones.shape))
-            gx = np.swapaxes(np.matmul(gbones.reshape(-1, m), self.incidence.T,
-                                       out=scratch(work, "gx", (gbones.size // m, k))
-                                       ).reshape(gbones.shape[:-1] + (k,)), -1, -2)
-            gx += gf[..., 2 * u:].reshape(gx.shape)
-            return gx
+            gf = scratch(work, "gf", y.shape)
+            gbones = scratch(work, "gbones", bones.shape)
+            gx = scratch(work, "gx", lead + (3, k))
+            scale = 2.0 * weight / t
+
+            def part(a, b):
+                g = np.multiply(y[..., a:b, :], scale, out=gf[..., a:b, :])
+                gpsi, gphi = g[..., :u], g[..., u:2 * u]
+                # Phi_s = Psi_{s+i} - Psi_s: frame s + i gains gphi_s and frame s
+                # loses it; gphi of the i frames before a is formed from y again
+                lo, mid = max(a, i), min(b, a + i)
+                if lo < mid:
+                    gpsi[..., lo - a:mid - a, :] += np.multiply(
+                        y[..., lo - i:mid - i, u:2 * u], scale)
+                if a + i < b:
+                    gpsi[..., i:, :] += gphi[..., :b - a - i, :]
+                n = min(b, t - i) - a
+                if n > 0:
+                    gpsi[..., :n, :] -= gphi[..., :n, :]
+                # g + g^T of the upper triangle g holding gpsi: slot (p, q) of either
+                # triangle plus the zero across it, and twice the diagonal
+                gs = np.take(gpsi, self._sym, axis=-1, mode="clip", out=gsym[..., a:b, :])
+                gs[..., ::m + 1] *= 2.0
+                gb = np.matmul(bones[..., a:b, :, :], gs.reshape(gs.shape[:-1] + (m, m)),
+                               out=gbones[..., a:b, :, :])
+                # one product over the rows of whole windows, else one per window
+                flat = (-1,) if (a, b) == (0, t) else lead[:-1] + (-1,)
+                gx_ab = gx[..., a:b, :, :]
+                np.matmul(gb.reshape(flat + (m,)), self.incidence.T,
+                          out=gx_ab.reshape(flat + (k,)))
+                gx_ab = np.swapaxes(gx_ab, -1, -2)
+                gx_ab += g[..., 2 * u:].reshape(gx_ab.shape)
+
+            each(part)
+            return np.swapaxes(gx, -1, -2)
 
         return energies, grad
 
-    def energies_and_grad(self, frames, weight: float, work: dict = None) -> tuple:
+    def energies_and_grad(self, frames, weight: float, work: dict = None,
+                          parts: int = 1) -> tuple:
         """Each window's mean per-frame energy over a (..., T, K, 3) stack, and the
         gradient of `weight` times their sum w.r.t. the stack: gen_loss without
         a graph, value and gradient bit for bit the node's. A `work` dict
-        passed to every call keeps the kernel's buffers between calls."""
-        energies, grad = self._kernel(np.asarray(frames, dtype=np.float64), work)
+        passed to every call keeps the kernel's buffers between calls.
+
+        `parts` > 1 splits the evaluation into up to that many frame ranges on
+        threads (see _kernel); the bits stay those of one part wherever BLAS
+        runs each product on one thread (parallel.blas_threads() == 1).
+        """
+        energies, grad = self._kernel(np.asarray(frames, dtype=np.float64), work, parts)
         return energies, grad(weight)
 
     def workspace(self, lead: tuple) -> dict:
@@ -132,7 +208,7 @@ class KcsEnergyModel:
         buffer the kernel keeps there at full size, allocated but unwritten:
         calls on such stacks, or on fewer of their windows, allocate none."""
         (k, m), f = self.incidence.shape, self.mean.size
-        per_frame = {"bones": 3 * m, "psi": m * m, "rows": f, "y": f, "gf": f,
+        per_frame = {"bones": 3 * m, "rows": f, "y": f, "sums": 1, "gf": f,
                      "gsym": m * m, "gbones": 3 * m, "gx": 3 * k}
         frames = int(np.prod(lead))
         return {name: np.empty(frames * size) for name, size in per_frame.items()}

@@ -17,6 +17,13 @@ buffers reused across iterations; refine is its one-window case. No
 window's descent depends on another's, so refine_many descends its stacks
 on one thread per available core (numpy releases the GIL in its array
 loops and BLAS calls), and the results are bit for bit the serial ones.
+Cores left over, as when one long window is one stack, split each energy
+evaluation of a stack into frame ranges on threads of their own, at least
+PART_FRAMES stacked frames per range with every cut on a multiple of 48
+frames (discriminator.CUT_FRAMES: where the precision product's row
+blocks keep their bits). That happens only where BLAS runs each product
+on one thread; a threaded BLAS already spreads the products over the
+cores, and cuts of its products do not keep their bits.
 Each term is written once, as array functions with leading batch axes,
 and the public Tensor nodes rep_loss, smooth_loss and iso_loss wrap the
 same functions.
@@ -26,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -34,12 +40,14 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
+from .parallel import blas_threads, run
 from .skeleton import CROP_PX, PoseSequence2D, PoseSequence3D
 
 WEIGHT_MODES = ("constant", "confidence", "hard", "soft")
 REFIT_EVERY = 25                  # descent iterations between projection refits
 HARD_THRESHOLD = 0.7              # hard mode zeroes confidences below this
 STACK_FRAMES = 1024               # most frames refine_many descends as one stack
+PART_FRAMES = 160                 # fewest stacked frames per part of a split energy call
 
 _CLIP = 1e-6
 
@@ -356,12 +364,13 @@ class _Objective:
     energy, then reprojection. Confidences are mapped and checked once,
     weights that do not move with the pose are formed once, and one
     projection residual serves both the soft weights and the reprojection
-    term. `take` keeps only the given windows.
+    term. The energy calls split into `parts` frame ranges (see
+    refine_many). `take` keeps only the given windows.
     """
 
-    def __init__(self, dets: list, scorer, cfg: IsoConfig):
+    def __init__(self, dets: list, scorer, cfg: IsoConfig, parts: int):
         n, t, k = len(dets), dets[0].T, dets[0].K
-        self.cfg = cfg
+        self.cfg, self.parts = cfg, parts
         self.scorer = scorer if cfg.lambda1 > 0 else None
         self.dets = list(dets)
         self.det = np.stack([d.frames for d in dets])
@@ -413,7 +422,8 @@ class _Objective:
             smooth = np.zeros(n)
             grad.fill(0.0)
         if self.scorer is not None:
-            gen, gen_grad = self.scorer.energies_and_grad(x, cfg.lambda1, self._energy_work)
+            gen, gen_grad = self.scorer.energies_and_grad(x, cfg.lambda1, self._energy_work,
+                                                          self.parts)
             grad += gen_grad
         else:
             gen = np.zeros(n)
@@ -435,10 +445,11 @@ class _Stack:
     of its own and raise peak memory.
     """
 
-    def __init__(self, frames: np.ndarray, dets: list, gts, scorer, cfg: IsoConfig):
+    def __init__(self, frames: np.ndarray, dets: list, gts, scorer, cfg: IsoConfig,
+                 parts: int):
         n, t = frames.shape[:2]
         self.x, self.dets, self.gts, self.cfg = frames, dets, gts, cfg
-        self.objective = _Objective(dets, scorer, cfg)
+        self.objective = _Objective(dets, scorer, cfg, parts)
         self.scale, self.trans = np.empty(n), np.empty((n, t, 2))
         self.best = frames.copy()
         if gts is not None:
@@ -504,35 +515,6 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_stacks(stacks: list, threads: int) -> list:
-    """run() of every stack, on `threads` threads counting the calling one:
-    thread j takes stacks j, j + threads, ... and stops at its first failure.
-    Once every thread has finished, the first failure in stack order is
-    raised; otherwise the results come back in stack order."""
-    results, errors = [None] * len(stacks), [None] * len(stacks)
-
-    def work(j):
-        for s in range(j, len(stacks), threads):
-            try:
-                results[s] = stacks[s].run()
-            except Exception as err:      # re-raised by the caller below
-                errors[s] = err
-                return
-
-    workers = [threading.Thread(target=work, args=(j,)) for j in range(1, threads)]
-    for worker in workers:
-        worker.start()
-    try:
-        work(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    for err in errors:
-        if err is not None:
-            raise err
-    return results
-
-
 def _as_pose(pose) -> PoseSequence3D:
     return pose if isinstance(pose, PoseSequence3D) \
         else PoseSequence3D(np.asarray(pose, dtype=np.float64))
@@ -547,7 +529,10 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
     into at least as many stacks per length as there are cores, up to one
     per window. With more than one stack and core, the stacks descend on
     one thread per core, the calling thread one of them; every stack is
-    built before any thread starts. Each window keeps its own projection
+    built before any thread starts. With BLAS on one thread, the cores
+    per stack thread split the stack's energy evaluations into that many
+    frame ranges, each of at least PART_FRAMES stacked frames (the
+    scorer's energies_and_grad `parts`). Each window keeps its own projection
     fit, refits, trace, best-so-far frames and abort, so each result is,
     bit for bit, refine of that window alone.
     """
@@ -573,16 +558,20 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
         bounds = [len(members) * j // count for j in range(count + 1)]
         stacks += [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
+    threads = min(cores, len(stacks))
+    # cores the stacks leave idle split each stack's energy evaluation by frames
+    split = cores // threads if threads and blas_threads() == 1 else 1
+
     def build(idx):
+        parts = max(1, min(split, len(idx) * poses[idx[0]].T // PART_FRAMES))
         return _Stack(np.stack([poses[i].frames for i in idx]), [dets[i] for i in idx],
                       None if gts is None else np.stack([gts[i].frames for i in idx]),
-                      scorer, cfg)
+                      scorer, cfg, parts)
 
-    threads = min(cores, len(stacks))
     if threads < 2:
         outs = [build(idx).run() for idx in stacks]
     else:
-        outs = _run_stacks([build(idx) for idx in stacks], threads)
+        outs = run([build(idx).run for idx in stacks], threads)
     results = [None] * len(poses)
     for idx, (frames, traces) in zip(stacks, outs):
         for i, out_frames, trace in zip(idx, frames, traces):

@@ -53,19 +53,9 @@ def scratch(work, name: str, shape: tuple) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
-                 iu: tuple = None, work: dict = None) -> tuple:
-    """(bones, rows) of a T x K x 3 window: the T x 3 x M bone matrices and
-    the T x F feature rows [upper(Psi_t) | upper(Phi_t) | coords], filled
-    column block by column block into one array: a fresh one the caller
-    owns, or the `work` buffer of that name (see scratch).
-
-    Leading batch axes, (..., T, K, 3), carry through to both results.
-    One routine for discriminator_features and the KCS energy model, so
-    the features an energy is fitted on are the ones its loss scores.
-    `iu` is np.triu_indices(M), for callers that keep it between calls.
-    """
-    k, m = incidence.shape
+def check_window(frames: np.ndarray, incidence: np.ndarray, interval: int) -> None:
+    """Raise unless `frames` is (..., T, K, 3) with T > interval >= 1."""
+    k = incidence.shape[0]
     if frames.ndim < 3 or frames.shape[-2:] != (k, 3):
         raise InvalidInputError(f"window must be T x {k} x 3 after any batch axes, "
                                 f"got {frames.shape}")
@@ -74,23 +64,70 @@ def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int,
     t = frames.shape[-3]
     if t < interval + 1:
         raise InvalidWindowError(f"window length {t} < interval + 1 = {interval + 1}")
-    if iu is None:
-        iu = np.triu_indices(m)
+
+
+def feature_rows(frames: np.ndarray, incidence: np.ndarray, interval: int) -> tuple:
+    """(bones, rows) of a T x K x 3 window: the T x 3 x M bone matrices and
+    the T x F feature rows [upper(Psi_t) | upper(Phi_t) | coords], fresh
+    arrays the caller owns.
+
+    Leading batch axes, (..., T, K, 3), carry through to both results.
+    One routine (fill_rows) for discriminator_features and the KCS energy
+    model, so the features an energy is fitted on are the ones its loss
+    scores.
+    """
+    check_window(frames, incidence, interval)
+    k, m = incidence.shape
+    iu = np.triu_indices(m)
+    pick = iu[0] * m + iu[1]
     lead = frames.shape[:-2]
-    bones = np.matmul(np.swapaxes(frames, -1, -2), incidence,
-                      out=scratch(work, "bones", lead + (3, m)))          # ... x T x 3 x M
-    psi = np.matmul(np.swapaxes(bones, -1, -2), bones,
-                    out=scratch(work, "psi", lead + (m, m)))              # ... x T x M x M
-    u = len(iu[0])
-    rows = scratch(work, "rows", lead + (2 * u + 3 * k,))
-    psi_flat, phi_flat = rows[..., :u], rows[..., u:2 * u]
-    np.take(psi.reshape(psi.shape[:-2] + (m * m,)), iu[0] * m + iu[1], axis=-1,
-            out=psi_flat)
-    np.subtract(psi_flat[..., interval:, :], psi_flat[..., :t - interval, :],
-                out=phi_flat[..., :t - interval, :])
-    phi_flat[..., t - interval:, :] = 0.0
-    rows[..., 2 * u:] = frames.reshape(frames.shape[:-2] + (-1,))
+    bones, rows = np.empty(lead + (3, m)), np.empty(lead + (2 * len(pick) + 3 * k,))
+    fill_rows(frames, incidence, interval, pick, bones, np.empty(lead + (m * m,)), rows,
+              0, frames.shape[-3])
     return bones, rows
+
+
+def _upper_psi(frames: np.ndarray, incidence: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """upper(Psi) of each frame, fresh: the products fill_rows forms frame by frame."""
+    bones = np.matmul(np.swapaxes(frames, -1, -2), incidence)
+    psi = np.matmul(np.swapaxes(bones, -1, -2), bones)
+    return np.take(psi.reshape(psi.shape[:-2] + (-1,)), pick, axis=-1, mode="clip")
+
+
+def fill_rows(frames: np.ndarray, incidence: np.ndarray, interval: int, pick: np.ndarray,
+              bones: np.ndarray, psi: np.ndarray, rows: np.ndarray, a: int, b: int) -> None:
+    """Frames a..b-1 of feature_rows(frames, ...), written column block by
+    column block into `bones` (..., T, 3, M) and `rows` (..., T, F); `psi`
+    (..., T, M * M) is room for Psi, dead once its upper triangle is in rows.
+    `pick` holds the flat M * M slots of that upper triangle, row by row.
+
+    Phi of the last `interval` frames before b needs Psi of frames at or
+    past b. Those are formed again here, by the same per-frame products, so
+    the call reads and writes only frames a..b-1 of the buffers, and calls
+    over disjoint frame ranges may run at once.
+    """
+    m = incidence.shape[1]
+    t, i, u = frames.shape[-3], interval, len(pick)
+    x = frames[..., a:b, :, :]
+    bones_ab = np.matmul(np.swapaxes(x, -1, -2), incidence,
+                         out=bones[..., a:b, :, :])                      # ... x n x 3 x M
+    psi_ab = psi[..., a:b, :]
+    np.matmul(np.swapaxes(bones_ab, -1, -2), bones_ab,
+              out=psi_ab.reshape(psi_ab.shape[:-1] + (m, m)))            # ... x n x M x M
+    psi_flat, phi_flat = rows[..., :u], rows[..., u:2 * u]
+    # mode "clip" (every slot is in range) lets np.take write `out` directly
+    np.take(psi_ab, pick, axis=-1, mode="clip", out=psi_flat[..., a:b, :])
+    end = min(b, t - i)               # frames a..end-1 have a Phi
+    own = min(end, b - i)             # a..own-1 diff against Psi inside a..b-1
+    if own > a:
+        np.subtract(psi_flat[..., a + i:own + i, :], psi_flat[..., a:own, :],
+                    out=phi_flat[..., a:own, :])
+    lo = max(a, own)
+    if end > lo:
+        np.subtract(_upper_psi(frames[..., lo + i:end + i, :, :], incidence, pick),
+                    psi_flat[..., lo:end, :], out=phi_flat[..., lo:end, :])
+    phi_flat[..., max(a, t - i):b, :] = 0.0
+    rows[..., a:b, 2 * u:] = x.reshape(x.shape[:-2] + (-1,))
 
 
 def discriminator_features(window: PoseSequence3D, topo: SkeletonTopology,

@@ -1,7 +1,11 @@
+import ctypes
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from poselift import parallel
 from poselift.pose_io import default_topology
 
 # every property test: no per-example deadline (the suite shares its machine),
@@ -13,6 +17,30 @@ settings.load_profile("poselift")
 @pytest.fixture(scope="session")
 def topo():
     return default_topology()
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's BLAS on one thread per product for the test, as the benchmark
+    runs it: only then do cut products keep their bits, and only then does
+    iso.refine_many split an energy evaluation across cores."""
+    set_threads = parallel._openblas("set_num_threads", None, (ctypes.c_int,))
+    if set_threads is None:
+        pytest.skip("numpy's BLAS thread count cannot be set here")
+    before = parallel.blas_threads()
+    set_threads(1)
+    yield
+    set_threads(before)
+
+
+@pytest.fixture
+def fast_switches():
+    """Threads switch as often as the interpreter allows, so that a race
+    between threads shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 def random_cloud_pose(rng, topo, spread=300.0):

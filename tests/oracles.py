@@ -528,7 +528,7 @@ class GraphEnergy:
             total = total + energy_gen_loss_graph(self.model, x[b])
         return total
 
-    def energies_and_grad(self, frames, weight, work=None):
+    def energies_and_grad(self, frames, weight, work=None, parts=1):
         return energies_and_grad_by_graph(self.gen_loss, frames, weight)
 
     def workspace(self, lead):
@@ -593,7 +593,7 @@ class ClosedFormEnergy:
     def gen_loss(self, window):
         return energy_gen_loss_closed_form(self.model, window)
 
-    def energies_and_grad(self, frames, weight, work=None):
+    def energies_and_grad(self, frames, weight, work=None, parts=1):
         return energies_and_grad_by_graph(self.gen_loss, frames, weight)
 
     def workspace(self, lead):

@@ -4,14 +4,16 @@ kcs.feature_rows fills one buffer, KcsEnergyModel.gen_loss centres and
 multiplies it in place, and its backward gathers g + g^T from the upper
 triangle and takes the incidence product as one 2-D matmul. Each of these
 must leave every value and gradient bit for bit what the fresh-array
-closed form in oracles.py computes.
+closed form in oracles.py computes, and so must the kernel split into
+frame ranges on threads.
 """
 
 import numpy as np
 import pytest
 
+import poselift.discriminator as discriminator
 from poselift.autodiff import Tensor
-from poselift.discriminator import KcsEnergyModel
+from poselift.discriminator import CUT_FRAMES, KcsEnergyModel
 from poselift.iso import IsoConfig, refine
 from poselift.kcs import feature_rows
 from poselift.pose_io import default_topology
@@ -101,3 +103,41 @@ def test_lift_sized_refine_equals_closed_form_scorer_run():
     assert np.array_equal(got.frames, want.frames)
     assert len(got_trace) == 25 and got_trace == want_trace
     assert got_trace[-1]["gen"] != got_trace[0]["gen"]
+
+
+# ------------------------------------------------------------ split kernel
+#
+# energies_and_grad(..., parts) cuts the frames into ranges at multiples of
+# CUT_FRAMES and runs them on threads in two rounds. With BLAS on one thread
+# per product every energy and gradient bit must be the one-part kernel's.
+
+SPLITS = {"480": ((), 480, 1), "433": ((), 433, 1), "two stacked": ((2,), 433, 1),
+          "interval 2": ((), 480, 2), "two stacked, interval 2": ((2,), 480, 2),
+          "cut 2 frames before T, interval 2": ((), 50, 2),
+          "cut 2 frames before T, interval 3": ((), 50, 3)}
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("case", SPLITS)
+def test_split_kernel_equals_one_part_bit_for_bit(one_blas_thread, fast_switches, monkeypatch,
+                                                  case, parts):
+    lead, t, interval = SPLITS[case]
+    model = MODELS[interval]
+    frames = windows(lead, t, seed=t + interval)
+    one = model.energies_and_grad(frames, 0.3)
+    closed = ClosedFormEnergy(model).energies_and_grad(frames, 0.3)
+    assert all(np.array_equal(a, b) for a, b in zip(one, closed))
+    rounds, run = [], discriminator.run
+
+    def recording(jobs, threads):
+        rounds.append([job.args for job in jobs])
+        return run(jobs, threads)
+
+    monkeypatch.setattr(discriminator, "run", recording)
+    for work in (None, model.workspace(lead + (t,))):
+        got = model.energies_and_grad(frames, 0.3, work, parts)
+        assert np.array_equal(got[0], one[0]) and np.array_equal(got[1], one[1])
+    spans = rounds[0]
+    assert rounds == [spans] * 4 and len(spans) == (2 if t == 50 else parts)
+    assert spans[0][0] == 0 and spans[-1][1] == t
+    assert all(b == c and b % CUT_FRAMES == 0 for (_, b), (c, _) in zip(spans, spans[1:]))

@@ -195,6 +195,39 @@ def test_run_experiment_writes_the_same_files_on_one_core_and_two(tmp_path, monk
     assert files[0] == files[1]
 
 
+def test_a_long_pair_writes_the_same_files_on_one_core_and_two(tmp_path, monkeypatch,
+                                                               one_blas_thread):
+    # one 480-frame pair: on two cores its energy evaluations split in two
+    import poselift.iso as iso
+    from poselift.discriminator import KcsEnergyModel
+    from poselift.pose_io import write_pose2d, write_pose3d
+    from poselift.synth import generate
+
+    data = tmp_path / "data"
+    data.mkdir()
+    view = generate(SyntheticMotionConfig(n_sequences=1, frames=480, seed=4,
+                                          mask_occluded_prob=0.9), TOPO)[0].views[0]
+    write_pose3d(data / "a_gt.pose3d", view.pose3d, TOPO)
+    write_pose2d(data / "a_det.pose2d", view.det2d, TOPO)
+    parts, call = [], KcsEnergyModel.energies_and_grad
+
+    def recording(self, frames, weight, work=None, parts_=1):
+        parts.append(parts_)
+        return call(self, frames, weight, work, parts_)
+
+    monkeypatch.setattr(KcsEnergyModel, "energies_and_grad", recording)
+    files = []
+    for cores in (1, 2):
+        monkeypatch.setattr(iso, "_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        run_experiment(refining_config(out, data), TOPO)
+        files.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert parts == [1] * 30 + [2] * 30
+    assert "manifest.json" in files[0] and "eval00_iso.pose3d" in files[0]
+    assert files[0] == files[1]
+
+
 def test_config_validation(tmp_path):
     # every check runs when the config is built
     for field, value in [("out_dir", ""), ("epochs", -1), ("aug_copies", 0),

@@ -4,8 +4,9 @@ iso.refine descends a stack of windows through one graph-free objective;
 oracles.refine_graph is the same descent as one Tensor graph per iteration
 and window. Every refined frame and every trace value must be bit for bit
 the oracle's, whatever the weight mode, calibration, realness and
-smoothness weights, window length, batch split, abort or number of threads
-the stacks descend on.
+smoothness weights, window length, batch split, abort, number of threads
+the stacks descend on, or number of frame ranges an energy evaluation
+splits into.
 """
 
 import functools
@@ -15,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+import poselift.discriminator as discriminator
 import poselift.iso as iso
 from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
@@ -35,11 +37,11 @@ SCORERS = {i: KcsEnergyModel.fit(_CORPUS, TOPO, interval=i) for i in (1, 2)}
 MOTION = np.concatenate([s.pose3d.frames for s in _SEQS])
 
 
-def window(t, seed, scale_mm=SCALE_MM):
+def window(t, seed, scale_mm=SCALE_MM, motion=MOTION):
     """(noisy start, detections with outliers and masks, ground truth) of t frames."""
     rng = np.random.default_rng(seed)
-    start = int(rng.integers(0, len(MOTION) - t + 1))
-    gt = MOTION[start: start + t].copy()
+    start = int(rng.integers(0, len(motion) - t + 1))
+    gt = motion[start: start + t].copy()
     det = project_to_crop(PoseSequence3D(gt), scale_mm)
     bad = rng.random(det.frames.shape[:2]) < 0.2
     frames = det.frames + rng.normal(0.0, 1.0 / 256.0, det.frames.shape)
@@ -270,15 +272,95 @@ def test_refine_many_on_threads_raises_the_first_failing_stack(monkeypatch, core
     assert raised[0] == raised[1] == "window length 2 < interval + 1 = 3"
 
 
-def test_workspace_holds_every_kernel_buffer():
+def test_workspace_holds_every_kernel_buffer(one_blas_thread):
     scorer = SCORERS[1]
-    work = scorer.workspace((3, 24))
-    held = dict(work)
-    # a full stack, then one window of it, as after two windows abort
-    for stack in (np.stack([STACKED[i][0].frames for i in (0, 2, 3)]),
-                  STACKED[0][0].frames[None]):
-        got = scorer.energies_and_grad(stack, 0.1, work)
-        want = scorer.energies_and_grad(stack, 0.1)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert work.keys() == held.keys()
-    assert all(work[name] is held[name] for name in held)
+    # a full stack, then one window of it, as after two windows abort; then a
+    # long window in two parts, which keep all they write in the same buffers
+    for lead, stacks, parts in (
+            ((3, 24), [np.stack([STACKED[i][0].frames for i in (0, 2, 3)]),
+                       STACKED[0][0].frames[None]], 1),
+            ((1, 480), [LONG[0][0].frames[None]], 2)):
+        work = scorer.workspace(lead)
+        held = dict(work)
+        for stack in stacks:
+            got = scorer.energies_and_grad(stack, 0.1, work, parts)
+            want = scorer.energies_and_grad(stack, 0.1)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert work.keys() == held.keys()
+        assert all(work[name] is held[name] for name in held)
+
+
+# ------------------------------------------------------------ split kernel
+#
+# With BLAS on one thread per product, the cores the stacks leave idle split
+# each stack's energy evaluation into frame ranges (at least
+# iso.PART_FRAMES stacked frames each) on threads of their own. The core
+# count must still not show in any bit.
+
+LONG_MOTION = np.concatenate([s.pose3d.frames for s in generate(
+    SyntheticMotionConfig(n_sequences=2, frames=480, seed=32), TOPO)])
+LONG = [window(480, seed=60 + i, motion=LONG_MOTION) for i in range(2)]
+LONG_CFG = cfg_of(iterations=30)
+
+
+@functools.cache
+def long_oracle(i):
+    init, det, gt = LONG[i]
+    return refine_graph(init, det, SCORERS[1], LONG_CFG, gt)
+
+
+def energy_parts(monkeypatch):
+    """The `parts` of every energies_and_grad call, and the threads started."""
+    parts, started = [], []
+    call, start = KcsEnergyModel.energies_and_grad, threading.Thread.start
+
+    def recording(self, frames, weight, work=None, parts_=1):
+        parts.append(parts_)
+        return call(self, frames, weight, work, parts_)
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(KcsEnergyModel, "energies_and_grad", recording)
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return parts, started
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_long_windows_on_split_kernels_equal_graph_refine(one_blas_thread, fast_switches,
+                                                          monkeypatch, cores, n):
+    parts, _ = energy_parts(monkeypatch)
+    got, threads = refine_on(monkeypatch, cores, LONG[:n], SCORERS[1], LONG_CFG)
+    for (pose, trace), i in zip(got, range(n), strict=True):
+        want_pose, want_trace = long_oracle(i)
+        assert np.array_equal(pose.frames, want_pose.frames) and trace == want_trace
+    # one window takes every core; two take one stack thread each
+    assert set(parts) == {cores if n == 1 else 1} and len(threads) == min(cores, n)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_a_short_window_starts_no_thread(one_blas_thread, monkeypatch, cores):
+    parts, started = energy_parts(monkeypatch)
+    refine_on(monkeypatch, cores, [window(96, seed=62, motion=LONG_MOTION)], SCORERS[1],
+              cfg_of(iterations=3))
+    assert set(parts) == {1} and started == []
+
+
+@pytest.mark.parametrize("cores, first_cut", [(2, 240), (3, 144)])
+def test_a_failing_energy_part_raises_in_the_caller(one_blas_thread, monkeypatch, cores,
+                                                    first_cut):
+    # every part after the first fails: the first failure in frame order is raised
+    fill = discriminator.fill_rows
+
+    def failing(frames, incidence, interval, pick, bones, psi, rows, a, b):
+        if a > 0:
+            raise InvalidWindowError(f"part from frame {a}")
+        fill(frames, incidence, interval, pick, bones, psi, rows, a, b)
+
+    monkeypatch.setattr(discriminator, "fill_rows", failing)
+    before = threading.active_count()
+    with pytest.raises(InvalidWindowError, match=f"part from frame {first_cut}$"):
+        refine_on(monkeypatch, cores, LONG[:1], SCORERS[1], LONG_CFG)
+    assert threading.active_count() == before
