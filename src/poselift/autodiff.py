@@ -30,7 +30,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad")
+    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad", "_grad_buffer")
 
     def __init__(self, data, parents=(), backward=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -38,6 +38,7 @@ class Tensor:
         self._backward = backward
         self.requires_grad = requires_grad
         self.grad = None
+        self._grad_buffer = None      # set by the optimizer that owns this parameter
 
     # -------------------------------------------------- graph plumbing
 
@@ -52,10 +53,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    def _new_grad(self) -> np.ndarray:
+        """The array a step's first gradient is written into: the one its
+        optimizer owns for a parameter, else a fresh one. Worker threads (the
+        branch groups of a wide tcn forward) free gradients into their own
+        malloc arenas, which keep the memory; a fresh array per parameter
+        and step would grow the process's peak memory with every arena."""
+        return np.empty_like(self.data) if self._grad_buffer is None else self._grad_buffer
+
     def _accumulate(self, grad):
         if self.grad is None:
-            # a fresh array: `grad` may be a view of another node's gradient
-            self.grad = np.empty_like(self.data)
+            # a copy, never `grad` itself: it may be a view of another node's gradient
+            self.grad = self._new_grad()
             self.grad[...] = grad
         else:
             self.grad += grad
@@ -250,13 +259,21 @@ def parameter(data, rng=None) -> Tensor:
 
 
 class SGD:
-    """Stochastic gradient descent with classical momentum."""
+    """Stochastic gradient descent with classical momentum.
+
+    It owns one gradient array per parameter, and each step's backward
+    accumulates the parameter's gradient in that array (Tensor._new_grad),
+    so a step allocates no parameter-sized gradient arrays.
+    """
 
     def __init__(self, params, lr: float, momentum: float = 0.9):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.grads = [np.empty_like(p.data) for p in self.params]
+        for p, g in zip(self.params, self.grads):
+            p._grad_buffer = g
 
     def zero_grad(self):
         for p in self.params:

@@ -32,7 +32,6 @@ same functions.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
 from .parallel import blas_threads, run
+from .parallel import cores as _cores     # bound here so tests can patch iso's count
 from .skeleton import CROP_PX, PoseSequence2D, PoseSequence3D
 
 WEIGHT_MODES = ("constant", "confidence", "hard", "soft")
@@ -505,14 +505,6 @@ class _Stack:
         for b, i in enumerate(ids):
             done[i] = x[b].copy()
         return done, traces
-
-
-def _cores() -> int:
-    """The cores this process may run on: the most threads refine_many uses."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _as_pose(pose) -> PoseSequence3D:

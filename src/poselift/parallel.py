@@ -1,10 +1,12 @@
 """Independent jobs on the process's cores, on plain threads.
 
 numpy releases the GIL inside its array loops and BLAS calls, so jobs that
-spend their time there run in parallel on threads: the stacks of
-iso.refine_many, and the frame parts of one KCS-energy evaluation. A job
-writes only into buffers made before the threads start, so the results are
-bit for bit the serial ones.
+spend their time there run in parallel on threads. There are three users:
+the stacks of iso.refine_many, the frame parts of one KCS-energy
+evaluation, and the stride-branch groups of a wide TcnModel.forward and its
+backward. A job writes only into buffers made before the threads start, or
+into arrays that no other job touches, and the caller combines the results
+in a fixed order, so the results are bit for bit the serial ones.
 
 Cutting one matrix product into row blocks keeps its bits only while BLAS
 computes every product on one thread: a threaded BLAS splits each product
@@ -22,6 +24,14 @@ import threading
 from pathlib import Path
 
 import numpy as np
+
+
+def cores() -> int:
+    """The cores this process may run on: the most threads a caller uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run(jobs: list, threads: int) -> list:

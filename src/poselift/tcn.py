@@ -10,10 +10,13 @@ reprojection, and a rotated-window realness penalty from a plugged scorer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
+from . import parallel
 from .autodiff import SGD, Tensor, _unbroadcast, parameter
 from .errors import (ConfigError, InvalidInputError, InvalidWindowError,
                      TrainingDivergedError)
@@ -105,6 +108,61 @@ def frame_inputs(coords: np.ndarray, conf: np.ndarray, mask: np.ndarray) -> np.n
     keep = ~mask
     return np.concatenate([(coords[:, :, 0] - 0.5) * keep, (coords[:, :, 1] - 0.5) * keep,
                            conf * keep, mask.astype(np.float64)], axis=1)
+
+
+# A forward whose embedding rows x branch_input_dim x channels reach this
+# runs its stride branches on threads. On 2 cores with BLAS on one thread,
+# a forward plus backward on two threads took 0.90-1.25x the one-thread time
+# at 1.4 x 2^20, 0.75-1.02x at 2.9 x 2^20 and 0.55-0.81x from 5.75 x 2^20 up;
+# below 2^20, starting threads mostly costs more than the branches save.
+BRANCH_THREAD_WORK = 1 << 22
+
+
+def _branch_forward(x, weights, s, act) -> list:
+    """The layers of one stride-`s` branch over its input rows `x`: per layer
+    (input, output, taps, bias). Output row j is bias + the sum over taps k
+    of input row j + k*s times tap k, added in tap order."""
+    layers = []
+    for taps, bias in weights:
+        out_len = x.shape[-2] - (len(taps) - 1) * s
+        h = bias.data
+        for k, w in enumerate(taps):
+            h = h + x[..., k * s: k * s + out_len, :] @ w.data
+        y = act(h)
+        layers.append((x, y, taps, bias))
+        x = y
+    return layers
+
+
+def _branch_backward(layers, s, gy, act_grad) -> np.ndarray:
+    """Accumulates one branch's tap and bias gradients from `gy`, the
+    gradient of its last layer's output; returns the gradient of its input
+    rows, added last tap first."""
+    for x, y, taps, bias in reversed(layers):
+        gh = gy * act_grad(y)
+        rows = gh.reshape(-1, gh.shape[-1])
+        bias._accumulate(_unbroadcast(gh, bias.shape))
+        out_len = y.shape[-2]
+        gy = np.zeros_like(x)
+        for k in reversed(range(len(taps))):
+            piece = x[..., k * s: k * s + out_len, :]
+            taps[k]._accumulate(piece.reshape(-1, piece.shape[-1]).T @ rows)
+            gy[..., k * s: k * s + out_len, :] += gh @ taps[k].data.T
+    return gy
+
+
+def _per_branch(groups: list, fn) -> list:
+    """fn(branch index) of every branch, in branch order. Each group of
+    branch indices runs on its own thread (parallel.run), in group order;
+    one group, in branch order, runs on the calling thread alone."""
+    if len(groups) == 1:
+        return [fn(bi) for bi in groups[0]]
+    out = [None] * sum(map(len, groups))
+    jobs = [partial(lambda group: [fn(bi) for bi in group], group) for group in groups]
+    for group, got in zip(groups, parallel.run(jobs, len(groups))):
+        for bi, value in zip(group, got):
+            out[bi] = value
+    return out
 
 
 class TcnModel:
@@ -216,6 +274,14 @@ class TcnModel:
         weight gradient is one (rows, C_in)^T @ (rows, C_out) product. It
         adds input gradients into zeroed arrays last tap first and last
         branch first: the order of the graph with one node per op.
+
+        A wide forward (see branch_groups), in training and in
+        predict_sequence alike, runs its stride branches on parallel.run
+        threads, one group of branches per thread, and so does its
+        backward. Each branch computes exactly what it computes alone, and
+        no product is cut; the caller concatenates the branch outputs in
+        branch order and adds the branches' input gradients last branch
+        first, so every bit is the serial one.
         """
         cfg = self.config
         r = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
@@ -228,27 +294,20 @@ class TcnModel:
             raise InvalidInputError(f"embedding dim {r.shape[-1]} does not match config")
         act, act_grad = ACTIVATIONS[cfg.activation]
         params = self._params
-        branches, cols = [], []    # per branch: (first row, stride, [(x, y, taps, bias)])
+        inputs, weights = [], []    # per branch: its input rows, (taps, bias) per layer
         for bi, s in enumerate(cfg.strides):
             rf = cfg.receptive_field(s)
             # the receptive field is odd: (rf-1)//2 frames either side of the center
             first = cfg.window_len // 2 - (rf - 1) // 2
-            x = r.data[..., first: first + rf + centers - 1, :]
-            layers = []
-            for li in range(cfg.branch_layers):
-                name = f"branch{bi}.layer{li}"
-                taps = [params[f"{name}.w{tap}"] for tap in range(cfg.kernel)]
-                bias = params[f"{name}.b"]
-                out_len = x.shape[-2] - (cfg.kernel - 1) * s
-                h = bias.data
-                for k, w in enumerate(taps):
-                    h = h + x[..., k * s: k * s + out_len, :] @ w.data
-                y = act(h)
-                layers.append((x, y, taps, bias))
-                x = y
-            branches.append((first, s, layers))
-            cols.append(x)
-        fused = np.concatenate(cols, axis=-1)
+            inputs.append(slice(first, first + rf + centers - 1))
+            weights.append([([params[f"branch{bi}.layer{li}.w{tap}"] for tap in range(cfg.kernel)],
+                             params[f"branch{bi}.layer{li}.b"])
+                            for li in range(cfg.branch_layers)])
+        groups = self.branch_groups(math.prod(r.shape[:-1]), centers)
+        # per branch: (input, output, taps, bias) per layer
+        layers = _per_branch(groups, lambda bi: _branch_forward(
+            r.data[..., inputs[bi], :], weights[bi], cfg.strides[bi], act))
+        fused = np.concatenate([branch[-1][1] for branch in layers], axis=-1)
         head_w, head_b = params["head.w"], params["head.b"]
         out = (fused @ head_w.data + head_b.data) * cfg.output_scale_mm
 
@@ -258,26 +317,40 @@ class TcnModel:
             head_w._accumulate(fused.reshape(-1, fused.shape[-1]).T
                                @ g.reshape(-1, g.shape[-1]))
             g_fused = g @ head_w.data.T
+            g_in = _per_branch(groups, lambda bi: _branch_backward(
+                layers[bi], cfg.strides[bi],
+                g_fused[..., bi * cfg.channels: (bi + 1) * cfg.channels], act_grad))
             g_r = np.zeros_like(r.data)
-            for bi in reversed(range(len(branches))):
-                first, s, layers = branches[bi]
-                gy = g_fused[..., bi * cfg.channels: (bi + 1) * cfg.channels]
-                for x, y, taps, bias in reversed(layers):
-                    gh = gy * act_grad(y)
-                    rows = gh.reshape(-1, gh.shape[-1])
-                    bias._accumulate(_unbroadcast(gh, bias.shape))
-                    out_len = y.shape[-2]
-                    gy = np.zeros_like(x)
-                    for k in reversed(range(len(taps))):
-                        piece = x[..., k * s: k * s + out_len, :]
-                        taps[k]._accumulate(piece.reshape(-1, piece.shape[-1]).T @ rows)
-                        gy[..., k * s: k * s + out_len, :] += gh @ taps[k].data.T
-                g_r[..., first: first + gy.shape[-2], :] += gy
+            for bi in reversed(range(len(inputs))):
+                g_r[..., inputs[bi], :] += g_in[bi]
             r._accumulate(g_r)
 
         lead = r.shape[:-2] + ((centers,) if centers > 1 else ())
         parents = (r, *(p for name, p in params.items() if not name.startswith("embed.")))
         return Tensor(out.reshape(lead + (cfg.n_keypoints, 3)), parents, back)
+
+    def branch_groups(self, rows: int, centers: int) -> list:
+        """The branch indices each thread of a forward over `rows` embedding
+        rows runs, and its backward: one group, in branch order, unless
+        rows x branch_input_dim x channels reaches BRANCH_THREAD_WORK and
+        BLAS computes each product on one thread. Then the branches are
+        dealt into min(cores, branches) groups, widest receptive field
+        first, each onto the group with the fewest layer output rows so far
+        (the first such group on a tie)."""
+        cfg = self.config
+        wide = rows * cfg.branch_input_dim * cfg.channels >= BRANCH_THREAD_WORK \
+            and parallel.blas_threads() == 1
+        n = min(parallel.cores(), len(cfg.strides)) if wide else 1
+        if n < 2:
+            return [list(range(len(cfg.strides)))]
+        groups, load = [[] for _ in range(n)], [0] * n
+        for bi in reversed(range(len(cfg.strides))):
+            length = cfg.receptive_field(cfg.strides[bi]) + centers - 1
+            step = (cfg.kernel - 1) * cfg.strides[bi]
+            j = load.index(min(load))
+            groups[j].append(bi)
+            load[j] += sum(length - step * li for li in range(1, cfg.branch_layers + 1))
+        return groups
 
     def predict_sequence(self, det: PoseSequence2D) -> PoseSequence3D:
         """Per-frame 3D in one pass over the sequence; ends use edge padding."""

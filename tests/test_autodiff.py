@@ -214,6 +214,28 @@ def test_sgd_momentum_matches_manual_update():
     assert np.allclose(p.data, w)
 
 
+def test_sgd_owns_each_parameters_gradient_array():
+    # every step's first gradient goes into the optimizer's array, then adds
+    # up there; a tensor outside any optimizer gets a fresh array per step
+    rng = np.random.default_rng(12)
+    p = parameter(rng.normal(size=(3, 4)))
+    q = Tensor(p.data.copy())
+    opt = SGD([p], lr=0.1, momentum=0.5)
+    fresh = []
+    for step in range(3):
+        x = Tensor(rng.normal(size=(4, 2)))
+        opt.zero_grad()
+        q.grad = None
+        for t in (p, q):
+            ((t * t).sum() + (t @ x).sum()).backward()
+        assert p.grad is opt.grads[0]
+        assert np.array_equal(p.grad, q.grad)
+        assert all(q.grad is not g for g in fresh + opt.grads)
+        fresh.append(q.grad)
+        opt.step()
+        q.data = p.data.copy()
+
+
 def test_parameter_init_scale():
     rng = np.random.default_rng(10)
     p = parameter((20, 50), rng=rng)

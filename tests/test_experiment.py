@@ -228,6 +228,41 @@ def test_a_long_pair_writes_the_same_files_on_one_core_and_two(tmp_path, monkeyp
     assert files[0] == files[1]
 
 
+def test_a_wide_model_trains_to_the_same_files_on_one_core_and_two(tmp_path, monkeypatch,
+                                                                   one_blas_thread):
+    # a tcn section above the branch-thread gate: on two cores each training
+    # forward (8 x 23 rows, two views, a scorer) runs its branches in two
+    # groups; the 59-row lifts of the infer stage stay in one
+    from poselift import parallel
+    from poselift.tcn import TcnConfig, TcnModel
+
+    groups, deal = [], TcnModel.branch_groups
+
+    def recording(self, rows, centers):
+        got = deal(self, rows, centers)
+        groups.append(len(got))
+        return got
+
+    monkeypatch.setattr(TcnModel, "branch_groups", recording)
+    files = []
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        run_experiment(tiny_config(
+            out, tcn=TcnConfig(embed_dim=256, window_len=20, strides=(1, 2, 3),
+                               channels=128, branch_layers=2),
+            train_synth=SyntheticMotionConfig(n_sequences=2, frames=40, seed=100,
+                                              view_rotations=((0.0, 1.2, 0.0),),
+                                              mask_occluded_prob=0.0),
+            train=TrainConfig(steps_per_epoch=3, batch_size=8, weights=LossWeights(w3=0.01))),
+            TOPO)
+        files.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert groups == [1] * 7 + [2] * 6 + [1]
+    assert "manifest.json" in files[0] and "model.ckpt.npz" in files[0]
+    assert files[0] == files[1]
+
+
 def test_config_validation(tmp_path):
     # every check runs when the config is built
     for field, value in [("out_dir", ""), ("epochs", -1), ("aug_copies", 0),

@@ -1,3 +1,8 @@
+import ctypes
+import re
+import threading
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poselift import synth
+from poselift import parallel, synth, tcn
 from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
 from poselift.errors import (ConfigError, InvalidInputError, InvalidWindowError,
@@ -847,3 +852,120 @@ def test_train_matches_per_window_batch_of_one(topo):
         desk_model_config(window_len=15, strides=(1, 3), kernel=3, branch_layers=2),
         two_view_dataset(topo), train_config(steps_per_epoch=10, batch_size=1, lr=1e-5),
         scorer=QuadraticScorer())
+
+
+# ------------------------------------------------------------ branch threads
+#
+# A forward whose embedding rows x branch_input_dim x channels reach
+# tcn.BRANCH_THREAD_WORK runs its stride branches on parallel.run threads
+# when BLAS computes on one thread, and so does its backward. The core count
+# comes from parallel.cores, patched here; results must not depend on it.
+
+# batch 8 x 23 rows (4 chain centers) x 256 x 128, and the 8 x 20 rows of the
+# view-2 windows, are above the gate
+WIDE = TcnConfig(embed_dim=256, window_len=20, strides=(1, 2, 3), channels=128,
+                 branch_layers=2)
+
+
+def counting_starts(monkeypatch):
+    """The threading.Threads started from now on."""
+    started, start = [], threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+@pytest.fixture(scope="module")
+def wide_inputs(topo):
+    data = two_view_dataset(topo)
+    long_det = small_dataset(topo, frames=480, n_sequences=1, seed=7)[0].views[0].det2d
+    return data, KcsEnergyModel.fit(real_windows(data, 8), topo), long_det
+
+
+def train_and_lift(model_cfg, inputs, steps, batch_size=8):
+    """(parameters, history, predict_sequence frames) of a fresh model."""
+    data, scorer, det = inputs
+    model = TcnModel(model_cfg, seed=9)
+    history = train(model, data, train_config(steps_per_epoch=steps, batch_size=batch_size),
+                    scorer=scorer)
+    return model.state_arrays(), history, model.predict_sequence(det).frames
+
+
+def test_wide_model_trains_and_lifts_the_same_bits_on_any_core_count(
+        one_blas_thread, fast_switches, monkeypatch, wide_inputs):
+    # per step two forwards and two backwards, then one 499-row lift: each
+    # starts one thread per branch group but the caller's
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
+        started = counting_starts(monkeypatch)
+        runs.append(train_and_lift(WIDE, wide_inputs, steps=3))
+        assert len(started) == (cores - 1) * (4 * 3 + 1)
+    (params, history, frames), others = runs[0], runs[1:]
+    for got_params, got_history, got_frames in others:
+        assert got_history == history
+        assert np.array_equal(got_frames, frames)
+        for name in params:
+            assert np.array_equal(got_params[name], params[name]), name
+
+
+def test_branch_groups_deal_the_widest_branch_first(monkeypatch):
+    # 128 rows x 256 x 128 is the gate exactly
+    model = TcnModel(WIDE)
+    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
+    for cores, groups in [(1, [[0, 1, 2]]), (2, [[2], [1, 0]]), (3, [[2], [1], [0]]),
+                          (8, [[2], [1], [0]])]:
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
+        assert model.branch_groups(184, 4) == model.branch_groups(128, 1) == groups
+        assert model.branch_groups(127, 1) == [[0, 1, 2]]
+
+
+def test_readme_demo_and_wide_model_on_threaded_blas_start_no_thread(
+        one_blas_thread, monkeypatch, topo, wide_inputs):
+    from poselift.cli import load_config
+    from poselift.pose_io import parse_config
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    demo = load_config(parse_config(
+        re.search(r"cat > exp\.cfg <<'CFG'\n(.*?)\nCFG\n", readme, re.S).group(1)))
+    monkeypatch.setattr(parallel, "cores", lambda: 3)
+    started = counting_starts(monkeypatch)
+    data = synth.generate(demo.train_synth, topo)
+    model = TcnModel(demo.tcn, seed=demo.seed)
+    train(model, data, replace(demo.train, steps_per_epoch=2),
+          scorer=KcsEnergyModel.fit(real_windows(data, demo.scorer_window), topo))
+    for seq in synth.generate(demo.eval_synth, topo):
+        model.predict_sequence(seq.views[0].det2d)
+    assert started == []
+
+    set_threads = parallel._openblas("set_num_threads", None, (ctypes.c_int,))
+    set_threads(2)          # the fixture puts BLAS back on its own count
+    train_and_lift(WIDE, wide_inputs, steps=1)
+    assert started == []
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_a_failing_branch_group_raises_in_the_caller(one_blas_thread, fast_switches,
+                                                     monkeypatch, wide_inputs, cores, phase):
+    # every group but the caller's fails: on 2 cores the stride-2 branch
+    # fails first in its group, on 3 it is the first of two failing groups
+    name = f"_branch_{phase}"
+    real = getattr(tcn, name)
+
+    def failing(layers, weights_or_stride, *args):
+        s = weights_or_stride if phase == "backward" else args[0]
+        if s < 3:
+            raise InvalidWindowError(f"{phase} of stride {s}")
+        return real(layers, weights_or_stride, *args)
+
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
+    monkeypatch.setattr(tcn, name, failing)
+    before = threading.active_count()
+    with pytest.raises(InvalidWindowError, match=f"^{phase} of stride 2$"):
+        train_and_lift(WIDE, wide_inputs, steps=1)
+    assert threading.active_count() == before
