@@ -25,6 +25,7 @@ from .experiment import ExperimentConfig, fit_scorer, run_experiment, train_lift
 from .iso import IsoConfig, refine
 from .kcs import discriminator_features
 from .metrics import evaluate
+from .parallel import one_blas_thread
 from .pose_io import (default_topology, parse_value, read_config, read_pose2d, read_pose3d,
                       read_topology, write_json, write_pose2d, write_pose3d)
 from .synth import generate
@@ -235,7 +236,8 @@ def main(argv=None) -> int:
         topo = read_topology(own["topology"]) if "topology" in own else default_topology()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        command(exp, own, out, topo)
+        with one_blas_thread():        # the same results on any core count
+            command(exp, own, out, topo)
         return 0
     except (PoseliftError, OSError, KeyError, ValueError) as e:
         print(f"poselift {args.command}: {type(e).__name__}: {e}", file=sys.stderr)

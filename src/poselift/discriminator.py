@@ -131,13 +131,6 @@ class KcsEnergyModel:
             bounds = [0, *sorted(c for c in cuts if 0 < c < t - 1), t]
             spans = list(zip(bounds, bounds[1:]))
 
-        def each(fn):
-            # fn(a, b) of every range, on threads when there are several
-            if len(spans) == 1:
-                fn(0, t)
-            else:
-                run([functools.partial(fn, a, b) for a, b in spans], len(spans))
-
         def energy(a, b):
             fill_rows(frames, self.incidence, i, self._pick, bones, gsym, rows, a, b)
             d = rows[..., a:b, :]
@@ -146,7 +139,7 @@ class KcsEnergyModel:
             d *= ya                                  # the bits of y * d, as x * y == y * x
             np.add.reduce(d, axis=-1, out=sums[..., a:b])
 
-        each(energy)
+        run([functools.partial(energy, a, b) for a, b in spans], len(spans))
         energies = sums.sum(axis=-1) * (1.0 / t)
 
         def grad(weight):
@@ -184,7 +177,7 @@ class KcsEnergyModel:
                 gx_ab = np.swapaxes(gx_ab, -1, -2)
                 gx_ab += g[..., 2 * u:].reshape(gx_ab.shape)
 
-            each(part)
+            run([functools.partial(part, a, b) for a, b in spans], len(spans))
             return np.swapaxes(gx, -1, -2)
 
         return energies, grad

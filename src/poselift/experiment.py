@@ -13,6 +13,7 @@ from .discriminator import KcsEnergyModel
 from .errors import ConfigError, InvalidInputError
 from .iso import IsoConfig, refine_many
 from .metrics import evaluate, mpjpe
+from .parallel import one_blas_thread
 from .pose_io import (default_topology, read_pose2d, read_pose3d, write_json, write_pose2d,
                       write_pose3d)
 from .skeleton import PoseSequence3D
@@ -141,12 +142,13 @@ def train_lifter(cfg: ExperimentConfig, train_seqs: list, topo, out: Path,
     return model, history
 
 
+@one_blas_thread()
 def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
     """All stages in order; writes artifacts + manifest.json under cfg.out_dir.
 
     Every produced file lands in the manifest with its content digest. A stage
     failure still writes the manifest, with the failure recorded, before the
-    exception propagates.
+    exception propagates. BLAS runs on one thread, so any core count gives these bytes.
     """
     if topo is None:
         topo = default_topology()

@@ -24,23 +24,23 @@ frames (discriminator.CUT_FRAMES: where the precision product's row
 blocks keep their bits). That happens only where BLAS runs each product
 on one thread; a threaded BLAS already spreads the products over the
 cores, and cuts of its products do not keep their bits.
-Each term is written once, as array functions with leading batch axes,
-and the public Tensor nodes rep_loss, smooth_loss and iso_loss wrap the
-same functions.
+The loss is composed once, in _Objective. The public Tensor nodes
+rep_loss and iso_loss are one-window calls of it, and compute_weights
+returns its weights, so the nodes that tests check by finite differences
+run the arithmetic that refine descends.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import parallel
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
-from .parallel import blas_threads, run
-from .parallel import cores as _cores     # bound here so tests can patch iso's count
 from .skeleton import CROP_PX, PoseSequence2D, PoseSequence3D
 
 WEIGHT_MODES = ("constant", "confidence", "hard", "soft")
@@ -93,8 +93,7 @@ def calibrate(conf=None, correct=None) -> CalibratedConfidence:
     correct = np.asarray(correct, dtype=np.float64).ravel()
     if conf.shape != correct.shape:
         raise InvalidInputError("confidence and labels must have equal length")
-    if np.any(conf < 0) or np.any(conf > 1) or not np.all(np.isfinite(conf)):
-        raise InvalidInputError("confidence values must lie in [0,1]")
+    _check_confidence(conf)
     if not np.all((correct == 0) | (correct == 1)):
         raise InvalidInputError("correctness labels must be 0 or 1")
     if np.all(correct == correct[0]):
@@ -216,31 +215,8 @@ def fit_projection(frames3d: np.ndarray, det2d: PoseSequence2D,
 
 # ------------------------------------------------------------ the terms
 #
-# Each term is written once over windows with any leading batch axes,
-# (..., T, K, 3); the Tensor nodes below and the batched objective of
-# refine both call these. `out` arguments let refine reuse its buffers.
-
-
-def _residual(frames, scale, trans, det_frames, out=None) -> np.ndarray:
-    """Projection minus detection in crop units, (..., T, K, 2)."""
-    out = np.multiply(frames[..., :2], scale, out=out)
-    out += trans[..., None, :]
-    out -= det_frames
-    return out
-
-
-def _squared_norm(v, sq=None, out=None) -> np.ndarray:
-    """|v|^2 of (..., 2) vectors, (...); `sq` takes the squared components."""
-    sq = np.multiply(v, v, out=sq)
-    return np.add(sq[..., 0], sq[..., 1], out=out)
-
-
-def _pixel_dist(resid, sq=None, out=None) -> np.ndarray:
-    """|residual| in crop pixels, (..., T, K)."""
-    out = _squared_norm(resid, sq, out)
-    np.sqrt(out, out=out)
-    out *= CROP_PX
-    return out
+# The smoothness term, over windows with any leading batch axes, (..., T, K, 3),
+# serves smooth_loss and _Objective; the objective holds the other two terms.
 
 
 def _mapped_confidence(det2d: PoseSequence2D, cfg: IsoConfig) -> np.ndarray:
@@ -248,20 +224,6 @@ def _mapped_confidence(det2d: PoseSequence2D, cfg: IsoConfig) -> np.ndarray:
     if cfg.calibration is None:
         return det2d.confidence
     return np.where(det2d.mask, 0.0, cfg.calibration(det2d.confidence))
-
-
-def _rep_terms(d, weights, sq=None, out=None) -> np.ndarray:
-    """Per-keypoint weighted squared pixel residual w |d|^2, (..., T, K)."""
-    out = _squared_norm(d, sq, out)
-    out *= weights
-    return out
-
-
-def _rep_grad(d, weights, coef, out=None, cw=None) -> np.ndarray:
-    """(coef * w) d: the x, y gradient of the reprojection term, with coef
-    2 * CROP_PX * scale times the upstream gradient."""
-    cw = np.multiply(weights, coef, out=cw)
-    return np.multiply(cw[..., None], d, out=out)
 
 
 def _smooth_diff(frames, out=None) -> np.ndarray:
@@ -290,41 +252,43 @@ def _lift_window(pose) -> Tensor:
     return x
 
 
-def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
-                    scale: float, trans: np.ndarray) -> np.ndarray:
-    """T x K reprojection weights, read from the mapped confidences when a
-    calibration map is set; masked detections weigh exactly zero."""
-    frames3d = np.asarray(frames3d, dtype=np.float64)
-    dist = _pixel_dist(_residual(frames3d, scale, trans, det2d.frames))
-    w = reprojection_weight(cfg.weight_mode, _mapped_confidence(det2d, cfg), dist, cfg.sigma)
-    return w * ~det2d.mask
-
-
-def rep_loss(pose, det2d: PoseSequence2D, cfg: IsoConfig, scale: float = None,
-             translation: np.ndarray = None, weights: np.ndarray = None) -> Tensor:
-    """Weighted squared reprojection error, crop pixels, summed over T and K.
-
-    Weights are held constant inside each gradient step: they are computed
-    from the current coordinates but the gradient does not flow through
-    them, so distance-dependent modes cannot inflate their own distances.
-    """
+def _one_window(pose, det2d, scorer, cfg, scale, translation, weights) -> tuple:
+    """(x, rep, gen, smooth, gradient): a one-window _Objective call at the fit,
+    the unweighted one if not given, with given weights held fixed."""
     x = _lift_window(pose)
     if x.shape[0] != det2d.T or x.shape[1] != det2d.K:
         raise InvalidInputError("3D window and detections must match in T and K")
     if scale is None or translation is None:
         scale, translation = fit_projection(x.data, det2d)
-    if weights is None:
-        weights = compute_weights(x.data, det2d, cfg, scale, translation)
-    weights = np.asarray(weights, dtype=np.float64)
-    d = _residual(x.data, scale, translation, det2d.frames)
-    d *= CROP_PX
+    objective = _Objective([det2d], scorer, cfg, 1)
+    if weights is not None:
+        objective.fixed = np.asarray(weights, dtype=np.float64)
+    rep, gen, smooth, grad = objective(x.data[None], np.array([scale], float),
+                                       np.asarray(translation)[None])
+    return x, rep[0], gen[0], smooth[0], grad[0]
 
-    def back(out):
-        gx = np.zeros_like(x.data)
-        _rep_grad(d, weights, 2.0 * CROP_PX * scale * out.grad, out=gx[:, :, :2])
-        x._accumulate(gx)
 
-    return Tensor(_rep_terms(d, weights).sum(), (x,), back)
+def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
+                    scale: float, trans: np.ndarray) -> np.ndarray:
+    """T x K reprojection weights, read from the mapped confidences when a
+    calibration map is set; masked detections weigh exactly zero."""
+    x = np.asarray(frames3d, dtype=np.float64)[None]
+    return _Objective([det2d], None, cfg, 1).weights(x, np.array([scale], float),
+                                                      np.asarray(trans)[None])[0]
+
+
+def rep_loss(pose, det2d: PoseSequence2D, cfg: IsoConfig, scale: float = None,
+             translation: np.ndarray = None, weights: np.ndarray = None) -> Tensor:
+    """Weighted squared reprojection error, crop pixels, summed over T and K:
+    the rep part of iso_loss with both lambdas at 0, as one node.
+
+    Weights are held constant inside each gradient step: they are computed
+    from the current coordinates but the gradient does not flow through
+    them, so distance-dependent modes cannot inflate their own distances.
+    """
+    cfg = replace(cfg, lambda1=0.0, lambda2=0.0)
+    x, rep, _, _, grad = _one_window(pose, det2d, None, cfg, scale, translation, weights)
+    return Tensor(rep, (x,), lambda out: x._accumulate(grad * out.grad))
 
 
 def smooth_loss(pose) -> Tensor:
@@ -343,20 +307,21 @@ def smooth_loss(pose) -> Tensor:
 def iso_loss(pose, det2d: PoseSequence2D, scorer, cfg: IsoConfig,
              scale: float = None, translation: np.ndarray = None,
              weights: np.ndarray = None) -> Tensor:
-    """L_rep + lambda1 * L_gen + lambda2 * smoothness, as a scalar Tensor."""
-    total = rep_loss(pose, det2d, cfg, scale, translation, weights)
-    if cfg.lambda1 > 0 and scorer is not None:
-        total = total + cfg.lambda1 * scorer.gen_loss(_lift_window(pose))
-    if cfg.lambda2 > 0:
-        total = total + cfg.lambda2 * smooth_loss(pose)
-    return total
+    """L_rep + lambda1 * L_gen + lambda2 * smoothness, as one scalar node: the
+    loss and gradient that refine descends, at the given fit and weights
+    (see rep_loss). The realness term needs a scorer and lambda1 > 0."""
+    x, rep, gen, smooth, grad = _one_window(pose, det2d, scorer, cfg, scale, translation, weights)
+    return Tensor(rep + cfg.lambda1 * gen + cfg.lambda2 * smooth, (x,),
+                  lambda out: x._accumulate(grad * out.grad))
 
 
 # ------------------------------------------------------------ refinement
 
 
 class _Objective:
-    """iso_loss of every window of a B x T x K x 3 stack, without a graph.
+    """The ISO loss of every window of a B x T x K x 3 stack, without a graph:
+    refine descends it, and iso_loss, rep_loss and compute_weights are its
+    one-window views.
 
     A call returns each window's rep, gen and smooth parts and the
     gradient of its total, summed into one reused buffer in the order a
@@ -396,12 +361,18 @@ class _Objective:
             self.fixed = self.fixed[keep]
 
     def weights(self, x, scale, trans) -> np.ndarray:
-        """B x T x K weights at the fit (scale, trans); the residual stays in a buffer."""
+        """B x T x K weights at the fit (scale, trans); the projection residual,
+        in crop units, stays in a buffer for __call__."""
         n = len(x)
-        r = _residual(x, scale[:, None, None, None], trans, self.det, out=self._resid[:n])
+        r = np.multiply(x[..., :2], scale[:, None, None, None], out=self._resid[:n])
+        r += trans[..., None, :]
+        r -= self.det
         if self.fixed is not None:
             return self.fixed
-        dist = _pixel_dist(r, sq=self._sq[:n], out=self._key[:n])
+        sq = np.multiply(r, r, out=self._sq[:n])
+        dist = np.add(sq[..., 0], sq[..., 1], out=self._key[:n])
+        np.sqrt(dist, out=dist)
+        dist *= CROP_PX
         w = _soft_weight(self.neg_conf, dist, self.cfg.sigma, out=self._w[:n])
         w *= self.keep
         return w
@@ -412,7 +383,10 @@ class _Objective:
         w = self.weights(x, scale, trans)
         d = self._resid[:n]
         d *= CROP_PX
-        rep = _rep_terms(d, w, sq=self._sq[:n], out=self._key[:n]).reshape(n, -1).sum(axis=1)
+        sq = np.multiply(d, d, out=self._sq[:n])
+        terms = np.add(sq[..., 0], sq[..., 1], out=self._key[:n])
+        terms *= w                                   # w |d|^2 per keypoint
+        rep = terms.reshape(n, -1).sum(axis=1)
         grad = self._grad[:n]
         if x.shape[1] > 1:
             diff = _smooth_diff(x, out=self._diff[:n])
@@ -427,8 +401,9 @@ class _Objective:
             grad += gen_grad
         else:
             gen = np.zeros(n)
-        grad[..., :2] += _rep_grad(d, w, 2.0 * CROP_PX * scale[:, None, None],
-                                   out=self._sq[:n], cw=self._key[:n])
+        # the x, y gradient of the reprojection term: 2 CROP_PX scale w d
+        cw = np.multiply(w, 2.0 * CROP_PX * scale[:, None, None], out=self._key[:n])
+        grad[..., :2] += np.multiply(cw[..., None], d, out=self._sq[:n])
         return rep, gen, smooth, grad
 
 
@@ -542,7 +517,7 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
             raise InvalidInputError(f"ground truth is {gt.T} x {gt.K} (T x K), "
                                     f"the window {pose.T} x {pose.K}")
         groups.setdefault((pose.T, pose.K), []).append(i)
-    cores = _cores()
+    cores = parallel.cores()
     stacks = []                           # the input positions of each stack
     for (t, _), members in groups.items():
         per_stack = max(1, STACK_FRAMES // t)
@@ -552,7 +527,7 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
 
     threads = min(cores, len(stacks))
     # cores the stacks leave idle split each stack's energy evaluation by frames
-    split = cores // threads if threads and blas_threads() == 1 else 1
+    split = cores // threads if threads and parallel.blas_threads() == 1 else 1
 
     def build(idx):
         parts = max(1, min(split, len(idx) * poses[idx[0]].T // PART_FRAMES))
@@ -563,7 +538,7 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
     if threads < 2:
         outs = [build(idx).run() for idx in stacks]
     else:
-        outs = run([build(idx).run for idx in stacks], threads)
+        outs = parallel.run([build(idx).run for idx in stacks], threads)
     results = [None] * len(poses)
     for idx, (frames, traces) in zip(stacks, outs):
         for i, out_frames, trace in zip(idx, frames, traces):

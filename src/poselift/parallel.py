@@ -12,11 +12,12 @@ Cutting one matrix product into row blocks keeps its bits only while BLAS
 computes every product on one thread: a threaded BLAS splits each product
 among its own threads by the product's size, and its edge kernels then fall
 on other rows and columns. blas_threads tells the callers that cut products
-whether that holds.
+whether that holds, and one_blas_thread makes it hold for a block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -92,3 +93,28 @@ def blas_threads() -> int:
     be read."""
     get = _openblas("get_num_threads", ctypes.c_int, ())
     return 0 if get is None else get()
+
+
+_pins = [0, 0]                    # open one_blas_thread blocks; the count before the first
+_pins_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's BLAS on one thread per product inside the block, back on its
+    previous count when the last open block ends, errors included: blocks
+    may nest and overlap across threads, as the count is the process's.
+    Where it cannot be set (another BLAS), the block runs as without."""
+    set_threads = _openblas("set_num_threads", None, (ctypes.c_int,)) or (lambda count: None)
+    with _pins_lock:
+        if _pins[0] == 0:
+            _pins[1] = blas_threads()
+            set_threads(1)
+        _pins[0] += 1
+    try:
+        yield
+    finally:
+        with _pins_lock:
+            _pins[0] -= 1
+            if _pins[0] == 0:
+                set_threads(_pins[1])

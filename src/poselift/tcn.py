@@ -154,9 +154,7 @@ def _branch_backward(layers, s, gy, act_grad) -> np.ndarray:
 def _per_branch(groups: list, fn) -> list:
     """fn(branch index) of every branch, in branch order. Each group of
     branch indices runs on its own thread (parallel.run), in group order;
-    one group, in branch order, runs on the calling thread alone."""
-    if len(groups) == 1:
-        return [fn(bi) for bi in groups[0]]
+    one group runs on the calling thread alone."""
     out = [None] * sum(map(len, groups))
     jobs = [partial(lambda group: [fn(bi) for bi in group], group) for group in groups]
     for group, got in zip(groups, parallel.run(jobs, len(groups))):

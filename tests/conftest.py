@@ -24,13 +24,10 @@ def one_blas_thread():
     """numpy's BLAS on one thread per product for the test, as the benchmark
     runs it: only then do cut products keep their bits, and only then does
     iso.refine_many split an energy evaluation across cores."""
-    set_threads = parallel._openblas("set_num_threads", None, (ctypes.c_int,))
-    if set_threads is None:
+    if parallel._openblas("set_num_threads", None, (ctypes.c_int,)) is None:
         pytest.skip("numpy's BLAS thread count cannot be set here")
-    before = parallel.blas_threads()
-    set_threads(1)
-    yield
-    set_threads(before)
+    with parallel.one_blas_thread():
+        yield
 
 
 @pytest.fixture

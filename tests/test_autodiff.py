@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poselift.autodiff import SGD, Tensor, parameter
 
@@ -241,3 +243,137 @@ def test_parameter_init_scale():
     p = parameter((20, 50), rng=rng)
     assert p.requires_grad
     assert np.abs(p.data).max() <= 1.0 / np.sqrt(50) + 1e-12
+
+
+# ------------------------------------------------ random graphs
+#
+# A drawn graph starts from one leaf and adds nodes one op at a time; an
+# operand of + or * is an earlier node whose shape broadcasts with the
+# first, or a new leaf that does. The loss weighs every node, so fan-out and
+# repeated uses accumulate gradients too.
+
+OPS = ("add", "mul", "matmul", "reshape", "slice", "index", "sum", "mean", "tanh")
+
+
+@st.composite
+def graphs(draw):
+    """(leaf shapes, program, node shapes, seed): each program step names an
+    op, its operands (node positions, or leaf positions for new leaves) and
+    its arguments, and adds one node."""
+    dims = st.integers(1, 3)
+    leaves = [tuple(draw(st.lists(dims, min_size=2, max_size=3)))]
+    shapes, program = [leaves[0]], []
+
+    def new_leaf(shape):
+        leaves.append(shape)
+        return ("leaf", len(leaves) - 1)
+
+    # the ops in a drawn order, so that one graph holds several kinds
+    order = draw(st.permutations(OPS))
+    for i in range(draw(st.integers(1, 8))):
+        a = draw(st.integers(0, len(shapes) - 1))
+        sa = shapes[a]
+        op = order[i % len(OPS)]
+        if (op in ("slice", "index") and not sa) or (op == "matmul" and len(sa) < 2):
+            op = "reshape"
+        if op in ("add", "mul"):
+            b = draw(st.integers(0, len(shapes) - 1))
+            try:
+                out = np.broadcast_shapes(sa, shapes[b])
+                other = ("node", b)
+            except ValueError:
+                k = draw(st.integers(0, len(sa)))
+                shape = tuple(draw(st.sampled_from((1, n))) for n in sa[len(sa) - k:])
+                if k == len(sa):
+                    shape = tuple(draw(st.lists(dims, max_size=1))) + shape
+                other, out = new_leaf(shape), np.broadcast_shapes(sa, shape)
+            step = (op, a, other, draw(st.booleans()))
+        elif op == "matmul":
+            p = draw(dims)
+            if draw(st.booleans()):           # node @ leaf, either one stacked or both
+                lead = draw(st.sampled_from([(), sa[:-2] or (2,)]))
+                leaf = lead + (sa[-1], p)
+                out = np.broadcast_shapes(sa[:-2], lead) + (sa[-2], p)
+                step = (op, a, new_leaf(leaf), False)
+            else:                             # leaf @ node
+                out = sa[:-2] + (p, sa[-1])
+                step = (op, a, new_leaf((p, sa[-2])), True)
+        elif op == "reshape":
+            size = int(np.prod(sa))
+            out = draw(st.sampled_from([(size,), sa[::-1], (1,) + sa]))
+            step = (op, a, out)
+        elif op == "slice":
+            axis = draw(st.integers(0, len(sa) - 1))
+            n = sa[axis]
+            if draw(st.booleans()):
+                item = draw(st.integers(-n, n - 1))
+            else:
+                start = draw(st.integers(0, n - 1))
+                stop = draw(st.integers(start + 1, n))
+                item = slice(start, stop, draw(st.integers(1, 2)))
+                if draw(st.booleans()):       # the same elements, last first
+                    item = slice(stop - 1, start - 1 if start else None, -1)
+            key = (slice(None),) * axis + (item,)
+            out = np.empty(sa)[key].shape
+            step = (op, a, key)
+        elif op == "index":
+            idx = draw(st.lists(st.integers(0, sa[0] - 1), min_size=1, max_size=4))
+            out = (len(idx),) + sa[1:]
+            step = (op, a, np.array(idx))
+        elif op in ("sum", "mean"):
+            axis = draw(st.sampled_from([None, *range(len(sa))]))
+            out = np.empty(sa).sum(axis=axis).shape
+            step = (op, a, axis)
+        else:
+            out, step = sa, (op, a)
+        shapes.append(tuple(out))
+        program.append(step)
+    return leaves, program, shapes, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def run_graph(program, leaves, coefs):
+    """The loss of a drawn graph over leaf Tensors: each node's sum weighed by its coefs."""
+    nodes = [leaves[0]]
+    for op, a, *args in program:
+        x = nodes[a]
+        if op in ("add", "mul", "matmul"):
+            (kind, j), swap = args
+            y = nodes[j] if kind == "node" else leaves[j]
+            if swap:
+                x, y = y, x
+            nodes.append(x + y if op == "add" else x * y if op == "mul" else x @ y)
+        elif op == "reshape":
+            nodes.append(x.reshape(args[0]))
+        elif op in ("slice", "index"):
+            nodes.append(x[args[0]])
+        elif op == "sum":
+            nodes.append(x.sum(axis=args[0]))
+        elif op == "mean":
+            nodes.append(x.mean(axis=args[0]))
+        else:
+            nodes.append(x.tanh())
+    loss = Tensor(0.0)
+    for node, c in zip(nodes, coefs):
+        loss = loss + (node * Tensor(c)).sum()
+    return loss
+
+
+@settings(max_examples=100)
+@given(graph=graphs())
+def test_random_graph_gradients_match_central_differences(graph):
+    shapes_of_leaves, program, shapes, seed = graph
+    rng = np.random.default_rng(seed)
+    values = [rng.uniform(-1.0, 1.0, s) for s in shapes_of_leaves]
+    coefs = [rng.uniform(-1.0, 1.0, s) for s in shapes]
+    leaves = [Tensor(v.copy()) for v in values]
+    run_graph(program, leaves, coefs).backward()
+    for j, v in enumerate(values):
+        got = np.zeros_like(v) if leaves[j].grad is None else leaves[j].grad
+        assert got.shape == v.shape
+
+        def f(a, j=j):
+            return run_graph(program, [Tensor(a) if i == j else Tensor(w)
+                                       for i, w in enumerate(values)], coefs).item()
+
+        want = np.array([numeric_grad(f, v, i) for i in range(v.size)]).reshape(v.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)

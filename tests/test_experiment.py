@@ -1,5 +1,6 @@
 """Pipeline orchestration tests."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -110,6 +111,81 @@ def test_run_experiment_failure_writes_partial_manifest(tmp_path):
     assert "eval" not in manifest["stages"]
 
 
+def test_run_experiment_writes_the_same_files_whatever_blas_thread_count(tmp_path):
+    # a threaded BLAS cuts products by its thread count and changes their
+    # bits; the pipeline runs on one BLAS thread and puts the count back
+    from poselift import parallel
+
+    set_threads = parallel._openblas("set_num_threads", None, (ctypes.c_int,))
+    if set_threads is None:
+        pytest.skip("numpy's BLAS thread count cannot be set here")
+    before = parallel.blas_threads()
+    files = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            out = tmp_path / f"blas{threads}"
+            run_experiment(tiny_config(
+                out, train=TrainConfig(steps_per_epoch=5, batch_size=8,
+                                       weights=LossWeights(w1=0.0, w2=0.0, w3=0.01)),
+                iso=IsoConfig(iterations=5, lambda1=0.01)), TOPO)
+            assert parallel.blas_threads() == threads
+            files.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+        # a stage that fails puts the count back too: no eval pairs to read
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(InvalidInputError):
+            run_experiment(tiny_config(tmp_path / "fail", data_dir=str(tmp_path / "empty")),
+                           TOPO)
+        assert parallel.blas_threads() == 2
+    finally:
+        set_threads(before)
+    assert "manifest.json" in files[0] and "eval00_trace.json" in files[0]
+    assert files[0] == files[1]
+
+
+def test_overlapping_blas_pins_hold_until_the_last_one_ends():
+    # two threads' blocks overlap and the first to enter leaves first: the
+    # other still runs on one BLAS thread, and the count before both returns
+    import threading
+
+    from poselift import parallel
+
+    set_threads = parallel._openblas("set_num_threads", None, (ctypes.c_int,))
+    if set_threads is None:
+        pytest.skip("numpy's BLAS thread count cannot be set here")
+    before = parallel.blas_threads()
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+
+    def first():
+        with parallel.one_blas_thread():
+            first_in.set()
+            assert second_in.wait(10)
+        first_out.set()
+
+    def second():
+        assert first_in.wait(10)
+        with parallel.one_blas_thread():
+            second_in.set()
+            assert first_out.wait(10)
+            return parallel.blas_threads()
+
+    try:
+        set_threads(2)
+        assert parallel.run([first, second], 2)[1] == 1
+        assert parallel.blas_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_a_blas_pin_without_a_setter_runs_its_block(monkeypatch):
+    from poselift import parallel
+
+    monkeypatch.setattr(parallel, "_openblas", lambda *args: None)
+    with parallel.one_blas_thread():
+        assert parallel.blas_threads() == 0
+
+
 def test_run_experiment_reads_eval_pairs_from_data_dir(tmp_path):
     first = tmp_path / "first"
     run_experiment(tiny_config(first), TOPO)
@@ -181,12 +257,12 @@ def test_refine_stage_writes_what_refining_each_pair_alone_writes(tmp_path, monk
 def test_run_experiment_writes_the_same_files_on_one_core_and_two(tmp_path, monkeypatch):
     # criterion 10 across core counts: on two cores the two 40-frame pairs
     # descend on two threads, the 30-frame pair after one of them
-    import poselift.iso as iso
+    from poselift import parallel
 
     data = mixed_length_data(tmp_path / "data")
     files = []
     for cores in (1, 2):
-        monkeypatch.setattr(iso, "_cores", lambda: cores)
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
         out = tmp_path / f"cores{cores}"
         run_experiment(refining_config(out, data), TOPO)
         files.append({str(p.relative_to(out)): p.read_bytes()
@@ -198,7 +274,7 @@ def test_run_experiment_writes_the_same_files_on_one_core_and_two(tmp_path, monk
 def test_a_long_pair_writes_the_same_files_on_one_core_and_two(tmp_path, monkeypatch,
                                                                one_blas_thread):
     # one 480-frame pair: on two cores its energy evaluations split in two
-    import poselift.iso as iso
+    from poselift import parallel
     from poselift.discriminator import KcsEnergyModel
     from poselift.pose_io import write_pose2d, write_pose3d
     from poselift.synth import generate
@@ -218,7 +294,7 @@ def test_a_long_pair_writes_the_same_files_on_one_core_and_two(tmp_path, monkeyp
     monkeypatch.setattr(KcsEnergyModel, "energies_and_grad", recording)
     files = []
     for cores in (1, 2):
-        monkeypatch.setattr(iso, "_cores", lambda: cores)
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
         out = tmp_path / f"cores{cores}"
         run_experiment(refining_config(out, data), TOPO)
         files.append({str(p.relative_to(out)): p.read_bytes()

@@ -18,10 +18,12 @@ import pytest
 
 import poselift.discriminator as discriminator
 import poselift.iso as iso
+from poselift import parallel
 from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
 from poselift.errors import InvalidWindowError
-from poselift.iso import WEIGHT_MODES, CalibratedConfidence, IsoConfig, refine, refine_many
+from poselift.iso import (WEIGHT_MODES, CalibratedConfidence, IsoConfig, compute_weights,
+                          fit_projection, refine, refine_many)
 from poselift.pose_io import default_topology
 from poselift.skeleton import PoseSequence2D, PoseSequence3D, project_to_crop
 from poselift.synth import SyntheticMotionConfig, generate
@@ -89,6 +91,25 @@ def test_refine_equals_graph_refine_without_a_term(scorer, kw):
     cfg = cfg_of(**kw)
     trace = assert_matches_oracle(refine(init, det, scorer, cfg, gt), init, det, scorer, cfg, gt)
     assert len(trace) == cfg.iterations
+
+
+@pytest.mark.parametrize("t, scorer", [(1, None), (30, None), (180, None),
+                                       (2, SCORERS[1]), (30, SCORERS[1]), (180, SCORERS[2])])
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_iso_loss_is_the_objective_refine_descends(t, scorer, mode):
+    # refine's refit at iteration 0, redone by hand: at that fit the public
+    # node's value is trace row 0's loss and its gradient is refine's first step
+    init, det, _ = window(t, seed=50 + t)
+    cfg = cfg_of(weight_mode=mode, iterations=1)
+    scale, trans = fit_projection(init.frames, det)
+    scale, trans = fit_projection(init.frames, det,
+                                  compute_weights(init.frames, det, cfg, scale, trans))
+    x = Tensor(init.frames.copy(), requires_grad=True)
+    loss = iso.iso_loss(x, det, scorer, cfg, scale, trans)
+    loss.backward()
+    refined, trace = refine(init, det, scorer, cfg)
+    assert loss.item() == trace[0]["loss"]
+    assert refined.frames.tobytes() == (init.frames - cfg.step_size * x.grad).tobytes()
 
 
 @pytest.mark.parametrize("t, interval", [(1, None), (2, 1), (3, 2), (40, 2)])
@@ -168,7 +189,7 @@ def test_refine_builds_no_tensor(monkeypatch):
 #
 # refine_many deals each length's windows into at least as many stacks as
 # there are cores and descends them on one thread per core. The core count
-# comes from iso._cores, patched here; results must not depend on it.
+# comes from parallel.cores, patched here; results must not depend on it.
 
 STACKED = [window(t, seed=40 + i) for i, t in enumerate((24, 31, 24, 24, 31))]
 STACKED_CFG = cfg_of(iterations=30)
@@ -188,7 +209,7 @@ def oracle(i):
 
 def refine_on(monkeypatch, cores, pairs, scorer, cfg):
     """refine_many with `cores` cores: (results, the threads that ran a stack)."""
-    monkeypatch.setattr(iso, "_cores", lambda: cores)
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
     ran, run = [], iso._Stack.run
 
     def recording(self):
