@@ -11,19 +11,21 @@ temporal-conv scorer over the same features did not beat it on the ablation
 ladder and took over twice the wall time (the comparison is in CHANGES.md).
 
 One kernel computes every window's energy and its gradient. Given a part
-count it cuts the frames into ranges and runs them on threads in two
-rounds: the feature rows, the precision product and per-frame energies,
-then, once every range has finished, the gradient. Phi needs Psi of a few
-frames past its range, and the gradient of Phi needs the few rows of the
-precision product just before it; a range forms those again from the
-frames, or reads them once they are final, so no range reads a row
+count it cuts the frames into ranges and runs them as two parallel.run
+calls: the feature rows, the precision product and per-frame energies, then,
+once every range has finished, the gradient. The ranges go to the workers of
+the team open on the calling thread (parallel.team; a split ISO descent
+keeps one for all its evaluations), else to a team started for the call. Phi
+needs Psi of a few frames past its range, and the gradient of Phi needs the
+few rows of the precision product just before it; a range forms those again
+from the frames, or reads them once they are final, so no range reads a row
 another is still writing. Cuts sit on multiples of CUT_FRAMES = 48 frames
-because a product cut into row blocks keeps every bit only at some
-offsets: on numpy's bundled OpenBLAS 0.3.31 (AVX-512 double kernels, one
-BLAS thread) cuts at multiples of 12 rows kept every bit of a 480 x 323
-by 323 x 323 product and no other cut did. A BLAS that splits a product
-among its own threads cuts it by size, so the split is bit for bit only
-with BLAS on one thread (parallel.blas_threads).
+because a product cut into row blocks keeps every bit only at some offsets:
+on numpy's bundled OpenBLAS 0.3.31 (AVX-512 double kernels, one BLAS thread)
+cuts at multiples of 12 rows kept every bit of a 480 x 323 by 323 x 323
+product and no other cut did. A BLAS that splits a product among its own
+threads cuts it by size, so the split is bit for bit only with BLAS on one
+thread (parallel.blas_threads).
 """
 
 from __future__ import annotations
@@ -111,10 +113,11 @@ class KcsEnergyModel:
         the gradient returned is a view into one of them.
 
         With `parts` > 1 the frames are cut into up to that many ranges, every
-        cut on a multiple of CUT_FRAMES, and the ranges run on threads in two
-        rounds (parallel.run): the energy, then the gradient. A range writes
-        only its own frames of the buffers, made here before any thread
-        starts, and reads another's only between rounds, when they are final.
+        cut on a multiple of CUT_FRAMES, and the ranges run in two
+        parallel.run calls, on the calling thread's team if one is open: the
+        energy, then the gradient. A range writes only its own frames of the
+        buffers, made here before either call, and reads another's only
+        between the calls, when they are final.
         """
         check_window(frames, self.incidence, self.interval)
         lead, t, i = frames.shape[:-2], frames.shape[-3], self.interval

@@ -18,12 +18,14 @@ window's descent depends on another's, so refine_many descends its stacks
 on one thread per available core (numpy releases the GIL in its array
 loops and BLAS calls), and the results are bit for bit the serial ones.
 Cores left over, as when one long window is one stack, split each energy
-evaluation of a stack into frame ranges on threads of their own, at least
-PART_FRAMES stacked frames per range with every cut on a multiple of 48
-frames (discriminator.CUT_FRAMES: where the precision product's row
-blocks keep their bits). That happens only where BLAS runs each product
-on one thread; a threaded BLAS already spreads the products over the
-cores, and cuts of its products do not keep their bits.
+evaluation of a stack into frame ranges, at least PART_FRAMES stacked frames
+per range with every cut on a multiple of 48 frames
+(discriminator.CUT_FRAMES: where the precision product's row blocks keep
+their bits). The ranges run on a team of worker threads (parallel.team) that
+the stack starts once for its whole descent and joins when it ends. That
+happens only where BLAS runs each product on one thread; a threaded BLAS
+already spreads the products over the cores, and cuts of its products do not
+keep their bits.
 The loss is composed once, in _Objective. The public Tensor nodes
 rep_loss and iso_loss are one-window calls of it, and compute_weights
 returns its weights, so the nodes that tests check by finite differences
@@ -417,7 +419,9 @@ class _Stack:
     best-so-far frames and 10x abort, and an aborted window leaves the
     stack. run() may go to a worker thread, which then allocates only small
     temporaries: buffers first made on a worker would sit in a malloc arena
-    of its own and raise peak memory.
+    of its own and raise peak memory. When the objective's energy calls
+    split, run() opens one team of `parts` threads (parallel.team) for the
+    whole descent, so each evaluation's ranges go to waiting workers.
     """
 
     def __init__(self, frames: np.ndarray, dets: list, gts, scorer, cfg: IsoConfig,
@@ -431,6 +435,10 @@ class _Stack:
             self.err, self.err_norm = np.empty_like(frames), np.empty(frames.shape[:3])
 
     def run(self) -> tuple:
+        with parallel.team(self.objective.parts):
+            return self._descend()
+
+    def _descend(self) -> tuple:
         x, gts, cfg, objective = self.x, self.gts, self.cfg, self.objective
         scale, trans, best = self.scale, self.trans, self.best
         n = len(x)
@@ -499,9 +507,10 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
     built before any thread starts. With BLAS on one thread, the cores
     per stack thread split the stack's energy evaluations into that many
     frame ranges, each of at least PART_FRAMES stacked frames (the
-    scorer's energies_and_grad `parts`). Each window keeps its own projection
-    fit, refits, trace, best-so-far frames and abort, so each result is,
-    bit for bit, refine of that window alone.
+    scorer's energies_and_grad `parts`), on a team of that many threads that
+    lives for the stack's descent. No thread outlives the call. Each window
+    keeps its own projection fit, refits, trace, best-so-far frames and abort,
+    so each result is, bit for bit, refine of that window alone.
     """
     poses = [_as_pose(p) for p in poses]
     dets = list(dets)

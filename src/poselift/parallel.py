@@ -8,6 +8,13 @@ backward. A job writes only into buffers made before the threads start, or
 into arrays that no other job touches, and the caller combines the results
 in a fixed order, so the results are bit for bit the serial ones.
 
+run hands the jobs to a team: worker threads that wait for work between
+calls. A caller that runs many calls in a row opens one team for all of
+them, as one split ISO descent does for its energy evaluations, and the
+team's workers live until that block ends; any other call of run starts a
+team of its own and joins it before it returns, so no thread outlives the
+block or call that started it.
+
 Cutting one matrix product into row blocks keeps its bits only while BLAS
 computes every product on one thread: a threaded BLAS splits each product
 among its own threads by the product's size, and its edge kernels then fall
@@ -21,6 +28,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import queue
 import threading
 from pathlib import Path
 
@@ -35,30 +43,79 @@ def cores() -> int:
         return os.cpu_count() or 1
 
 
+_local = threading.local()      # .team: the team open on this thread and free, if any
+
+
+class _Team:
+    """Workers waiting on a queue each for a task, each handing back a token
+    on `done` when it has run one."""
+
+    def __init__(self, workers: int):
+        self.tasks = [queue.SimpleQueue() for _ in range(workers)]
+        self.done = queue.SimpleQueue()
+
+
+def _serve(tasks, done):
+    while (task := tasks.get()) is not None:
+        task()                            # run's tasks keep their own failures
+        done.put(None)
+
+
+@contextlib.contextmanager
+def team(threads: int):
+    """A team of `threads` threads counting the calling one: its threads - 1
+    workers start here, serve every run called on this thread inside the
+    block, and are all joined when the block ends, errors included. Blocks
+    nest; fewer than two threads open no team and start no thread."""
+    if threads < 2:
+        yield
+        return
+    crew, outer, workers = _Team(threads - 1), getattr(_local, "team", None), []
+    try:
+        for tasks in crew.tasks:
+            workers.append(threading.Thread(target=_serve, args=(tasks, crew.done)))
+            workers[-1].start()
+        _local.team = crew
+        yield
+    finally:
+        _local.team = outer
+        for tasks in crew.tasks:
+            tasks.put(None)
+        for worker in workers:
+            worker.join()
+
+
 def run(jobs: list, threads: int) -> list:
     """Each job's result, in job order, on `threads` threads counting the
     calling one: thread j runs jobs j, j + threads, ... and stops at its
-    first failure. Every thread is joined before the first failure in job
-    order is raised, so no job outlives the call."""
+    first failure. The other threads are workers of the team open on this
+    thread, or of one opened for the call. The first failure in job order
+    is raised once every thread has stopped, so no job outlives the call."""
     threads = max(1, min(threads, len(jobs)))
+    crew = getattr(_local, "team", None)
+    if threads > 1 and (crew is None or len(crew.tasks) < threads - 1):
+        with team(threads):
+            return run(jobs, threads)
     results, errors = [None] * len(jobs), [None] * len(jobs)
 
     def work(j):
         for s in range(j, len(jobs), threads):
             try:
                 results[s] = jobs[s]()
-            except Exception as err:      # re-raised by the caller below
+            except BaseException as err:  # re-raised by the caller below
                 errors[s] = err
                 return
 
-    workers = [threading.Thread(target=work, args=(j,)) for j in range(1, threads)]
-    for worker in workers:
-        worker.start()
+    helpers = crew.tasks[:threads - 1] if threads > 1 else []
+    _local.team = None                    # a run inside a job here opens its own team
+    for j, tasks in enumerate(helpers, 1):
+        tasks.put(functools.partial(work, j))
     try:
         work(0)
     finally:
-        for worker in workers:
-            worker.join()
+        for _ in helpers:
+            crew.done.get()
+    _local.team = crew
     for err in errors:
         if err is not None:
             raise err

@@ -1,5 +1,6 @@
 import ctypes
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,16 @@ from poselift.pose_io import default_topology
 # the same examples on every run, and no example database left behind
 settings.register_profile("poselift", deadline=None, derandomize=True, database=None)
 settings.load_profile("poselift")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Every test ends with the threads it started joined: a thread running
+    after it that did not run before it fails the test."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert left == [], f"threads still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -315,8 +315,8 @@ def test_workspace_holds_every_kernel_buffer(one_blas_thread):
 #
 # With BLAS on one thread per product, the cores the stacks leave idle split
 # each stack's energy evaluation into frame ranges (at least
-# iso.PART_FRAMES stacked frames each) on threads of their own. The core
-# count must still not show in any bit.
+# iso.PART_FRAMES stacked frames each) on a team of threads that each stack
+# starts once for its descent. The core count must still not show in any bit.
 
 LONG_MOTION = np.concatenate([s.pose3d.frames for s in generate(
     SyntheticMotionConfig(n_sequences=2, frames=480, seed=32), TOPO)])
@@ -348,17 +348,36 @@ def energy_parts(monkeypatch):
     return parts, started
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n, cores", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4)])
 def test_long_windows_on_split_kernels_equal_graph_refine(one_blas_thread, fast_switches,
                                                           monkeypatch, cores, n):
-    parts, _ = energy_parts(monkeypatch)
+    parts, started = energy_parts(monkeypatch)
     got, threads = refine_on(monkeypatch, cores, LONG[:n], SCORERS[1], LONG_CFG)
     for (pose, trace), i in zip(got, range(n), strict=True):
         want_pose, want_trace = long_oracle(i)
         assert np.array_equal(pose.frames, want_pose.frames) and trace == want_trace
-    # one window takes every core; two take one stack thread each
-    assert set(parts) == {cores if n == 1 else 1} and len(threads) == min(cores, n)
+    # one window takes every core; two take one stack thread each, and on 4
+    # cores each stack splits over the two cores that are its share
+    split = cores // len(threads)
+    assert set(parts) == {split} and len(threads) == min(cores, n)
+    # each stack's team starts split - 1 workers for its whole descent, not
+    # per evaluation, beside the stack threads' own
+    assert len(parts) == len(threads) * LONG_CFG.iterations
+    assert len(started) == len(threads) - 1 + len(threads) * (split - 1)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_a_split_window_that_aborts_equals_graph_refine(one_blas_thread, fast_switches,
+                                                         monkeypatch, cores):
+    # the diverging settings of the abort tests above on one long window: it
+    # leaves its split stack mid-descent, and so the stack's team ends early
+    init, det, gt = window(480, seed=63, scale_mm=500.0, motion=LONG_MOTION)
+    cfg = cfg_of(weight_mode="constant", iterations=40, step_size=50.0, lambda1=1e-5,
+                 lambda2=0.0)
+    parts, started = energy_parts(monkeypatch)
+    (got,), _ = refine_on(monkeypatch, cores, [(init, det, gt)], SCORERS[1], cfg)
+    trace = assert_matches_oracle(got, init, det, SCORERS[1], cfg, gt)
+    assert 1 < len(trace) < 40 and set(parts) == {cores} and len(started) == cores - 1
 
 
 @pytest.mark.parametrize("cores", [2, 3])
