@@ -3,8 +3,9 @@
 A Tensor wraps an ndarray and remembers how it was produced; backward()
 topologically sorts the graph and accumulates gradients into .grad.
 Only what the pose models need is implemented: elementwise arithmetic
-with broadcasting, matmul, reductions, tanh and relu,
-reshape/transpose/slicing/gather, and concatenation.
+with broadcasting, matmul, reductions, reshape/transpose/slicing/gather,
+and concatenation. tanh and relu serve only the per-op reference graphs
+in tests/.
 
 The heavy pieces of the models are single nodes that their modules build
 with Tensor(value, parents, backward) and a backward written out in numpy:

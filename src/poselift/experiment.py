@@ -35,8 +35,7 @@ class ExperimentConfig:
     eval_synth: SyntheticMotionConfig = SyntheticMotionConfig(
         n_sequences=3, frames=96, seed=2000, speed_multipliers=(1.0, 1.6),
         mask_occluded_prob=0.9)
-    tcn: TcnConfig = TcnConfig(embed_dim=64, window_len=16, strides=(1, 2, 3),
-                               channels=32, branch_layers=2)
+    tcn: TcnConfig = TcnConfig()
     train: TrainConfig = TrainConfig()
     occlusion: Optional[OcclusionConfig] = None   # None = train on raw detections
     aug_copies: int = 1                           # occluded copies added per sequence
@@ -279,14 +278,13 @@ def ladder_eval_occlusion() -> OcclusionConfig:
 
 
 def ladder_rungs() -> list:
-    base_tcn = dict(embed_dim=64, window_len=20, channels=32, branch_layers=2)
     rungs = []
 
     def rung(name, strides=(1,), use_embedding=False, w1=0.0, w3=0.0,
              occlusion=False, iso=False):
         rungs.append({
             "name": name,
-            "tcn": TcnConfig(strides=strides, use_embedding=use_embedding, **base_tcn),
+            "tcn": TcnConfig(strides=strides, use_embedding=use_embedding, window_len=20),
             "weights": LossWeights(w1=w1, w2=0.0, w3=w3),
             "occlusion": ladder_train_occlusion() if occlusion else None,
             "iso": IsoConfig(weight_mode="soft", sigma=1.0, lambda1=0.01,
@@ -314,8 +312,7 @@ def ladder_experiment(out_dir, seeds=(0, 1, 2), epochs=6,
     for rung in ladder_rungs():
         per_seed = []
         for seed in seeds:
-            base = train_cfg if train_cfg is not None else TrainConfig(
-                steps_per_epoch=60, batch_size=8)
+            base = train_cfg if train_cfg is not None else TrainConfig(steps_per_epoch=60)
             cfg = ExperimentConfig(
                 out_dir=str(out / rung["name"].replace("+", "plus-") / f"seed{seed}"),
                 seed=seed, epochs=epochs,

@@ -23,11 +23,13 @@ from .errors import (ConfigError, InvalidInputError, InvalidWindowError,
 from .pose_io import load_checkpoint, save_checkpoint
 from .skeleton import PoseSequence2D, PoseSequence3D, RotationAugment, rotation_matrix
 
-# name -> (value of the pre-activation, derivative from the value)
-ACTIVATIONS = {
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    "relu": (lambda h: h * (h > 0), lambda y: y > 0),
-}
+# Every conv layer has KERNEL taps and every layer, the embedding too, ends in
+# tanh. Head outputs are scaled by OUTPUT_SCALE_MM so trained weights stay O(1).
+KERNEL = 3
+OUTPUT_SCALE_MM = 200.0
+# fields older checkpoints hold: the one value each may have, or None for any
+_RETIRED_FIELDS = {"tkcs_interval": None, "kernel": KERNEL, "activation": "tanh",
+                   "output_scale_mm": OUTPUT_SCALE_MM}
 
 
 @dataclass(frozen=True)
@@ -45,18 +47,17 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class TcnConfig:
+    """The defaults are the pipeline's lifter (37,203 parameters). A larger run
+    might use embed_dim=512, window_len=64, strides=(1, 2, 3, 5, 7), channels=128,
+    branch_layers=3 (1,544,499 parameters); the paper does not give its sizes."""
+
     n_keypoints: int = 17
-    embed_dim: int = 512
-    window_len: int = 64
-    strides: tuple[int, ...] = (1, 2, 3, 5, 7)
-    channels: int = 128
-    kernel: int = 3
-    branch_layers: int = 3
+    embed_dim: int = 64
+    window_len: int = 16
+    strides: tuple[int, ...] = (1, 2, 3)
+    channels: int = 32
+    branch_layers: int = 2
     use_embedding: bool = True
-    activation: str = "tanh"
-    # head outputs are multiplied by this, so trained weights stay O(1)
-    # even though poses are hundreds of mm from the root
-    output_scale_mm: float = 200.0
 
     def __post_init__(self):
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
@@ -64,24 +65,18 @@ class TcnConfig:
             raise ConfigError("n_keypoints must be >= 1")
         if self.embed_dim < 1 or self.channels < 1 or self.branch_layers < 1:
             raise ConfigError("embed_dim, channels, branch_layers must be >= 1")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError("kernel must be odd and >= 1")
         if not self.strides:
             raise ConfigError("need at least one stride")
         if any(s < 1 for s in self.strides):
             raise ConfigError("strides must be >= 1")
         if any(b <= a for a, b in zip(self.strides, self.strides[1:])):
             raise ConfigError("strides must be strictly increasing")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.output_scale_mm <= 0:
-            raise ConfigError("output_scale_mm must be > 0")
         if self.receptive_field(max(self.strides)) > self.window_len:
             raise ConfigError("window_len shorter than the widest branch's "
                               "receptive field")
 
     def receptive_field(self, stride: int) -> int:
-        return 1 + self.branch_layers * (self.kernel - 1) * stride
+        return 1 + self.branch_layers * (KERNEL - 1) * stride
 
     @property
     def input_dim(self) -> int:
@@ -118,7 +113,7 @@ def frame_inputs(coords: np.ndarray, conf: np.ndarray, mask: np.ndarray) -> np.n
 BRANCH_THREAD_WORK = 1 << 22
 
 
-def _branch_forward(x, weights, s, act) -> list:
+def _branch_forward(x, weights, s) -> list:
     """The layers of one stride-`s` branch over its input rows `x`: per layer
     (input, output, taps, bias). Output row j is bias + the sum over taps k
     of input row j + k*s times tap k, added in tap order."""
@@ -128,18 +123,18 @@ def _branch_forward(x, weights, s, act) -> list:
         h = bias.data
         for k, w in enumerate(taps):
             h = h + x[..., k * s: k * s + out_len, :] @ w.data
-        y = act(h)
+        y = np.tanh(h)
         layers.append((x, y, taps, bias))
         x = y
     return layers
 
 
-def _branch_backward(layers, s, gy, act_grad) -> np.ndarray:
+def _branch_backward(layers, s, gy) -> np.ndarray:
     """Accumulates one branch's tap and bias gradients from `gy`, the
     gradient of its last layer's output; returns the gradient of its input
     rows, added last tap first."""
     for x, y, taps, bias in reversed(layers):
-        gh = gy * act_grad(y)
+        gh = gy * (1.0 - y * y)
         rows = gh.reshape(-1, gh.shape[-1])
         bias._accumulate(_unbroadcast(gh, bias.shape))
         out_len = y.shape[-2]
@@ -180,7 +175,7 @@ class TcnModel:
         for bi in range(len(config.strides)):
             c_in = config.branch_input_dim
             for li in range(config.branch_layers):
-                for tap in range(config.kernel):
+                for tap in range(KERNEL):
                     add(f"branch{bi}.layer{li}.w{tap}",
                         parameter((c_in, config.channels), rng))
                 add(f"branch{bi}.layer{li}.b", parameter(np.zeros(config.channels)))
@@ -218,9 +213,13 @@ class TcnModel:
         arrays, meta = load_checkpoint(path)
         if meta.get("kind") != "tcn":
             raise InvalidInputError(f"{path}: not a model checkpoint: kind={meta.get('kind')!r}")
-        try:   # tkcs_interval is a retired field that older checkpoints still hold
-            model = cls(TcnConfig(**{k: v for k, v in meta["config"].items()
-                                     if k != "tkcs_interval"}))
+        try:
+            config = dict(meta["config"])
+            for name, fixed in _RETIRED_FIELDS.items():
+                value = config.pop(name, fixed)
+                if fixed is not None and value != fixed:
+                    raise ConfigError(f"{name} = {value!r}, but the lifter's is {fixed!r}")
+            model = cls(TcnConfig(**config))
         except (KeyError, AttributeError, TypeError, ValueError, ConfigError) as e:
             raise InvalidInputError(f"checkpoint config in {path} does not build a model: "
                                     f"{e}") from None
@@ -235,7 +234,7 @@ class TcnModel:
     def embed_frames(self, coords, conf, mask) -> Tensor:
         """Per-frame representations r_t, shape T x branch_input_dim.
 
-        With the embedding on, the dense layer and its activation are one
+        With the embedding on, the dense layer and its tanh are one
         node whose parents are embed.w and embed.b; the frame inputs are
         constants and get no gradient.
         """
@@ -245,12 +244,11 @@ class TcnModel:
                 f"expected {self.config.n_keypoints} keypoints, got {m.shape[1] // 4}")
         if not self.config.use_embedding:
             return Tensor(m)
-        act, act_grad = ACTIVATIONS[self.config.activation]
         w, b = self._params["embed.w"], self._params["embed.b"]
-        y = act(m @ w.data + b.data)
+        y = np.tanh(m @ w.data + b.data)
 
         def back(out):
-            g = out.grad * act_grad(y)
+            g = out.grad * (1.0 - y * y)
             b._accumulate(_unbroadcast(g, b.shape))
             w._accumulate(m.T @ g)
 
@@ -290,7 +288,6 @@ class TcnModel:
                 f"got shape {r.shape}")
         if r.shape[-1] != cfg.branch_input_dim:
             raise InvalidInputError(f"embedding dim {r.shape[-1]} does not match config")
-        act, act_grad = ACTIVATIONS[cfg.activation]
         params = self._params
         inputs, weights = [], []    # per branch: its input rows, (taps, bias) per layer
         for bi, s in enumerate(cfg.strides):
@@ -298,26 +295,26 @@ class TcnModel:
             # the receptive field is odd: (rf-1)//2 frames either side of the center
             first = cfg.window_len // 2 - (rf - 1) // 2
             inputs.append(slice(first, first + rf + centers - 1))
-            weights.append([([params[f"branch{bi}.layer{li}.w{tap}"] for tap in range(cfg.kernel)],
+            weights.append([([params[f"branch{bi}.layer{li}.w{tap}"] for tap in range(KERNEL)],
                              params[f"branch{bi}.layer{li}.b"])
                             for li in range(cfg.branch_layers)])
         groups = self.branch_groups(math.prod(r.shape[:-1]), centers)
         # per branch: (input, output, taps, bias) per layer
         layers = _per_branch(groups, lambda bi: _branch_forward(
-            r.data[..., inputs[bi], :], weights[bi], cfg.strides[bi], act))
+            r.data[..., inputs[bi], :], weights[bi], cfg.strides[bi]))
         fused = np.concatenate([branch[-1][1] for branch in layers], axis=-1)
         head_w, head_b = params["head.w"], params["head.b"]
-        out = (fused @ head_w.data + head_b.data) * cfg.output_scale_mm
+        out = (fused @ head_w.data + head_b.data) * OUTPUT_SCALE_MM
 
         def back(node):
-            g = node.grad.reshape(out.shape) * cfg.output_scale_mm
+            g = node.grad.reshape(out.shape) * OUTPUT_SCALE_MM
             head_b._accumulate(_unbroadcast(g, head_b.shape))
             head_w._accumulate(fused.reshape(-1, fused.shape[-1]).T
                                @ g.reshape(-1, g.shape[-1]))
             g_fused = g @ head_w.data.T
             g_in = _per_branch(groups, lambda bi: _branch_backward(
                 layers[bi], cfg.strides[bi],
-                g_fused[..., bi * cfg.channels: (bi + 1) * cfg.channels], act_grad))
+                g_fused[..., bi * cfg.channels: (bi + 1) * cfg.channels]))
             g_r = np.zeros_like(r.data)
             for bi in reversed(range(len(inputs))):
                 g_r[..., inputs[bi], :] += g_in[bi]
@@ -344,7 +341,7 @@ class TcnModel:
         groups, load = [[] for _ in range(n)], [0] * n
         for bi in reversed(range(len(cfg.strides))):
             length = cfg.receptive_field(cfg.strides[bi]) + centers - 1
-            step = (cfg.kernel - 1) * cfg.strides[bi]
+            step = (KERNEL - 1) * cfg.strides[bi]
             j = load.index(min(load))
             groups[j].append(bi)
             load[j] += sum(length - step * li for li in range(1, cfg.branch_layers + 1))
@@ -524,7 +521,7 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
     Each sequence exposes .views, and each view carries .rotation
     (RotationAugment), .det2d (PoseSequence2D) and .pose3d (that view's
     ground truth, or None for 2D-only sequences, which then contribute
-    only the reprojection term).
+    only the reprojection term). A sequence too short for a window raises.
 
     A step draws its whole batch first, then runs one forward over every
     sample's view-1 frames (all `gen_window` chain centers at once when a
@@ -538,9 +535,12 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
     wt = cfg.weights
     chain_len = cfg.gen_window if scorer is not None else 1
     need = w + chain_len - 1
-    usable = [s for s in sequences if s.views and s.views[0].det2d.T >= need]
-    if not usable:
-        raise InvalidInputError(f"no sequence has the {need} frames a window needs")
+    if not sequences:
+        raise InvalidInputError("no sequence to train on")
+    for i, seq in enumerate(sequences):
+        if not seq.views or seq.views[0].det2d.T < need:
+            has = f"{seq.views[0].det2d.T} frames" if seq.views else "no views"
+            raise InvalidInputError(f"sequence {i} has {has}, but a window needs {need} frames")
 
     def embed(dets, starts, length):
         """One embed_frames call over `length` frames of each det; B x length x C."""
@@ -560,7 +560,7 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
         for step in range(cfg.steps_per_epoch):
             view1s, view2s, starts, rots = [], [], [], []
             for _ in range(cfg.batch_size):
-                seq = usable[rng.integers(len(usable))]
+                seq = sequences[rng.integers(len(sequences))]
                 n_views = len(seq.views)
                 v1 = int(rng.integers(n_views))
                 v2 = None

@@ -35,7 +35,7 @@ from poselift.errors import (ConfigError, DegenerateInputError, InvalidInputErro
 from poselift.iso import HARD_THRESHOLD, REFIT_EVERY, compute_weights, fit_projection
 from poselift.skeleton import (CROP_PX, PoseSequence2D, PoseSequence3D, RotationAugment,
                                project_to_crop, rotate_pose)
-from poselift.tcn import LossWeights, frame_inputs
+from poselift.tcn import KERNEL, OUTPUT_SCALE_MM, LossWeights, frame_inputs
 
 
 def cylinder_table(frame, topo):
@@ -265,18 +265,17 @@ def window_forward(model, emb):
     whole window in plain numpy, and its middle output row is kept."""
     cfg = model.config
     p = model.state_arrays()
-    act = {"tanh": np.tanh, "relu": lambda v: np.maximum(v, 0.0)}[cfg.activation]
     cols = []
     for bi, s in enumerate(cfg.strides):
         x = np.asarray(emb, dtype=np.float64)
         for li in range(cfg.branch_layers):
-            out_len = len(x) - (cfg.kernel - 1) * s
+            out_len = len(x) - (KERNEL - 1) * s
             h = p[f"branch{bi}.layer{li}.b"] + sum(
                 x[tap * s: tap * s + out_len] @ p[f"branch{bi}.layer{li}.w{tap}"]
-                for tap in range(cfg.kernel))
-            x = act(h)
+                for tap in range(KERNEL))
+            x = np.tanh(h)
         cols.append(x[len(x) // 2])
-    out = (np.concatenate(cols) @ p["head.w"] + p["head.b"]) * cfg.output_scale_mm
+    out = (np.concatenate(cols) @ p["head.w"] + p["head.b"]) * OUTPUT_SCALE_MM
     return out.reshape(cfg.n_keypoints, 3)
 
 
@@ -286,7 +285,6 @@ def forward_per_tap(model, embeddings, centers=1):
     cfg = model.config
     p = model._params
     r = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-    act = {"tanh": Tensor.tanh, "relu": Tensor.relu}[cfg.activation]
     cols = []
     for bi, s in enumerate(cfg.strides):
         rf = cfg.receptive_field(s)
@@ -294,16 +292,16 @@ def forward_per_tap(model, embeddings, centers=1):
         x = r[..., first: first + rf + centers - 1, :]
         length = rf + centers - 1
         for li in range(cfg.branch_layers):
-            out_len = length - (cfg.kernel - 1) * s
+            out_len = length - (KERNEL - 1) * s
             h = p[f"branch{bi}.layer{li}.b"]
-            for tap in range(cfg.kernel):
+            for tap in range(KERNEL):
                 piece = x[..., tap * s: tap * s + out_len, :]
                 h = h + piece @ p[f"branch{bi}.layer{li}.w{tap}"]
-            x = act(h)
+            x = h.tanh()
             length = out_len
         cols.append(x)
     fused = Tensor.concat(cols, axis=-1)
-    out = (fused @ p["head.w"] + p["head.b"]) * cfg.output_scale_mm
+    out = (fused @ p["head.w"] + p["head.b"]) * OUTPUT_SCALE_MM
     lead = r.shape[:-2] + ((centers,) if centers > 1 else ())
     return out.reshape(lead + (cfg.n_keypoints, 3))
 
@@ -411,12 +409,11 @@ def _graph_input(pose):
 
 
 def embed_frames_graph(model, coords, conf, mask):
-    """TcnModel.embed_frames as a dense layer and an activation of Tensor ops."""
+    """TcnModel.embed_frames as a dense layer and a tanh of Tensor ops."""
     m = Tensor(frame_inputs(coords, conf, mask))
     if not model.config.use_embedding:
         return m
-    act = {"tanh": Tensor.tanh, "relu": Tensor.relu}[model.config.activation]
-    return act(m @ model._params["embed.w"] + model._params["embed.b"])
+    return (m @ model._params["embed.w"] + model._params["embed.b"]).tanh()
 
 
 def loss_3d_graph(pred, gt):

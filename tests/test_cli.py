@@ -12,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poselift.cli import _keys, _section, load_config, main
-from poselift.experiment import ExperimentConfig
+from poselift.experiment import ExperimentConfig, ladder_rungs
 from poselift.iso import WEIGHT_MODES, IsoConfig
-from poselift.pose_io import parse_config
+from poselift.pose_io import parse_config, parse_value
 from poselift.kcs import discriminator_features
 from poselift.pose_io import (default_topology, load_checkpoint, read_pose2d, read_pose3d,
                               save_checkpoint, write_pose3d)
 from poselift.skeleton import PoseSequence3D, project_to_crop
 from poselift.synth import SyntheticMotionConfig, generate
-from poselift.tcn import ACTIVATIONS
+from poselift.tcn import KERNEL, TcnConfig
 from poselift.visibility import sequence_visibility
 
 TOPO = default_topology()
@@ -280,7 +280,7 @@ def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path,
     ("iso.sigma", 0, "iso.sigma must be > 0"),
     ("iso.weight_mode", "calibrated",
      "iso.weight_mode 'calibrated' is not one of constant/confidence/hard/soft"),
-    ("tcn.kernel", 4, "tcn.kernel must be odd"),
+    ("tcn.strides", "2,1", "tcn.strides must be strictly increasing"),
     ("train.w1", -1, "train.*: loss weights must be nonnegative"),
     ("iso.cal_temperature", 0, "iso.cal_*: calibration temperature"),
     ("synth.frames", 1, "synth.*: need n_sequences >= 1 and frames >= 2"),
@@ -607,16 +607,15 @@ CONFIG_KEYS = {
     "eval_occlusion.seed",
     "iso.cal_bias", "iso.cal_temperature", "iso.iterations", "iso.lambda1", "iso.lambda2",
     "iso.sigma", "iso.step_size", "iso.weight_mode",
-    "tcn.activation", "tcn.branch_layers", "tcn.channels", "tcn.embed_dim", "tcn.kernel",
-    "tcn.n_keypoints", "tcn.output_scale_mm", "tcn.strides", "tcn.use_embedding",
-    "tcn.window_len",
+    "tcn.branch_layers", "tcn.channels", "tcn.embed_dim", "tcn.n_keypoints", "tcn.strides",
+    "tcn.use_embedding", "tcn.window_len",
     "train.batch_size", "train.gen_window", "train.lr", "train.lr_decay", "train.momentum",
     "train.snapshot_every", "train.steps_per_epoch", "train.w1", "train.w2", "train.w3",
 }
 
 
 def test_config_key_census():
-    assert len(CONFIG_KEYS) == 66
+    assert len(CONFIG_KEYS) == 63
     assert set(_keys(ExperimentConfig)) == CONFIG_KEYS
 
 
@@ -630,6 +629,7 @@ def test_config_key_census():
     ("iso-refine", "iso.refit_every"), ("iso-refine", "iso.threshold"),
     ("augment", "occ.shift_px"), ("synth-gen", "eval_occlusion.shift_px"),
     ("synth-gen", "synth.scale_mm"), ("synth-gen", "eval_synth.scale_mm"),
+    ("train", "tcn.kernel"), ("train", "tcn.activation"), ("train", "tcn.output_scale_mm"),
 ])
 def test_retired_key_exits_2(tmp_path, capsys, command, key):
     cfg = write_cfg(tmp_path / "r.cfg", **{key: 256})
@@ -703,12 +703,11 @@ FIELD_VALUES = {
                      "channels", "embed_dim", "n_keypoints", "batch_size", "snapshot_every",
                      "steps_per_epoch"), st.integers(1, 10**6)),
     **dict.fromkeys(("frames", "l", "gen_window"), st.integers(2, 10**6)),
-    "kernel": st.integers(0, 10).map(lambda i: 2 * i + 1),
     "strides": st.lists(st.integers(1, 99), min_size=1, max_size=5, unique=True).map(
         lambda s: tuple(sorted(s))),
     **dict.fromkeys(("angle_step", "noise_px", "bias"), floats()),
-    **dict.fromkeys(("scorer_reg", "temperature", "sigma", "step_size", "output_scale_mm",
-                     "lr_decay"), POSITIVE),
+    **dict.fromkeys(("scorer_reg", "temperature", "sigma", "step_size", "lr_decay"),
+                    POSITIVE),
     **dict.fromkeys(("lambda1", "lambda2", "lr", "w1", "w2", "w3"), NONNEGATIVE),
     **dict.fromkeys(("mask_occluded_prob", "p1", "p2", "p3", "frame_block_prob",
                      "shift_prob", "swap_prob"), UNIT),
@@ -716,7 +715,6 @@ FIELD_VALUES = {
     "speed_multipliers": st.lists(POSITIVE, max_size=4).map(tuple),
     "view_rotations": st.lists(st.tuples(floats(), floats(), floats()), max_size=3).map(tuple),
     "use_embedding": st.booleans(),
-    "activation": st.sampled_from(sorted(ACTIVATIONS)),
     "weight_mode": st.sampled_from(WEIGHT_MODES),
     "data_dir": st.sampled_from([str(Path(__file__).parent), str(Path(__file__).parents[1])]),
 }
@@ -727,7 +725,7 @@ def config_values(draw):
     """{key: value} for every config key, values that build together."""
     values = {key: draw(FIELD_VALUES[path[-1]])
               for key, (path, _) in _keys(ExperimentConfig).items()}
-    values["tcn.window_len"] += 1 + (values["tcn.branch_layers"] * (values["tcn.kernel"] - 1)
+    values["tcn.window_len"] += 1 + (values["tcn.branch_layers"] * (KERNEL - 1)
                                      * max(values["tcn.strides"]))
     values["scorer_window"] += values["scorer_interval"] + 1
     return values
@@ -745,14 +743,34 @@ def test_every_key_round_trips_through_config_text(values):
     assert load_config(parse_config(again)) == cfg
 
 
-def test_readme_demo_config_is_the_experiment_default_plus_its_keys():
+def readme_demo_config() -> dict:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    text = re.search(r"cat > exp\.cfg <<'CFG'\n(.*?)\nCFG\n", readme, re.S).group(1)
+    return parse_config(re.search(r"cat > exp\.cfg <<'CFG'\n(.*?)\nCFG\n", readme,
+                                  re.S).group(1))
+
+
+def test_readme_demo_config_is_the_experiment_default_plus_its_keys():
     default = ExperimentConfig()
-    assert load_config(parse_config(text)) == replace(
+    assert load_config(readme_demo_config()) == replace(
         default, tcn=replace(default.tcn, window_len=20),
         train=replace(default.train, steps_per_epoch=60),
         iso=IsoConfig(weight_mode="soft", iterations=120))
+
+
+def test_readme_demo_and_ladder_name_only_what_they_change():
+    # the README's rule, "a file names only what it changes": no line of the
+    # demo config sets a key to its ExperimentConfig() value; a key of a
+    # section that is off by default (iso.*) turns the section on
+    default, keys = ExperimentConfig(), _keys(ExperimentConfig)
+    for key, text in readme_demo_config().items():
+        path, typ = keys[key]
+        section = config_value(default, path[:-1])
+        assert section is None or parse_value(key, text, typ) != getattr(section, path[-1]), key
+    # and every ladder rung's lifter is TcnConfig() but for what the rungs vary
+    for rung in ladder_rungs():
+        differ = {f.name for f in fields(TcnConfig)
+                  if getattr(rung["tcn"], f.name) != getattr(TcnConfig(), f.name)}
+        assert differ <= {"strides", "use_embedding", "window_len"}, rung["name"]
 
 
 # a config key in backticks: `<section>.<field>`, optionally `= value`; a

@@ -215,7 +215,7 @@ def test_train_matches_graph_scorer(topo):
     data = generate(SyntheticMotionConfig(n_sequences=3, frames=60, seed=4,
                                           view_rotations=((0.0, 1.2, 0.0),)), topo)
     model_cfg = TcnConfig(n_keypoints=17, embed_dim=16, window_len=16, strides=(1, 2),
-                          channels=16, kernel=3, branch_layers=2)
+                          channels=16, branch_layers=2)
     tcfg = TrainConfig(lr=1e-6, momentum=0.9, steps_per_epoch=6, batch_size=4, seed=0,
                        lr_decay=0.5)
     models = [TcnModel(model_cfg, seed=32) for _ in range(2)]
@@ -372,10 +372,9 @@ def test_total_loss_matches_graph(leaves):
                  parts, leaves)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_embed_frames_matches_graph(activation):
+def test_embed_frames_matches_graph():
     cfg = TcnConfig(n_keypoints=K, embed_dim=6, window_len=9, strides=(1, 2), channels=4,
-                    branch_layers=1, activation=activation)
+                    branch_layers=1)
     model = TcnModel(cfg, seed=18)
     coords, mask = targets_2d(19, (11,), 0.2)
     conf = np.where(mask, 0.0, np.random.default_rng(20).uniform(0.3, 1.0, mask.shape))
@@ -419,7 +418,7 @@ def test_train_matches_graph_losses(monkeypatch):
                                           view_rotations=((0.0, 1.2, 0.0),),
                                           mask_occluded_prob=0.5), TOPO)
     model_cfg = TcnConfig(n_keypoints=17, embed_dim=16, window_len=16, strides=(1, 2),
-                          channels=16, kernel=3, branch_layers=2)
+                          channels=16, branch_layers=2)
     tcfg = TrainConfig(lr=1e-6, momentum=0.9, steps_per_epoch=6, batch_size=4, seed=0,
                        lr_decay=0.5, weights=LossWeights(w1=0.5, w2=2000.0, w3=0.01))
     models = [TcnModel(model_cfg, seed=32) for _ in range(2)]

@@ -15,11 +15,11 @@ from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
 from poselift.errors import (ConfigError, InvalidInputError, InvalidWindowError,
                              TrainingDivergedError)
-from poselift.experiment import real_windows
+from poselift.experiment import ExperimentConfig, real_windows
 from poselift.skeleton import (PoseSequence2D, PoseSequence3D, project_to_crop,
                                rotation_matrix)
-from poselift.tcn import (ACTIVATIONS, LossWeights, TcnConfig, TcnModel, TrainConfig,
-                          frame_inputs, loss_2d, loss_3d, loss_multiview,
+from poselift.tcn import (KERNEL, OUTPUT_SCALE_MM, LossWeights, TcnConfig, TcnModel,
+                          TrainConfig, frame_inputs, loss_2d, loss_3d, loss_multiview,
                           total_loss, train)
 
 from oracles import (forward_per_tap, predict_sequence_per_frame, train_per_window,
@@ -28,7 +28,7 @@ from oracles import (forward_per_tap, predict_sequence_per_frame, train_per_wind
 
 def tiny_config(**kw):
     base = dict(n_keypoints=4, embed_dim=8, window_len=10, strides=(1, 2),
-                channels=6, kernel=3, branch_layers=2)
+                channels=6, branch_layers=2)
     base.update(kw)
     return TcnConfig(**base)
 
@@ -58,11 +58,13 @@ def param_count(model):
 # ----------------------------------------------------------------- config
 
 
-def test_default_config_valid():
-    cfg = TcnConfig()
-    assert cfg.receptive_field(7) == 43 <= cfg.window_len
-    assert cfg.input_dim == 68
-    assert cfg.branch_input_dim == 512
+def test_default_config_is_the_pipelines_lifter():
+    assert TcnConfig() == ExperimentConfig().tcn
+    assert param_count(TcnModel(TcnConfig())) == 37_203
+    # the wider configuration the TcnConfig docstring spells out
+    wide = TcnConfig(embed_dim=512, window_len=64, strides=(1, 2, 3, 5, 7), channels=128,
+                     branch_layers=3)
+    assert param_count(TcnModel(wide)) == 1_544_499
 
 
 @pytest.mark.parametrize("strides", [(), (2, 1), (0,), (1, 1), (1, 2, 2)])
@@ -73,11 +75,7 @@ def test_config_rejects_bad_strides(strides):
 
 def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
-        tiny_config(kernel=4)
-    with pytest.raises(ConfigError):
         tiny_config(window_len=8)  # receptive field of stride 2 is 9
-    with pytest.raises(ConfigError):
-        tiny_config(activation="gelu")
     with pytest.raises(ConfigError):
         tiny_config(channels=0)
 
@@ -177,7 +175,7 @@ def test_raw_mode_bypasses_embedding():
                                      (1, 2, 3, 5, 7)])
 def test_forward_shape_per_stride_set(strides):
     cfg = TcnConfig(n_keypoints=5, embed_dim=12, window_len=44, strides=strides,
-                    channels=5, kernel=3, branch_layers=3)
+                    channels=5, branch_layers=3)
     model = TcnModel(cfg, seed=0)
     rng = np.random.default_rng(4)
     out = model.forward(model.embed_frames(*random_window(cfg, rng)))
@@ -208,7 +206,7 @@ def _randomize_head(model, rng, scale=0.2):
 def test_forward_conv_indexing_oracle():
     # single branch, single layer: reproduce the center column by hand
     cfg = TcnConfig(n_keypoints=2, embed_dim=3, window_len=4, strides=(1,),
-                    channels=2, kernel=3, branch_layers=1)
+                    channels=2, branch_layers=1)
     model = TcnModel(cfg, seed=6)
     rng = np.random.default_rng(6)
     _randomize_head(model, rng)
@@ -217,7 +215,7 @@ def test_forward_conv_indexing_oracle():
     b = model._params["branch0.layer0.b"].data
     col = np.tanh(b + x[1] @ w[0] + x[2] @ w[1] + x[3] @ w[2])
     want = (col @ model._params["head.w"].data
-            + model._params["head.b"].data) * cfg.output_scale_mm
+            + model._params["head.b"].data) * OUTPUT_SCALE_MM
     got = model.forward(x)
     assert np.allclose(got.data, want.reshape(2, 3), atol=1e-9)
 
@@ -225,7 +223,7 @@ def test_forward_conv_indexing_oracle():
 def test_forward_center_receptive_field():
     # strides (1,2), 2 layers, kernel 3: center frame 8 sees frames 8 +/- 4
     cfg = TcnConfig(n_keypoints=3, embed_dim=6, window_len=16, strides=(1, 2),
-                    channels=4, kernel=3, branch_layers=2)
+                    channels=4, branch_layers=2)
     model = TcnModel(cfg, seed=7)
     rng = np.random.default_rng(7)
     _randomize_head(model, rng)
@@ -263,7 +261,7 @@ def expected_param_count(cfg):
     per_branch = 0
     c_in = cfg.branch_input_dim
     for _ in range(cfg.branch_layers):
-        per_branch += cfg.kernel * c_in * cfg.channels + cfg.channels
+        per_branch += KERNEL * c_in * cfg.channels + cfg.channels
         c_in = cfg.channels
     n += per_branch * len(cfg.strides)
     fused = len(cfg.strides) * cfg.channels
@@ -455,7 +453,7 @@ def train_config(**kw):
 
 def desk_model_config(**kw):
     base = dict(n_keypoints=17, embed_dim=16, window_len=16, strides=(1, 2),
-                channels=16, kernel=3, branch_layers=2)
+                channels=16, branch_layers=2)
     base.update(kw)
     return TcnConfig(**base)
 
@@ -518,11 +516,31 @@ def test_train_divergence_raises_with_checkpoint(topo):
     assert "head.w" in err.value.checkpoint
 
 
-def test_train_too_short_sequences(topo):
-    model = TcnModel(desk_model_config(), seed=23)
-    data = small_dataset(topo, frames=8)
-    with pytest.raises(InvalidInputError):
-        train(model, data, train_config())
+@pytest.mark.parametrize("scorer", [None, QuadraticScorer()], ids=["no-scorer", "scorer"])
+def test_train_rejects_a_sequence_one_frame_short(topo, scorer):
+    # a window needs window_len frames, plus gen_window - 1 with a scorer;
+    # the other sequences being long enough does not let the short one pass
+    cfg, tcfg = desk_model_config(), train_config()
+    need = cfg.window_len + (tcfg.gen_window - 1 if scorer else 0)
+    data = small_dataset(topo)
+    data.insert(1, small_dataset(topo, frames=need - 1, n_sequences=1)[0])
+    model = TcnModel(cfg, seed=23)
+    before = model.state_arrays()
+    named = f"^sequence 1 has {need - 1} frames, but a window needs {need} frames$"
+    with pytest.raises(InvalidInputError, match=named):
+        train(model, data, tcfg, scorer=scorer)
+    assert all(np.array_equal(a, model.state_arrays()[k]) for k, a in before.items())
+    data[1] = small_dataset(topo, frames=need, n_sequences=1)[0]
+    assert len(train(model, data, replace(tcfg, steps_per_epoch=1), scorer=scorer)) == 1
+
+
+def test_train_rejects_a_sequence_with_no_views(topo):
+    data = small_dataset(topo) + [SimpleNamespace(views=[])]
+    with pytest.raises(InvalidInputError,
+                       match="^sequence 2 has no views, but a window needs 16 frames$"):
+        train(TcnModel(desk_model_config(), seed=23), data, train_config())
+    with pytest.raises(InvalidInputError, match="no sequence"):
+        train(TcnModel(desk_model_config(), seed=23), [], train_config())
 
 
 def test_train_reproducible(topo):
@@ -563,16 +581,13 @@ def test_checkpoint_roundtrip(tmp_path, topo):
 @st.composite
 def tcn_configs(draw):
     strides = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3))))
-    kernel = draw(st.sampled_from((1, 3, 5)))
     branch_layers = draw(st.integers(1, 2))
-    widest = 1 + branch_layers * (kernel - 1) * strides[-1]
+    widest = 1 + branch_layers * (KERNEL - 1) * strides[-1]
     return TcnConfig(
         n_keypoints=draw(st.integers(1, 4)), embed_dim=draw(st.integers(1, 5)),
         window_len=widest + draw(st.integers(0, 3)), strides=strides,
-        channels=draw(st.integers(1, 5)), kernel=kernel, branch_layers=branch_layers,
-        use_embedding=draw(st.booleans()), activation=draw(st.sampled_from(sorted(ACTIVATIONS))),
-        output_scale_mm=draw(st.floats(min_value=0.0, exclude_min=True,
-                                       allow_infinity=False)))
+        channels=draw(st.integers(1, 5)), branch_layers=branch_layers,
+        use_embedding=draw(st.booleans()))
 
 
 @settings(max_examples=40)
@@ -603,16 +618,30 @@ def test_checkpoint_kind_guard(tmp_path):
         TcnModel.load(path)
 
 
-def test_checkpoint_config_drops_retired_key_and_rejects_unknown_ones(tmp_path):
+def test_checkpoint_config_drops_retired_keys_and_rejects_unknown_ones(tmp_path):
     from poselift.pose_io import load_checkpoint, save_checkpoint
     model = TcnModel(tiny_config(), seed=4)
+    _randomize_head(model, np.random.default_rng(4))
     model.save(tmp_path / "model")
     arrays, meta = load_checkpoint(tmp_path / "model.npz")
-    # checkpoints written before tkcs_interval was retired still load
-    save_checkpoint(tmp_path / "old", arrays,
-                    {**meta, "config": {**meta["config"], "tkcs_interval": 3}})
-    assert TcnModel.load(tmp_path / "old.npz").config == model.config
-    for config in ({**meta["config"], "dilation": 2}, {**meta["config"], "kernel": 4}, None):
+    # checkpoints written before these fields were retired still load: any
+    # tkcs_interval, and the three lifter fields at the constants' values
+    old = {**meta["config"], "tkcs_interval": 3, "kernel": 3, "activation": "tanh",
+           "output_scale_mm": 200.0}
+    save_checkpoint(tmp_path / "old", arrays, {**meta, "config": old})
+    loaded = TcnModel.load(tmp_path / "old.npz")
+    assert loaded.config == model.config
+    det = PoseSequence2D(*random_window(model.config, np.random.default_rng(5)),
+                         scale_mm=2000.0)
+    want = model.predict_sequence(det).frames
+    assert np.abs(want).max() > 1.0
+    assert np.array_equal(loaded.predict_sequence(det).frames, want)
+    for field, value in (("activation", "relu"), ("kernel", 5), ("output_scale_mm", 100.0)):
+        save_checkpoint(tmp_path / "bad", arrays,
+                        {**meta, "config": {**old, field: value}})
+        with pytest.raises(InvalidInputError, match=f"checkpoint config .*: {field} = "):
+            TcnModel.load(tmp_path / "bad.npz")
+    for config in ({**meta["config"], "dilation": 2}, None):
         save_checkpoint(tmp_path / "bad", arrays, {**meta, "config": config})
         with pytest.raises(InvalidInputError, match="checkpoint config"):
             TcnModel.load(tmp_path / "bad.npz")
@@ -638,16 +667,16 @@ def test_predict_sequence_center_consistency(topo):
 
 @pytest.mark.parametrize("cfg", [
     TcnConfig(n_keypoints=3, embed_dim=5, window_len=9, strides=(1,), channels=4,
-              kernel=3, branch_layers=2),
+              branch_layers=2),
     TcnConfig(n_keypoints=3, embed_dim=5, window_len=14, strides=(1, 2, 3), channels=4,
-              kernel=3, branch_layers=2, activation="relu"),
+              branch_layers=2),
     TcnConfig(n_keypoints=3, embed_dim=5, window_len=30, strides=(1, 2, 3, 5, 7),
-              channels=4, kernel=5, branch_layers=1),
+              channels=4, branch_layers=1),
     TcnConfig(n_keypoints=3, embed_dim=5, window_len=31, strides=(1, 2, 3, 5, 7),
-              channels=4, kernel=1, branch_layers=2),
+              channels=4, branch_layers=2),
     TcnConfig(n_keypoints=3, window_len=15, strides=(1, 2, 3), channels=4,
-              kernel=3, branch_layers=2, use_embedding=False),
-], ids=["s1-w9-k3", "s123-w14-relu", "s12357-w30-k5", "s12357-w31-k1", "raw-w15"])
+              branch_layers=2, use_embedding=False),
+], ids=["s1-w9", "s123-w14", "s12357-w30-l1", "s12357-w31", "raw-w15"])
 @pytest.mark.parametrize("frames", [1, 6, 40])
 def test_predict_sequence_matches_per_window_oracle(cfg, frames):
     model = TcnModel(cfg, seed=30)
@@ -687,15 +716,15 @@ def test_forward_centers_with_batch_axes_matches_oracle():
 
 PER_TAP_CONFIGS = [
     TcnConfig(n_keypoints=3, embed_dim=5, window_len=9, strides=(1,), channels=4,
-              kernel=3, branch_layers=2),
+              branch_layers=2),
     TcnConfig(n_keypoints=3, embed_dim=5, window_len=30, strides=(1, 2, 3, 5, 7),
-              channels=4, kernel=5, branch_layers=1, activation="relu"),
+              channels=4, branch_layers=1),
     TcnConfig(n_keypoints=3, embed_dim=5, window_len=31, strides=(1, 2, 3, 5, 7),
-              channels=4, kernel=1, branch_layers=2),
+              channels=4, branch_layers=2),
     TcnConfig(n_keypoints=3, window_len=15, strides=(1, 2, 3), channels=4,
-              kernel=3, branch_layers=2, use_embedding=False),
+              branch_layers=2, use_embedding=False),
 ]
-PER_TAP_IDS = ["s1-k3", "s12357-k5-relu", "s12357-k1", "raw-s123-k3"]
+PER_TAP_IDS = ["s1", "s12357-l1", "s12357", "raw-s123"]
 
 
 def _forward_and_grads(forward, model, emb, proj, centers):
@@ -849,7 +878,7 @@ def test_train_matches_per_window_2d_only(topo):
 
 def test_train_matches_per_window_batch_of_one(topo):
     assert_train_matches_per_window(
-        desk_model_config(window_len=15, strides=(1, 3), kernel=3, branch_layers=2),
+        desk_model_config(window_len=15, strides=(1, 3), branch_layers=2),
         two_view_dataset(topo), train_config(steps_per_epoch=10, batch_size=1, lr=1e-5),
         scorer=QuadraticScorer())
 
