@@ -35,9 +35,9 @@ from .visibility import sequence_visibility
 # key prefixes of the config sections not spelled by their field path
 _PREFIX = {("train_synth",): "synth.", ("occlusion",): "occ.",
            ("train", "weights"): "train.", ("iso", "calibration"): "iso.cal_"}
-# fields a key would not reach: --out sets out_dir, and the pipeline seeds
-# training and its occlusion draws from the run seed
-_NOT_KEYS = {("out_dir",), ("train", "seed"), ("occlusion", "seed")}
+# fields a key would not reach: --out sets out_dir, the topology the lifter's keypoint
+# count, and the pipeline seeds training and its occlusion draws from the run seed
+_NOT_KEYS = {("out_dir",), ("train", "seed"), ("occlusion", "seed"), ("tcn", "n_keypoints")}
 
 
 def _section(typ):
@@ -230,10 +230,10 @@ def main(argv=None) -> int:
     try:
         cfg = read_config(args.config) if args.config else {}
         own = {k: cfg.pop(k) for k in list(cfg) if k in own_keys}
-        exp = replace(load_config(cfg), out_dir=args.out)
-        if args.seed is not None:
-            exp = replace(exp, seed=args.seed)
+        exp = load_config(cfg)
         topo = read_topology(own["topology"]) if "topology" in own else default_topology()
+        exp = replace(exp, out_dir=args.out, tcn=replace(exp.tcn, n_keypoints=topo.K),
+                      seed=exp.seed if args.seed is None else args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with one_blas_thread():        # the same results on any core count

@@ -284,11 +284,10 @@ def ladder_rungs() -> list:
              occlusion=False, iso=False):
         rungs.append({
             "name": name,
-            "tcn": TcnConfig(strides=strides, use_embedding=use_embedding, window_len=20),
+            "tcn": TcnConfig(strides=strides, use_embedding=use_embedding),
             "weights": LossWeights(w1=w1, w2=0.0, w3=w3),
             "occlusion": ladder_train_occlusion() if occlusion else None,
-            "iso": IsoConfig(weight_mode="soft", sigma=1.0, lambda1=0.01,
-                             lambda2=0.05, iterations=120, step_size=0.5) if iso else None,
+            "iso": IsoConfig(lambda1=0.01) if iso else None,
         })
 
     rung("base")
@@ -304,7 +303,7 @@ def ladder_rungs() -> list:
 
 
 def ladder_experiment(out_dir, seeds=(0, 1, 2), epochs=6,
-                      train_cfg: Optional[TrainConfig] = None, topo=None) -> dict:
+                      train_cfg: TrainConfig = TrainConfig(), topo=None) -> dict:
     """Train every rung at each seed; returns the mean/sem table, writes it too."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,12 +311,11 @@ def ladder_experiment(out_dir, seeds=(0, 1, 2), epochs=6,
     for rung in ladder_rungs():
         per_seed = []
         for seed in seeds:
-            base = train_cfg if train_cfg is not None else TrainConfig(steps_per_epoch=60)
             cfg = ExperimentConfig(
                 out_dir=str(out / rung["name"].replace("+", "plus-") / f"seed{seed}"),
                 seed=seed, epochs=epochs,
                 tcn=rung["tcn"],
-                train=replace(base, weights=rung["weights"], seed=seed),
+                train=replace(train_cfg, weights=rung["weights"], seed=seed),
                 occlusion=rung["occlusion"],
                 eval_occlusion=ladder_eval_occlusion(),
                 iso=rung["iso"])

@@ -159,7 +159,7 @@ class IsoConfig:
     sigma: float = 1.0              # soft-threshold width, crop pixels
     lambda1: float = 0.1            # realness penalty weight
     lambda2: float = 0.05           # temporal smoothness weight
-    iterations: int = 150
+    iterations: int = 120
     step_size: float = 0.5          # mm per unit gradient
     calibration: CalibratedConfidence = None
 

@@ -55,18 +55,20 @@ WOBBLE = 0.1                      # rad, global pitch/roll amplitude
 CONF_VISIBLE = (0.65, 0.98)       # detection confidence range, visible keypoints
 CONF_OCCLUDED = (0.05, 0.35)      # detection confidence range, occluded keypoints
 SCALE_MM = 2000.0                 # crop edge in mm for 2D projection
+ANGLE_STEP = 0.03                 # rad/frame of raw joint noise
+NOISE_PX = 2.0                    # detection noise scale, crop pixels
 
 
 @dataclass(frozen=True)
 class SyntheticMotionConfig:
+    """What a motion set varies; the motion model and its noise are the constants above."""
+
     n_sequences: int = 8
     frames: int = 240
     seed: int = 0
-    angle_step: float = 0.03          # rad/frame of raw joint noise
     speed_multipliers: tuple[float, ...] = (1.0,)
     # extra views as (alpha, beta, gamma)
     view_rotations: tuple[tuple[float, float, float], ...] = ()
-    noise_px: float = 2.0             # detection noise scale, pixels
     mask_occluded_prob: float = 0.5
 
     def __post_init__(self):
@@ -168,7 +170,7 @@ def generate_sequence(cfg: SyntheticMotionConfig, topo: SkeletonTopology,
     """One kinematically consistent motion at the given speed multiplier."""
     offsets = rest_offsets(topo)
     base_len = int(np.ceil(cfg.frames * speed)) + 2
-    walk = _smooth_walk(rng, base_len, topo.M * 3, cfg.angle_step, SMOOTH_WINDOW)
+    walk = _smooth_walk(rng, base_len, topo.M * 3, ANGLE_STEP, SMOOTH_WINDOW)
     times = np.arange(cfg.frames) * speed
     rotvecs = _resample(walk, times).reshape(cfg.frames, topo.M, 3)
     norms = np.linalg.norm(rotvecs, axis=2, keepdims=True)
@@ -194,7 +196,7 @@ def detections_for_view(pose3d: PoseSequence3D, topo: SkeletonTopology,
                     rng.uniform(*CONF_VISIBLE, size=(t, k)),
                     rng.uniform(*CONF_OCCLUDED, size=(t, k)))
     # noisier detections at lower confidence
-    std_px = cfg.noise_px * (1.3 - conf)
+    std_px = NOISE_PX * (1.3 - conf)
     noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / CROP_PX)[:, :, None]
     coords = clean.frames + noise
     mask = (~visible) & (rng.random((t, k)) < cfg.mask_occluded_prob)

@@ -47,13 +47,13 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class TcnConfig:
-    """The defaults are the pipeline's lifter (37,203 parameters). A larger run
-    might use embed_dim=512, window_len=64, strides=(1, 2, 3, 5, 7), channels=128,
-    branch_layers=3 (1,544,499 parameters); the paper does not give its sizes."""
+    """The defaults are the pipeline's lifter (37,203 parameters; the CLI sets n_keypoints
+    from the topology). A larger run might use embed_dim=512, window_len=64, strides=(1, 2,
+    3, 5, 7), channels=128, branch_layers=3 (1,544,499 parameters); the paper has no sizes."""
 
     n_keypoints: int = 17
     embed_dim: int = 64
-    window_len: int = 16
+    window_len: int = 20
     strides: tuple[int, ...] = (1, 2, 3)
     channels: int = 32
     branch_layers: int = 2
@@ -489,7 +489,7 @@ def total_loss(l3d, lmv, l2d, lgen, weights: LossWeights = LossWeights()) -> Ten
 class TrainConfig:
     lr: float = 1e-6
     momentum: float = 0.9
-    steps_per_epoch: int = 200
+    steps_per_epoch: int = 60
     batch_size: int = 8
     seed: int = 0
     weights: LossWeights = LossWeights()
@@ -541,6 +541,14 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
         if not seq.views or seq.views[0].det2d.T < need:
             has = f"{seq.views[0].det2d.T} frames" if seq.views else "no views"
             raise InvalidInputError(f"sequence {i} has {has}, but a window needs {need} frames")
+        frames = seq.views[0].det2d.T
+        for v, view in enumerate(seq.views):
+            if view.det2d.T != frames:
+                raise InvalidInputError(f"sequence {i} view {v} has {view.det2d.T} detection "
+                                        f"frames, but view 0 has {frames}")
+            if view.pose3d is not None and view.pose3d.T != frames:
+                raise InvalidInputError(f"sequence {i} view {v} has {view.pose3d.T} pose3d "
+                                        f"frames, but {frames} detection frames")
 
     def embed(dets, starts, length):
         """One embed_frames call over `length` frames of each det; B x length x C."""

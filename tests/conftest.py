@@ -75,7 +75,7 @@ def plausible_pose_bank(topo, n_poses, seed=0):
     per_seq = 200
     n_seq = (n_poses + per_seq - 1) // per_seq
     cfg = SyntheticMotionConfig(n_sequences=n_seq, frames=per_seq, seed=seed,
-                                angle_step=0.05, speed_multipliers=(1.0, 2.0))
+                                speed_multipliers=(1.0, 2.0))
     seqs = generate(cfg, topo)
     frames = np.concatenate([s.pose3d.frames for s in seqs], axis=0)
     return frames[:n_poses]

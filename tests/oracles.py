@@ -824,7 +824,7 @@ def generate_sequence_per_frame(cfg, topo, rng, speed):
     oracle test pins their values too."""
     offsets = synth.rest_offsets(topo)
     base_len = int(np.ceil(cfg.frames * speed)) + 2
-    walk = synth._smooth_walk(rng, base_len, topo.M * 3, cfg.angle_step, 9)
+    walk = synth._smooth_walk(rng, base_len, topo.M * 3, synth.ANGLE_STEP, 9)
     times = np.arange(cfg.frames) * speed
     rotvecs = synth._resample(walk, times).reshape(cfg.frames, topo.M, 3)
     norms = np.linalg.norm(rotvecs, axis=2, keepdims=True)
@@ -863,7 +863,7 @@ def generate_per_frame(cfg, topo):
             conf = np.where(visible,
                             rng.uniform(0.65, 0.98, size=(t, k)),
                             rng.uniform(0.05, 0.35, size=(t, k)))
-            std_px = cfg.noise_px * (1.3 - conf)
+            std_px = synth.NOISE_PX * (1.3 - conf)
             noise = rng.normal(0.0, 1.0, size=(t, k, 2)) * (std_px / CROP_PX)[:, :, None]
             coords = clean.frames + noise
             mask = (~visible) & (rng.random((t, k)) < cfg.mask_occluded_prob)

@@ -1,5 +1,6 @@
 """Command-line round trips."""
 
+import importlib.resources
 import json
 import re
 from dataclasses import fields, replace
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poselift import experiment, synth
 from poselift.cli import _keys, _section, load_config, main
-from poselift.experiment import ExperimentConfig, ladder_rungs
+from poselift.experiment import ExperimentConfig, ladder_experiment, ladder_rungs
 from poselift.iso import WEIGHT_MODES, IsoConfig
 from poselift.pose_io import parse_config, parse_value
 from poselift.kcs import discriminator_features
@@ -20,7 +22,7 @@ from poselift.pose_io import (default_topology, load_checkpoint, read_pose2d, re
                               save_checkpoint, write_pose3d)
 from poselift.skeleton import PoseSequence3D, project_to_crop
 from poselift.synth import SyntheticMotionConfig, generate
-from poselift.tcn import KERNEL, TcnConfig
+from poselift.tcn import KERNEL, TcnConfig, TcnModel, TrainConfig
 from poselift.visibility import sequence_visibility
 
 TOPO = default_topology()
@@ -35,10 +37,10 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_synth_gen_writes_exact_projection_when_noiseless(tmp_path):
+def test_synth_gen_writes_exact_projection_when_noiseless(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "NOISE_PX", 0.0)
     cfg = write_cfg(tmp_path / "c.cfg", **{
-        "synth.n_sequences": 1, "synth.frames": 12, "synth.noise_px": 0.0,
-        "synth.mask_occluded_prob": 0.0})
+        "synth.n_sequences": 1, "synth.frames": 12, "synth.mask_occluded_prob": 0.0})
     out = tmp_path / "synth"
     assert run("synth-gen", "--config", cfg, "--seed", 5, "--out", out) == 0
     gt = read_pose3d(out / "seq00_v0_gt.pose3d", TOPO)
@@ -213,6 +215,26 @@ def test_run_experiment_subcommand(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failure"] is None
     assert "eval00_iso.pose3d" in manifest["files"]
+
+
+@pytest.mark.parametrize("command", ["train", "run-experiment"])
+def test_keypoint_count_comes_from_the_topology(tmp_path, command):
+    # the default skeleton without its nose: 16 keypoints, and no tcn key says so
+    text = importlib.resources.files("poselift.data").joinpath("h36m17.topo").read_text()
+    text = text.replace("keypoint nose\n", "").replace(
+        "bone neck nose 100\nbone nose head_top 100\n", "bone neck head_top 100\n")
+    (tmp_path / "16.topo").write_text(text)
+    cfg = write_cfg(tmp_path / "x.cfg", **{
+        "topology": tmp_path / "16.topo",
+        "synth.n_sequences": 2, "synth.frames": 40, "synth.seed": 50,
+        "eval_synth.n_sequences": 1, "eval_synth.frames": 40, "eval_synth.seed": 60,
+        "tcn.embed_dim": 8, "tcn.window_len": 8, "tcn.strides": "1",
+        "tcn.channels": 8, "tcn.branch_layers": 1,
+        "train.steps_per_epoch": 3, "train.batch_size": 2, "train.w3": 0.01,
+        "iso.iterations": 3, "iso.lambda1": 0.0, "epochs": 1, "scorer_window": 8})
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--seed", 0, "--out", out) == 0
+    assert TcnModel.load(out / "model.ckpt.npz").config.n_keypoints == 16
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):
@@ -600,22 +622,22 @@ CONFIG_KEYS = {
     "aug_copies", "data_dir", "epochs", "seed",
     "scorer_interval", "scorer_reg", "scorer_window",
     *(f"{s}.{k}" for s in ("synth", "eval_synth") for k in (
-        "angle_step", "frames", "mask_occluded_prob", "n_sequences", "noise_px", "seed",
-        "speed_multipliers", "view_rotations")),
+        "frames", "mask_occluded_prob", "n_sequences", "seed", "speed_multipliers",
+        "view_rotations")),
     *(f"{s}.{k}" for s in ("occ", "eval_occlusion") for k in (
         "frame_block_prob", "l", "p1", "p2", "p3", "shift_prob", "swap_prob")),
     "eval_occlusion.seed",
     "iso.cal_bias", "iso.cal_temperature", "iso.iterations", "iso.lambda1", "iso.lambda2",
     "iso.sigma", "iso.step_size", "iso.weight_mode",
-    "tcn.branch_layers", "tcn.channels", "tcn.embed_dim", "tcn.n_keypoints", "tcn.strides",
-    "tcn.use_embedding", "tcn.window_len",
+    "tcn.branch_layers", "tcn.channels", "tcn.embed_dim", "tcn.strides", "tcn.use_embedding",
+    "tcn.window_len",
     "train.batch_size", "train.gen_window", "train.lr", "train.lr_decay", "train.momentum",
     "train.snapshot_every", "train.steps_per_epoch", "train.w1", "train.w2", "train.w3",
 }
 
 
 def test_config_key_census():
-    assert len(CONFIG_KEYS) == 63
+    assert len(CONFIG_KEYS) == 58
     assert set(_keys(ExperimentConfig)) == CONFIG_KEYS
 
 
@@ -630,6 +652,9 @@ def test_config_key_census():
     ("augment", "occ.shift_px"), ("synth-gen", "eval_occlusion.shift_px"),
     ("synth-gen", "synth.scale_mm"), ("synth-gen", "eval_synth.scale_mm"),
     ("train", "tcn.kernel"), ("train", "tcn.activation"), ("train", "tcn.output_scale_mm"),
+    *(("synth-gen", f"{s}.{k}") for s in ("synth", "eval_synth") for k in (
+        "angle_step", "noise_px")),
+    ("train", "tcn.n_keypoints"),
 ])
 def test_retired_key_exits_2(tmp_path, capsys, command, key):
     cfg = write_cfg(tmp_path / "r.cfg", **{key: 256})
@@ -700,12 +725,12 @@ FIELD_VALUES = {
     **dict.fromkeys(("seed", "epochs", "iterations", "window_len", "scorer_window"),
                     st.integers(0, 2**32)),
     **dict.fromkeys(("aug_copies", "scorer_interval", "n_sequences", "branch_layers",
-                     "channels", "embed_dim", "n_keypoints", "batch_size", "snapshot_every",
+                     "channels", "embed_dim", "batch_size", "snapshot_every",
                      "steps_per_epoch"), st.integers(1, 10**6)),
     **dict.fromkeys(("frames", "l", "gen_window"), st.integers(2, 10**6)),
     "strides": st.lists(st.integers(1, 99), min_size=1, max_size=5, unique=True).map(
         lambda s: tuple(sorted(s))),
-    **dict.fromkeys(("angle_step", "noise_px", "bias"), floats()),
+    "bias": floats(),
     **dict.fromkeys(("scorer_reg", "temperature", "sigma", "step_size", "lr_decay"),
                     POSITIVE),
     **dict.fromkeys(("lambda1", "lambda2", "lr", "w1", "w2", "w3"), NONNEGATIVE),
@@ -750,14 +775,28 @@ def readme_demo_config() -> dict:
 
 
 def test_readme_demo_config_is_the_experiment_default_plus_its_keys():
-    default = ExperimentConfig()
-    assert load_config(readme_demo_config()) == replace(
-        default, tcn=replace(default.tcn, window_len=20),
-        train=replace(default.train, steps_per_epoch=60),
-        iso=IsoConfig(weight_mode="soft", iterations=120))
+    assert load_config(readme_demo_config()) == replace(ExperimentConfig(), iso=IsoConfig())
 
 
-def test_readme_demo_and_ladder_name_only_what_they_change():
+def differing_fields(value, default) -> set:
+    return {f.name for f in fields(default) if getattr(value, f.name) != getattr(default, f.name)}
+
+
+def ladder_configs(out, monkeypatch) -> list:
+    """The ExperimentConfig of every run `ladder_experiment` makes, none of them trained."""
+    cfgs = []
+
+    def record(cfg, topo=None):
+        cfgs.append(cfg)
+        Path(cfg.out_dir).mkdir(parents=True)
+        (Path(cfg.out_dir) / "report.json").write_text('{"final_mpjpe_mm": 1.0}')
+
+    monkeypatch.setattr(experiment, "run_experiment", record)
+    ladder_experiment(out)
+    return cfgs
+
+
+def test_readme_demo_and_ladder_name_only_what_they_change(tmp_path, monkeypatch):
     # the README's rule, "a file names only what it changes": no line of the
     # demo config sets a key to its ExperimentConfig() value; a key of a
     # section that is off by default (iso.*) turns the section on
@@ -766,11 +805,15 @@ def test_readme_demo_and_ladder_name_only_what_they_change():
         path, typ = keys[key]
         section = config_value(default, path[:-1])
         assert section is None or parse_value(key, text, typ) != getattr(section, path[-1]), key
-    # and every ladder rung's lifter is TcnConfig() but for what the rungs vary
-    for rung in ladder_rungs():
-        differ = {f.name for f in fields(TcnConfig)
-                  if getattr(rung["tcn"], f.name) != getattr(TcnConfig(), f.name)}
-        assert differ <= {"strides", "use_embedding", "window_len"}, rung["name"]
+    # and every ladder run's lifter, training and refinement are the class
+    # defaults but for what the rungs and seeds vary
+    cfgs = ladder_configs(tmp_path, monkeypatch)
+    assert len(cfgs) == 3 * len(ladder_rungs())
+    for cfg in cfgs:
+        assert differing_fields(cfg.tcn, TcnConfig()) <= {"strides", "use_embedding"}, cfg.out_dir
+        assert differing_fields(cfg.train, TrainConfig()) <= {"weights", "seed"}, cfg.out_dir
+        assert cfg.iso is None or differing_fields(cfg.iso, IsoConfig()) == {"lambda1"}
+    assert any(cfg.iso is not None for cfg in cfgs)
 
 
 # a config key in backticks: `<section>.<field>`, optionally `= value`; a

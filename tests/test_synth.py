@@ -92,7 +92,7 @@ def test_generate_matches_per_frame_oracle_three_views(topo):
     cfg = SyntheticMotionConfig(n_sequences=3, frames=50, seed=5,
                                 speed_multipliers=(0.5, 1.0, 2.3),
                                 view_rotations=((0.3, 1.2, -0.2), (0.0, -2.5, 0.4)),
-                                mask_occluded_prob=0.5, angle_step=0.08)
+                                mask_occluded_prob=0.5)
     got = generate(cfg, topo)
     assert len(got[0].views) == 3
     assert_same_sequences(got, generate_per_frame(cfg, topo))

@@ -543,6 +543,33 @@ def test_train_rejects_a_sequence_with_no_views(topo):
         train(TcnModel(desk_model_config(), seed=23), [], train_config())
 
 
+def assert_train_rejects_before_a_step(data, message):
+    model = TcnModel(desk_model_config(), seed=23)
+    before = model.state_arrays()
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        train(model, data, train_config())
+    assert all(np.array_equal(a, model.state_arrays()[k]) for k, a in before.items())
+
+
+def test_train_rejects_a_view_with_fewer_detections(topo):
+    # every view of a sequence is checked, not views[0] alone
+    data = small_dataset(topo, frames=40, views=((0.0, 1.2, 0.0),))
+    view = data[1].views[1]
+    det = view.det2d
+    data[1].views[1] = replace(view, det2d=PoseSequence2D(
+        det.frames[:20], det.confidence[:20], det.mask[:20], det.scale_mm))
+    assert_train_rejects_before_a_step(
+        data, "sequence 1 view 1 has 20 detection frames, but view 0 has 40")
+
+
+def test_train_rejects_a_view_whose_pose3d_is_shorter_than_its_detections(topo):
+    data = small_dataset(topo, frames=40, views=((0.0, 1.2, 0.0),))
+    view = data[1].views[0]
+    data[1].views[0] = replace(view, pose3d=PoseSequence3D(view.pose3d.frames[:10]))
+    assert_train_rejects_before_a_step(
+        data, "sequence 1 view 0 has 10 pose3d frames, but 40 detection frames")
+
+
 def test_train_reproducible(topo):
     results = []
     for run in range(2):
