@@ -2,10 +2,12 @@
 
 A Tensor wraps an ndarray and remembers how it was produced; backward()
 topologically sorts the graph and accumulates gradients into .grad.
-Only what the pose models need is implemented: elementwise arithmetic
-with broadcasting, matmul, reductions, reshape/transpose/slicing/gather,
-and concatenation. tanh and relu serve only the per-op reference graphs
-in tests/.
+Only the ops that something calls are implemented: +, binary and unary
+-, * (a Tensor on either side), @, sum, mean, tanh, reshape, transpose,
+basic and advanced indexing, and concat, each with broadcasting where it
+applies. The models use some of them; the per-op reference graphs in
+tests/oracles.py, which rebuild each model node from these ops, are why
+tanh, mean and transpose are kept.
 
 The heavy pieces of the models are single nodes that their modules build
 with Tensor(value, parents, backward) and a backward written out in numpy:
@@ -108,8 +110,6 @@ class Tensor:
 
         return Tensor(self.data + other.data, (self, other), back)
 
-    __radd__ = __add__
-
     def __neg__(self):
         def back(out):
             self._accumulate(-out.grad)
@@ -118,9 +118,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
-
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
 
     def __mul__(self, other):
         other = Tensor._lift(other)
@@ -132,21 +129,6 @@ class Tensor:
         return Tensor(self.data * other.data, (self, other), back)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * Tensor._lift(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) * self ** -1.0
-
-    def __pow__(self, exponent: float):
-        if isinstance(exponent, Tensor):
-            raise TypeError("only constant exponents supported")
-
-        def back(out):
-            self._accumulate(out.grad * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor(self.data ** exponent, (self,), back)
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
@@ -189,14 +171,6 @@ class Tensor:
             self._accumulate(out.grad * (1.0 - value * value))
 
         return Tensor(value, (self,), back)
-
-    def relu(self):
-        keep = self.data > 0
-
-        def back(out):
-            self._accumulate(out.grad * keep)
-
-        return Tensor(self.data * keep, (self,), back)
 
     # -------------------------------------------------- shape ops
 

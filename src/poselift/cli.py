@@ -232,8 +232,7 @@ def main(argv=None) -> int:
         own = {k: cfg.pop(k) for k in list(cfg) if k in own_keys}
         exp = load_config(cfg)
         topo = read_topology(own["topology"]) if "topology" in own else default_topology()
-        exp = replace(exp, out_dir=args.out, tcn=replace(exp.tcn, n_keypoints=topo.K),
-                      seed=exp.seed if args.seed is None else args.seed)
+        exp = replace(exp, out_dir=args.out, seed=exp.seed if args.seed is None else args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with one_blas_thread():        # the same results on any core count

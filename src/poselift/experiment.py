@@ -115,15 +115,16 @@ def train_lifter(cfg: ExperimentConfig, train_seqs: list, topo, out: Path,
                  scorer=None) -> tuple:
     """The train stage: (model, per-epoch history); writes model.ckpt and history.json.
 
-    With `cfg.occlusion` set, occluded copies join the clean sequences. The
-    scorer's realness term is used only when `cfg.train.weights.w3 > 0`; its
-    chains of `train.gen_window` frames must then outlast `scorer_interval`.
+    The lifter is `cfg.tcn` with `topo`'s keypoint count. With `cfg.occlusion`
+    set, occluded copies join the clean sequences. The scorer's realness term
+    is used only when `cfg.train.weights.w3 > 0`; its chains of
+    `train.gen_window` frames must then outlast `scorer_interval`.
     """
     scorer = scorer if cfg.train.weights.w3 > 0 else None
     if cfg.epochs > 0 and scorer is not None and cfg.train.gen_window <= cfg.scorer_interval:
         raise ConfigError(f"train.gen_window = {cfg.train.gen_window} must exceed "
                           f"scorer_interval = {cfg.scorer_interval} while train.w3 > 0")
-    model = TcnModel(cfg.tcn, seed=cfg.seed)
+    model = TcnModel(replace(cfg.tcn, n_keypoints=topo.K), seed=cfg.seed)
     history = []
     if cfg.epochs > 0:
         seqs = list(train_seqs)
@@ -151,6 +152,7 @@ def run_experiment(cfg: ExperimentConfig, topo=None) -> dict:
     """
     if topo is None:
         topo = default_topology()
+    cfg = replace(cfg, tcn=replace(cfg.tcn, n_keypoints=topo.K))    # as train_lifter builds it
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config_echo = asdict(cfg)

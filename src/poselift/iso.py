@@ -519,6 +519,8 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
                                 + ("" if gts is None else f" and ground truths (got {len(gts)})"))
     groups = {}
     for i, (pose, det) in enumerate(zip(poses, dets)):
+        if pose.T < 1:
+            raise InvalidInputError(f"window {i} has {pose.T} frames; refinement needs at least 1")
         if pose.T != det.T or pose.K != det.K:
             raise InvalidInputError("3D window and detections must match in T and K")
         gt = None if gts is None else gts[i]

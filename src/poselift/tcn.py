@@ -47,9 +47,10 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class TcnConfig:
-    """The defaults are the pipeline's lifter (37,203 parameters; the CLI sets n_keypoints
-    from the topology). A larger run might use embed_dim=512, window_len=64, strides=(1, 2,
-    3, 5, 7), channels=128, branch_layers=3 (1,544,499 parameters); the paper has no sizes."""
+    """The defaults are the pipeline's lifter (37,203 parameters; experiment.train_lifter and
+    run_experiment, and so the CLI, set n_keypoints from the topology). A larger run might
+    use embed_dim=512, window_len=64, strides=(1, 2, 3, 5, 7), channels=128, branch_layers=3
+    (1,544,499 parameters); the paper has no sizes."""
 
     n_keypoints: int = 17
     embed_dim: int = 64
@@ -349,6 +350,8 @@ class TcnModel:
 
     def predict_sequence(self, det: PoseSequence2D) -> PoseSequence3D:
         """Per-frame 3D in one pass over the sequence; ends use edge padding."""
+        if det.T < 1:
+            raise InvalidInputError(f"detections have {det.T} frames; lifting needs at least 1")
         w = self.config.window_len
         left = w // 2
         right = w - left - 1
@@ -424,10 +427,15 @@ def loss_multiview(pred_v1, pred_v2, rotation: np.ndarray) -> Tensor:
     return _joint_mse(pred_v1, pred_v2, r)
 
 
-def loss_2d(pred, gt2d, mask=None, scale_mm: float = None) -> Tensor:
+def loss_2d(pred, gt2d, mask=None, scale_mm=None) -> Tensor:
     """Reprojection error in normalized crop units, unmasked keypoints only.
 
-    Accepts a PoseSequence2D or explicit (coords, mask, scale_mm) arrays.
+    The prediction is projected by dropping z, divided by scale_mm and
+    shifted to the crop center 0.5; a sample's loss is the mean squared
+    error over its unmasked keypoints. Accepts a PoseSequence2D or explicit
+    (coords, mask, scale_mm) arrays. A single scale_mm means one sample; a
+    list of them, one per leading entry of `pred`, means a stack of samples
+    (a training batch), and the loss is the sum of each entry's loss.
     Masked entries carry exactly zero gradient; a fully masked target gives 0.
     """
     if isinstance(gt2d, PoseSequence2D):
@@ -436,28 +444,21 @@ def loss_2d(pred, gt2d, mask=None, scale_mm: float = None) -> Tensor:
         raise InvalidInputError("array form needs mask and scale_mm")
     else:
         coords = gt2d
-    t, x = _operand(pred)
-    stack = x[None] if t is None else t.reshape((1,) + t.shape)
-    return _loss_2d_sum(stack, np.asarray(coords)[None], np.asarray(mask)[None], [scale_mm])
-
-
-def _loss_2d_sum(pred, coords: np.ndarray, mask: np.ndarray, scale_mm: list) -> Tensor:
-    """Sum over a stack of samples of loss_2d(pred[i], coords[i], mask[i], scale_mm[i]).
-
-    The prediction is projected by dropping z, divided by its sample's
-    scale_mm and shifted to the crop center 0.5.
-    """
-    if any(s is None or s <= 0 for s in scale_mm):
+    stacked = np.ndim(scale_mm) == 1
+    scales = list(scale_mm) if stacked else [scale_mm]
+    if any(s is None or s <= 0 for s in scales):
         raise InvalidInputError("every sample needs scale_mm > 0")
     p, x = _operand(pred)
     coords = np.asarray(coords, dtype=np.float64)
     keep = (~np.asarray(mask, dtype=bool)).astype(np.float64)
-    n = len(scale_mm)
+    if not stacked:
+        x, coords, keep = x[None], coords[None], keep[None]
+    n = len(scales)
     if x.shape[-1:] != (3,) or x.shape[:-1] + (2,) != coords.shape \
             or keep.shape != coords.shape[:-1] or x.shape[0] != n:
         raise InvalidInputError("prediction and 2D target shapes do not match")
     sample_axes = (n,) + (1,) * (x.ndim - 1)
-    inv_scale = (1.0 / np.asarray(scale_mm, dtype=np.float64)).reshape(sample_axes)
+    inv_scale = (1.0 / np.asarray(scales, dtype=np.float64)).reshape(sample_axes)
     d = (x[..., :2] * inv_scale + 0.5 - coords) * keep[..., None]
     inv_count = 1.0 / np.maximum(keep.reshape(n, -1).sum(axis=1), 1.0)
 
@@ -466,7 +467,7 @@ def _loss_2d_sum(pred, coords: np.ndarray, mask: np.ndarray, scale_mm: list) -> 
         gd = gd + gd
         gx = np.zeros_like(x)
         gx[..., :2] = gd * inv_scale     # d, and so gd, is 0 where masked
-        return (gx,)
+        return (gx if stacked else gx[0],)
 
     return _loss_node(((d * d).reshape(n, -1).sum(axis=1) * inv_count).sum(), (p,), grads)
 
@@ -598,10 +599,9 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
                 r12 = _matrices(view2s[i].rotation for i in mv) \
                     @ np.swapaxes(_matrices(view1s[i].rotation for i in mv), -1, -2)
                 lmv = loss_multiview(pred1[mv], pred2, r12) * len(mv)
-            l2 = _loss_2d_sum(pred1,
-                              np.stack([v.det2d.frames[c] for v, c in zip(view1s, centers)]),
-                              np.stack([v.det2d.mask[c] for v, c in zip(view1s, centers)]),
-                              [v.det2d.scale_mm for v in view1s])
+            l2 = loss_2d(pred1, np.stack([v.det2d.frames[c] for v, c in zip(view1s, centers)]),
+                         np.stack([v.det2d.mask[c] for v, c in zip(view1s, centers)]),
+                         [v.det2d.scale_mm for v in view1s])
             if scorer is not None:
                 rotated = chain @ Tensor(np.swapaxes(_matrices(rots), -1, -2)[:, None])
                 lgen = scorer.gen_loss(rotated)

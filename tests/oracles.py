@@ -433,7 +433,8 @@ _PROJECT = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def loss_2d_sum_graph(pred, coords, mask, scale_mm):
-    """poselift.tcn._loss_2d_sum through Tensor ops: per-sample means, summed."""
+    """poselift.tcn.loss_2d of a stack, one scale_mm per sample, through Tensor ops:
+    per-sample means, summed."""
     x = _graph_input(pred)
     n = len(scale_mm)
     inv_scale = 1.0 / np.asarray(scale_mm, dtype=np.float64)

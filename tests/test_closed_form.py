@@ -1,12 +1,14 @@
 """Closed-form loss terms against their per-op Tensor graphs.
 
-The lifter's embedding and its loss_3d, loss_multiview, loss_2d,
-_loss_2d_sum and total_loss, KcsEnergyModel.gen_loss, iso.rep_loss and
-iso.smooth_loss are each one graph node whose backward is written out in
-numpy; tests/oracles.py keeps the same terms built from Tensor ops, and
-these tests hold the two equal in value, in gradient, inside tcn.train, and
-in iso.refine against oracles.refine_graph descending on the per-op terms. A batch of windows passed to gen_loss at once equals the
-per-window calls summed.
+The lifter's embedding and its loss_3d, loss_multiview, loss_2d (of one
+sample and of a stack with one scale_mm per sample, as tcn.train calls it)
+and total_loss, KcsEnergyModel.gen_loss, iso.rep_loss and iso.smooth_loss
+are each one graph node whose backward is written out in numpy;
+tests/oracles.py keeps the same terms built from Tensor ops, and these
+tests hold the two equal in value, in gradient, inside tcn.train, and in
+iso.refine against oracles.refine_graph descending on the per-op terms. A
+batch of windows passed to gen_loss at once equals the per-window calls
+summed.
 """
 
 import numpy as np
@@ -24,8 +26,8 @@ from poselift.pose_io import default_topology, save_checkpoint
 from poselift.skeleton import (PoseSequence2D, PoseSequence3D, RotationAugment,
                                project_to_crop)
 from poselift.synth import SyntheticMotionConfig, generate
-from poselift.tcn import (LossWeights, TcnConfig, TcnModel, TrainConfig, _loss_2d_sum,
-                          loss_2d, loss_3d, loss_multiview, total_loss, train)
+from poselift.tcn import (LossWeights, TcnConfig, TcnModel, TrainConfig, loss_2d, loss_3d,
+                          loss_multiview, total_loss, train)
 
 from oracles import (GraphEnergy, embed_frames_graph, energy_gen_loss_graph,
                      loss_2d_graph, loss_2d_sum_graph, loss_3d_graph, loss_multiview_graph,
@@ -341,7 +343,7 @@ def test_loss_2d_sum_matches_graph_and_per_sample_loss_2d():
     mask[1] = True                       # one fully masked sample
     scales = [1500.0, 1700.0, 2000.0, 2300.0, 2600.0]
     pred = poses(16, (5,))
-    value, (grad,) = compare_loss(_loss_2d_sum, loss_2d_sum_graph,
+    value, (grad,) = compare_loss(loss_2d, loss_2d_sum_graph,
                                   (pred, coords, mask, scales), (0,))
     assert not grad[1].any() and not grad[mask].any() and not grad[..., 2].any()
     assert np.abs(grad[0, :, :2]).max() > 0
@@ -359,7 +361,7 @@ def test_lifter_loss_values_equal_graph_bit_for_bit():
         scales = list(np.linspace(1500.0, 2500.0, n))
         for got, want in ((loss_3d(pred, gt), loss_3d_graph(pred, gt)),
                           (loss_multiview(pred, gt, r), loss_multiview_graph(pred, gt, r)),
-                          (_loss_2d_sum(pred, coords, mask, scales),
+                          (loss_2d(pred, coords, mask, scales),
                            loss_2d_sum_graph(pred, coords, mask, scales))):
             assert got.item() == want.item(), n
 
@@ -406,7 +408,8 @@ def test_lifter_terms_add_one_node():
     assert loss_3d(a, poses(26, (3,))).parents == (a,)
     assert loss_multiview(a, b, rotations(3)).parents == (a, b)
     c, m = targets_2d(27, (3,), 0.2)
-    assert _loss_2d_sum(a, c, m, [SCALE_MM] * 3).parents == (a,)
+    assert loss_2d(a, c, m, [SCALE_MM] * 3).parents == (a,)
+    assert loss_2d(a, c, m, SCALE_MM).parents == (a,)
     parts = [Tensor(1.0), Tensor(2.0), Tensor(3.0)]
     assert total_loss(parts[0], 0.5, *parts[1:]).parents == tuple(parts)
 
@@ -424,7 +427,7 @@ def test_train_matches_graph_losses(monkeypatch):
     models = [TcnModel(model_cfg, seed=32) for _ in range(2)]
     got = train(models[0], data, tcfg, epochs=2, scorer=MODELS[1])
     for name, graph in (("loss_3d", loss_3d_graph), ("loss_multiview", loss_multiview_graph),
-                        ("_loss_2d_sum", loss_2d_sum_graph), ("total_loss", total_loss_graph)):
+                        ("loss_2d", loss_2d_sum_graph), ("total_loss", total_loss_graph)):
         monkeypatch.setattr(tcn, name, graph)
     want = train(models[1], data, tcfg, epochs=2, scorer=MODELS[1])
     assert got == want

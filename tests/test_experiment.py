@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import hashlib
+import importlib.resources
 import json
 from pathlib import Path
 
@@ -14,9 +15,9 @@ from poselift.errors import ConfigError, InvalidInputError
 from poselift.experiment import (ExperimentConfig, ladder_experiment,
                                  ladder_rungs, run_experiment)
 from poselift.iso import CalibratedConfidence, IsoConfig
-from poselift.pose_io import default_topology
+from poselift.pose_io import default_topology, parse_topology
 from poselift.synth import SyntheticMotionConfig
-from poselift.tcn import LossWeights, TrainConfig
+from poselift.tcn import LossWeights, TcnModel, TrainConfig
 
 TOPO = default_topology()
 
@@ -67,6 +68,21 @@ def test_run_experiment_skips_scorer_without_realness_terms(tmp_path):
     report = json.loads((tmp_path / "noscorer" / "report.json").read_text())
     assert report["refined"] is None
     assert report["final_mpjpe_mm"] == report["raw"]["mpjpe_mm"]
+
+
+def test_run_experiment_takes_the_keypoint_count_from_the_topology(tmp_path):
+    # the default skeleton without its nose (16 keypoints), with the 17-keypoint
+    # TcnConfig() the config carries
+    text = importlib.resources.files("poselift.data").joinpath("h36m17.topo").read_text()
+    text = text.replace("keypoint nose\n", "").replace(
+        "bone neck nose 100\nbone nose head_top 100\n", "bone neck head_top 100\n")
+    topo = parse_topology(text)
+    assert topo.K == 16
+    out = tmp_path / "run"
+    manifest = run_experiment(tiny_config(out, iso=IsoConfig(iterations=3, lambda1=0.0)), topo)
+    assert manifest["failure"] is None
+    assert manifest["config"]["tcn"]["n_keypoints"] == 16
+    assert TcnModel.load(out / "model.ckpt.npz").config.n_keypoints == 16
 
 
 def test_run_experiment_deterministic_digests(tmp_path):

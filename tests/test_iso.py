@@ -509,6 +509,14 @@ def test_refine_shape_mismatch():
         refine(gt, det, None, IsoConfig())
 
 
+def test_refine_rejects_zero_frames():
+    gt = gt_window(0, 8)
+    det = clean_detections(gt, np.random.default_rng(18))
+    empty = PoseSequence2D(det.frames[:0], det.confidence[:0], det.mask[:0], SCALE_MM)
+    with pytest.raises(InvalidInputError, match="0 frames"):
+        refine(PoseSequence3D(gt.frames[:0]), empty, None, IsoConfig(iterations=3))
+
+
 @pytest.mark.parametrize("t, k", [(8, 17), (10, 16)])
 def test_refine_ground_truth_shape_mismatch(t, k):
     gt = gt_window(0, 10)

@@ -506,6 +506,25 @@ def test_train_2d_only_sequences(topo):
     assert history[0]["loss_2d"] > 0.0
 
 
+def test_train_reprojection_term_goes_through_loss_2d(topo, monkeypatch):
+    # one loss_2d call per step, on the batch's stack with one scale per sample
+    data = small_dataset(topo)
+    models = [TcnModel(desk_model_config(), seed=21) for _ in range(2)]
+    want = train(models[0], data, train_config(steps_per_epoch=3))
+    calls = []
+
+    def counted(pred, gt2d, mask=None, scale_mm=None):
+        calls.append(len(scale_mm))
+        return loss_2d(pred, gt2d, mask, scale_mm)
+
+    monkeypatch.setattr(tcn, "loss_2d", counted)
+    got = train(models[1], data, train_config(steps_per_epoch=3))
+    assert calls == [4, 4, 4]
+    assert got == want and want[0]["loss_2d"] > 0.0
+    a, b = models[0].state_arrays(), models[1].state_arrays()
+    assert all(np.array_equal(a[name], b[name]) for name in a)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_divergence_raises_with_checkpoint(topo):
@@ -687,6 +706,14 @@ def test_predict_sequence_center_consistency(topo):
     center = cfg.window_len // 2
     direct = predict_window(model, det.frames, det.confidence, det.mask)
     assert np.allclose(out.frames[center], direct, atol=1e-12)
+
+
+def test_predict_sequence_rejects_zero_frames():
+    model = TcnModel(tiny_config(), seed=27)
+    det = PoseSequence2D(np.zeros((0, 4, 2)), np.zeros((0, 4)), np.zeros((0, 4), dtype=bool),
+                         scale_mm=2000.0)
+    with pytest.raises(InvalidInputError, match="0 frames"):
+        model.predict_sequence(det)
 
 
 # ------------------------------------------- one pass vs. per-window oracles
