@@ -3,17 +3,19 @@
 numpy releases the GIL inside its array loops and BLAS calls, so jobs that
 spend their time there run in parallel on threads. There are three users:
 the stacks of iso.refine_many, the frame parts of one KCS-energy
-evaluation, and the stride-branch groups of a wide TcnModel.forward and its
-backward. A job writes only into buffers made before the threads start, or
-into arrays that no other job touches, and the caller combines the results
-in a fixed order, so the results are bit for bit the serial ones.
+evaluation, and the stride-branch groups of a wide TcnModel.forward, its
+backward and each predict_sequence chunk. A job writes only into buffers
+made before the threads start, or into arrays that no other job touches,
+and the caller combines the results in a fixed order, so the results are
+bit for bit the serial ones.
 
 run hands the jobs to a team: worker threads that wait for work between
 calls. A caller that runs many calls in a row opens one team for all of
-them, as one split ISO descent does for its energy evaluations, and the
-team's workers live until that block ends; any other call of run starts a
-team of its own and joins it before it returns, so no thread outlives the
-block or call that started it.
+them, as one split ISO descent does for its energy evaluations, tcn.train
+for its steps and predict_sequence for its chunks, and the team's workers
+live until that block ends; any other call of run starts a team of its own
+and joins it before it returns, so no thread outlives the block or call
+that started it.
 
 Cutting one matrix product into row blocks keeps its bits only while BLAS
 computes every product on one thread: a threaded BLAS splits each product

@@ -102,29 +102,47 @@ def frame_inputs(coords: np.ndarray, conf: np.ndarray, mask: np.ndarray) -> np.n
             or mask.shape != coords.shape[:2]:
         raise InvalidInputError("frame inputs need (T,K,2) coords and (T,K) conf/mask")
     keep = ~mask
-    return np.concatenate([(coords[:, :, 0] - 0.5) * keep, (coords[:, :, 1] - 0.5) * keep,
-                           conf * keep, mask.astype(np.float64)], axis=1)
+    # filled block by block, so building it holds one T x K block beside it
+    out = np.empty((mask.shape[0], 4, mask.shape[1]))
+    np.multiply(coords[:, :, 0] - 0.5, keep, out=out[:, 0])
+    np.multiply(coords[:, :, 1] - 0.5, keep, out=out[:, 1])
+    np.multiply(conf, keep, out=out[:, 2])
+    out[:, 3] = mask
+    return out.reshape(mask.shape[0], -1)
 
 
 # A forward whose embedding rows x branch_input_dim x channels reach this
-# runs its stride branches on threads. On 2 cores with BLAS on one thread,
-# a forward plus backward on two threads took 0.90-1.25x the one-thread time
-# at 1.4 x 2^20, 0.75-1.02x at 2.9 x 2^20 and 0.55-0.81x from 5.75 x 2^20 up;
-# below 2^20, starting threads mostly costs more than the branches save.
+# runs its stride branches on threads, and so does its backward and each
+# predict_sequence chunk. On 2 cores with BLAS on one thread, a forward plus
+# backward on two threads took 0.90-1.25x the one-thread time at 1.4 x 2^20,
+# 0.75-1.02x at 2.9 x 2^20 and 0.55-0.81x from 5.75 x 2^20 up; below 2^20,
+# starting threads mostly costs more than the branches save.
 BRANCH_THREAD_WORK = 1 << 22
+
+# predict_sequence lifts at most this many centers at a time, each chunk from
+# its own chunk + window_len - 1 rows, so its memory beyond the frame inputs
+# and the output does not grow with the sequence.
+PREDICT_CHUNK = 1024
+
+
+def _conv_layer(x, taps, bias, s) -> np.ndarray:
+    """One dilated conv layer of stride `s` over input rows `x` (arrays):
+    output row j is tanh(bias + the sum over taps k of input row j + k*s
+    times tap k), the taps added in tap order."""
+    out_len = x.shape[-2] - (len(taps) - 1) * s
+    h = x[..., :out_len, :] @ taps[0]
+    h += bias                   # bias + tap 0: the sum is the same either way round
+    for k in range(1, len(taps)):
+        h += x[..., k * s: k * s + out_len, :] @ taps[k]
+    return np.tanh(h, out=h)
 
 
 def _branch_forward(x, weights, s) -> list:
-    """The layers of one stride-`s` branch over its input rows `x`: per layer
-    (input, output, taps, bias). Output row j is bias + the sum over taps k
-    of input row j + k*s times tap k, added in tap order."""
+    """The layers of one stride-`s` branch over its input rows `x`, kept for
+    its backward: per layer (input, output, taps, bias)."""
     layers = []
     for taps, bias in weights:
-        out_len = x.shape[-2] - (len(taps) - 1) * s
-        h = bias.data
-        for k, w in enumerate(taps):
-            h = h + x[..., k * s: k * s + out_len, :] @ w.data
-        y = np.tanh(h)
+        y = _conv_layer(x, [w.data for w in taps], bias.data, s)
         layers.append((x, y, taps, bias))
         x = y
     return layers
@@ -173,13 +191,16 @@ class TcnModel:
         if config.use_embedding:
             add("embed.w", parameter((config.input_dim, config.embed_dim), rng))
             add("embed.b", parameter(np.zeros(config.embed_dim)))
+        self._branch_weights = []     # per branch: (taps, bias) per layer
         for bi in range(len(config.strides)):
             c_in = config.branch_input_dim
+            self._branch_weights.append([])
             for li in range(config.branch_layers):
-                for tap in range(KERNEL):
-                    add(f"branch{bi}.layer{li}.w{tap}",
-                        parameter((c_in, config.channels), rng))
+                taps = [parameter((c_in, config.channels), rng) for _ in range(KERNEL)]
+                for tap, w in enumerate(taps):
+                    add(f"branch{bi}.layer{li}.w{tap}", w)
                 add(f"branch{bi}.layer{li}.b", parameter(np.zeros(config.channels)))
+                self._branch_weights[-1].append((taps, self._params[f"branch{bi}.layer{li}.b"]))
                 c_in = config.channels
         fused = len(config.strides) * config.channels
         # zero head: an untrained model predicts the all-zero pose
@@ -239,14 +260,11 @@ class TcnModel:
         node whose parents are embed.w and embed.b; the frame inputs are
         constants and get no gradient.
         """
-        m = frame_inputs(coords, conf, mask)
-        if m.shape[1] != self.config.input_dim:
-            raise InvalidInputError(
-                f"expected {self.config.n_keypoints} keypoints, got {m.shape[1] // 4}")
+        m = self._frame_inputs(coords, conf, mask)
         if not self.config.use_embedding:
             return Tensor(m)
         w, b = self._params["embed.w"], self._params["embed.b"]
-        y = np.tanh(m @ w.data + b.data)
+        y = self._embed(m)
 
         def back(out):
             g = out.grad * (1.0 - y * y)
@@ -255,28 +273,64 @@ class TcnModel:
 
         return Tensor(y, (w, b), back)
 
+    def _frame_inputs(self, coords, conf, mask) -> np.ndarray:
+        m = frame_inputs(coords, conf, mask)
+        if m.shape[1] != self.config.input_dim:
+            raise InvalidInputError(
+                f"expected {self.config.n_keypoints} keypoints, got {m.shape[1] // 4}")
+        return m
+
+    def _embed(self, m: np.ndarray) -> np.ndarray:
+        """The embedding rows of frame-input rows `m`: the dense layer and its
+        tanh, or `m` itself with the embedding off."""
+        if not self.config.use_embedding:
+            return m
+        y = m @ self._params["embed.w"].data
+        y += self._params["embed.b"].data
+        return np.tanh(y, out=y)
+
+    def _branches(self, centers: int) -> list:
+        """Per branch of a forward over `centers` centers: its stride, the
+        embedding rows it reads, and its (taps, bias) parameters per layer.
+        A branch reads only its own receptive field, which starts at row
+        window_len//2 - (rf-1)//2 for the first center."""
+        cfg = self.config
+        branches = []
+        for s, weights in zip(cfg.strides, self._branch_weights):
+            rf = cfg.receptive_field(s)
+            # the receptive field is odd: (rf-1)//2 frames either side of the center
+            first = cfg.window_len // 2 - (rf - 1) // 2
+            branches.append((s, slice(first, first + rf + centers - 1), weights))
+        return branches
+
+    def _head(self, fused: np.ndarray) -> np.ndarray:
+        """The fusion head over the concatenated branch outputs, in mm."""
+        out = fused @ self._params["head.w"].data
+        out += self._params["head.b"].data
+        out *= OUTPUT_SCALE_MM
+        return out
+
     def forward(self, embeddings, centers: int = 1) -> Tensor:
         """Root-relative poses of `centers` consecutive window centers.
 
         `embeddings` holds window_len + centers - 1 rows, optionally behind
         leading batch axes. The branches are valid convolutions, so one pass
-        serves every center: each branch reads only its own receptive field,
-        which starts at row window_len//2 - (rf-1)//2 for the first center.
+        serves every center (see _branches for the rows each reads).
         Returns (..., K, 3) for one center, else (..., centers, K, 3).
 
-        The whole lifter is one graph node over the embeddings and every
-        branch and head parameter. Conv layer output row j is bias + the sum
-        over taps k of input row j + k*stride times tap k, added in tap
-        order. The backward folds the leading axes into rows, so each tap's
-        weight gradient is one (rows, C_in)^T @ (rows, C_out) product. It
-        adds input gradients into zeroed arrays last tap first and last
-        branch first: the order of the graph with one node per op.
+        This is the training path: the whole lifter is one graph node over
+        the embeddings and every branch and head parameter, and it keeps
+        every layer for its backward. The layers are _conv_layer, as in
+        predict_sequence, which records nothing. The backward folds the
+        leading axes into rows, so each tap's weight gradient is one
+        (rows, C_in)^T @ (rows, C_out) product. It adds input gradients into
+        zeroed arrays last tap first and last branch first: the order of the
+        graph with one node per op.
 
-        A wide forward (see branch_groups), in training and in
-        predict_sequence alike, runs its stride branches on parallel.run
-        threads, one group of branches per thread, and so does its
-        backward. Each branch computes exactly what it computes alone, and
-        no product is cut; the caller concatenates the branch outputs in
+        A wide forward (see branch_groups) runs its stride branches on
+        parallel.run threads, one group of branches per thread, and so does
+        its backward. Each branch computes exactly what it computes alone,
+        and no product is cut; the caller concatenates the branch outputs in
         branch order and adds the branches' input gradients last branch
         first, so every bit is the serial one.
         """
@@ -289,23 +343,15 @@ class TcnModel:
                 f"got shape {r.shape}")
         if r.shape[-1] != cfg.branch_input_dim:
             raise InvalidInputError(f"embedding dim {r.shape[-1]} does not match config")
-        params = self._params
-        inputs, weights = [], []    # per branch: its input rows, (taps, bias) per layer
-        for bi, s in enumerate(cfg.strides):
-            rf = cfg.receptive_field(s)
-            # the receptive field is odd: (rf-1)//2 frames either side of the center
-            first = cfg.window_len // 2 - (rf - 1) // 2
-            inputs.append(slice(first, first + rf + centers - 1))
-            weights.append([([params[f"branch{bi}.layer{li}.w{tap}"] for tap in range(KERNEL)],
-                             params[f"branch{bi}.layer{li}.b"])
-                            for li in range(cfg.branch_layers)])
+        branches = self._branches(centers)
         groups = self.branch_groups(math.prod(r.shape[:-1]), centers)
         # per branch: (input, output, taps, bias) per layer
         layers = _per_branch(groups, lambda bi: _branch_forward(
-            r.data[..., inputs[bi], :], weights[bi], cfg.strides[bi]))
+            r.data[..., branches[bi][1], :], branches[bi][2], branches[bi][0]))
         fused = np.concatenate([branch[-1][1] for branch in layers], axis=-1)
+        out = self._head(fused)
+        params = self._params
         head_w, head_b = params["head.w"], params["head.b"]
-        out = (fused @ head_w.data + head_b.data) * OUTPUT_SCALE_MM
 
         def back(node):
             g = node.grad.reshape(out.shape) * OUTPUT_SCALE_MM
@@ -314,16 +360,31 @@ class TcnModel:
                                @ g.reshape(-1, g.shape[-1]))
             g_fused = g @ head_w.data.T
             g_in = _per_branch(groups, lambda bi: _branch_backward(
-                layers[bi], cfg.strides[bi],
+                layers[bi], branches[bi][0],
                 g_fused[..., bi * cfg.channels: (bi + 1) * cfg.channels]))
             g_r = np.zeros_like(r.data)
-            for bi in reversed(range(len(inputs))):
-                g_r[..., inputs[bi], :] += g_in[bi]
+            for bi in reversed(range(len(branches))):
+                g_r[..., branches[bi][1], :] += g_in[bi]
             r._accumulate(g_r)
 
         lead = r.shape[:-2] + ((centers,) if centers > 1 else ())
         parents = (r, *(p for name, p in params.items() if not name.startswith("embed.")))
         return Tensor(out.reshape(lead + (cfg.n_keypoints, 3)), parents, back)
+
+    def _lift(self, r: np.ndarray, centers: int) -> np.ndarray:
+        """forward's head outputs (centers x 3K) over plain embedding rows
+        `r`, recording nothing and keeping no layer."""
+        branches = self._branches(centers)
+
+        def branch(bi):
+            s, rows, weights = branches[bi]
+            x = r[rows]
+            for taps, bias in weights:
+                x = _conv_layer(x, [w.data for w in taps], bias.data, s)
+            return x
+
+        groups = self.branch_groups(len(r), centers)
+        return self._head(np.concatenate(_per_branch(groups, branch), axis=-1))
 
     def branch_groups(self, rows: int, centers: int) -> list:
         """The branch indices each thread of a forward over `rows` embedding
@@ -349,20 +410,38 @@ class TcnModel:
         return groups
 
     def predict_sequence(self, det: PoseSequence2D) -> PoseSequence3D:
-        """Per-frame 3D in one pass over the sequence; ends use edge padding."""
+        """Per-frame 3D; the ends use edge padding.
+
+        Records nothing: builds the T x 4K frame inputs once, then embeds and
+        lifts the centers in even chunks of at most PREDICT_CHUNK, each from
+        its own chunk + window_len - 1 edge-padded rows, on plain arrays with
+        forward's layers, into one T x K x 3 array. Wide chunks run their
+        branches on threads as forward does, all on one parallel.team.
+
+        A sequence of at most PREDICT_CHUNK frames is one chunk, with the very
+        products of forward over the whole sequence. Longer ones cut each
+        product into row blocks, and BLAS may round a row by the block it is
+        in: OpenBLAS's small-matrix kernel (rows x inputs x outputs up to
+        10^6) and a one-row (matrix-vector) product do. Even chunks keep at
+        least PREDICT_CHUNK // 2 centers, where every product of the
+        pipeline's lifters takes the packed kernel and keeps its bits.
+        """
         if det.T < 1:
             raise InvalidInputError(f"detections have {det.T} frames; lifting needs at least 1")
-        w = self.config.window_len
-        left = w // 2
-        right = w - left - 1
-        pad = ((left, right), (0, 0))
-        coords = np.pad(det.frames, pad + ((0, 0),), mode="edge")
-        conf = np.pad(det.confidence, pad, mode="edge")
-        mask = np.pad(det.mask, pad, mode="edge")
-        emb = self.embed_frames(coords, conf, mask).data
-        preds = self.forward(emb, centers=det.T).data.reshape(
-            det.T, self.config.n_keypoints, 3)
-        return PoseSequence3D(preds, root_relative=True,
+        cfg = self.config
+        m = self._frame_inputs(det.frames, det.confidence, det.mask)
+        left = cfg.window_len // 2
+        n = -(-det.T // PREDICT_CHUNK)
+        ends = [det.T * i // n for i in range(n + 1)]
+        widest = -(-det.T // n)
+        preds = np.empty((det.T, cfg.n_keypoints * 3))
+        with parallel.team(len(self.branch_groups(widest + cfg.window_len - 1, widest))):
+            for a, b in zip(ends, ends[1:]):
+                # rows before the first frame and past the last take its edge
+                rows = m.take(np.arange(a - left, b - left + cfg.window_len - 1), axis=0,
+                              mode="clip")
+                preds[a:b] = self._lift(self._embed(rows), b - a)
+        return PoseSequence3D(preds.reshape(det.T, cfg.n_keypoints, 3), root_relative=True,
                               actions=None if det.actions is None else list(det.actions))
 
 
@@ -563,73 +642,76 @@ def train(model: TcnModel, sequences: list, cfg: TrainConfig,
     snapshot = model.state_arrays()
     history = []
     zero = Tensor(0.0)
-    for epoch in range(epochs):
-        sums = {"loss": 0.0, "loss_3d": 0.0, "loss_mv": 0.0,
-                "loss_2d": 0.0, "loss_gen": 0.0}
-        for step in range(cfg.steps_per_epoch):
-            view1s, view2s, starts, rots = [], [], [], []
-            for _ in range(cfg.batch_size):
-                seq = sequences[rng.integers(len(sequences))]
-                n_views = len(seq.views)
-                v1 = int(rng.integers(n_views))
-                v2 = None
-                if n_views > 1:
-                    v2 = int(rng.integers(n_views - 1))
-                    if v2 >= v1:
-                        v2 += 1
-                view1s.append(seq.views[v1])
-                view2s.append(None if v2 is None else seq.views[v2])
-                starts.append(int(rng.integers(view1s[-1].det2d.T - need + 1)))
+    # one team for every wide forward and backward of the run, so its
+    # workers start once
+    with parallel.team(len(model.branch_groups(cfg.batch_size * need, chain_len))):
+        for epoch in range(epochs):
+            sums = {"loss": 0.0, "loss_3d": 0.0, "loss_mv": 0.0,
+                    "loss_2d": 0.0, "loss_gen": 0.0}
+            for step in range(cfg.steps_per_epoch):
+                view1s, view2s, starts, rots = [], [], [], []
+                for _ in range(cfg.batch_size):
+                    seq = sequences[rng.integers(len(sequences))]
+                    n_views = len(seq.views)
+                    v1 = int(rng.integers(n_views))
+                    v2 = None
+                    if n_views > 1:
+                        v2 = int(rng.integers(n_views - 1))
+                        if v2 >= v1:
+                            v2 += 1
+                    view1s.append(seq.views[v1])
+                    view2s.append(None if v2 is None else seq.views[v2])
+                    starts.append(int(rng.integers(view1s[-1].det2d.T - need + 1)))
+                    if scorer is not None:
+                        rots.append(RotationAugment.sample(rng))
+                centers = [s + w // 2 for s in starts]
+
+                chain = model.forward(embed([v.det2d for v in view1s], starts, need),
+                                      centers=chain_len)
+                pred1 = chain if chain_len == 1 else chain[:, 0]
+                gt = [i for i, v in enumerate(view1s) if v.pose3d is not None]
+                mv = [i for i in gt if view2s[i] is not None]
+                l3 = lmv = lgen = zero
+                if gt:
+                    l3 = loss_3d(pred1[gt], np.stack([view1s[i].pose3d.frames[centers[i]]
+                                                      for i in gt])) * len(gt)
+                if mv:
+                    pred2 = model.forward(embed([view2s[i].det2d for i in mv],
+                                                [starts[i] for i in mv], w))
+                    r12 = _matrices(view2s[i].rotation for i in mv) \
+                        @ np.swapaxes(_matrices(view1s[i].rotation for i in mv), -1, -2)
+                    lmv = loss_multiview(pred1[mv], pred2, r12) * len(mv)
+                l2 = loss_2d(pred1, np.stack([v.det2d.frames[c] for v, c in zip(view1s, centers)]),
+                             np.stack([v.det2d.mask[c] for v, c in zip(view1s, centers)]),
+                             [v.det2d.scale_mm for v in view1s])
                 if scorer is not None:
-                    rots.append(RotationAugment.sample(rng))
-            centers = [s + w // 2 for s in starts]
+                    rotated = chain @ Tensor(np.swapaxes(_matrices(rots), -1, -2)[:, None])
+                    lgen = scorer.gen_loss(rotated)
+                inv = 1.0 / cfg.batch_size
+                l3, lmv, l2, lgen = l3 * inv, lmv * inv, l2 * inv, lgen * inv
+                loss = total_loss(l3, lmv, l2, lgen, wt)
 
-            chain = model.forward(embed([v.det2d for v in view1s], starts, need),
-                                  centers=chain_len)
-            pred1 = chain if chain_len == 1 else chain[:, 0]
-            gt = [i for i, v in enumerate(view1s) if v.pose3d is not None]
-            mv = [i for i in gt if view2s[i] is not None]
-            l3 = lmv = lgen = zero
-            if gt:
-                l3 = loss_3d(pred1[gt], np.stack([view1s[i].pose3d.frames[centers[i]]
-                                                  for i in gt])) * len(gt)
-            if mv:
-                pred2 = model.forward(embed([view2s[i].det2d for i in mv],
-                                            [starts[i] for i in mv], w))
-                r12 = _matrices(view2s[i].rotation for i in mv) \
-                    @ np.swapaxes(_matrices(view1s[i].rotation for i in mv), -1, -2)
-                lmv = loss_multiview(pred1[mv], pred2, r12) * len(mv)
-            l2 = loss_2d(pred1, np.stack([v.det2d.frames[c] for v, c in zip(view1s, centers)]),
-                         np.stack([v.det2d.mask[c] for v, c in zip(view1s, centers)]),
-                         [v.det2d.scale_mm for v in view1s])
-            if scorer is not None:
-                rotated = chain @ Tensor(np.swapaxes(_matrices(rots), -1, -2)[:, None])
-                lgen = scorer.gen_loss(rotated)
-            inv = 1.0 / cfg.batch_size
-            l3, lmv, l2, lgen = l3 * inv, lmv * inv, l2 * inv, lgen * inv
-            loss = total_loss(l3, lmv, l2, lgen, wt)
+                if not np.isfinite(loss.data):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch} step {step}",
+                        checkpoint=snapshot)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                if any(not np.all(np.isfinite(p.data)) for p in model.parameters()):
+                    raise TrainingDivergedError(
+                        f"non-finite parameters at epoch {epoch} step {step}",
+                        checkpoint=snapshot)
+                if (step + 1) % cfg.snapshot_every == 0:
+                    snapshot = model.state_arrays()
 
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch} step {step}",
-                    checkpoint=snapshot)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            if any(not np.all(np.isfinite(p.data)) for p in model.parameters()):
-                raise TrainingDivergedError(
-                    f"non-finite parameters at epoch {epoch} step {step}",
-                    checkpoint=snapshot)
-            if (step + 1) % cfg.snapshot_every == 0:
-                snapshot = model.state_arrays()
-
-            sums["loss"] += loss.data.item()
-            sums["loss_3d"] += l3.data.item()
-            sums["loss_mv"] += lmv.data.item()
-            sums["loss_2d"] += l2.data.item()
-            sums["loss_gen"] += lgen.data.item()
-        record = {k: v / cfg.steps_per_epoch for k, v in sums.items()}
-        record["epoch"] = epoch
-        history.append(record)
-        opt.lr *= cfg.lr_decay
+                sums["loss"] += loss.data.item()
+                sums["loss_3d"] += l3.data.item()
+                sums["loss_mv"] += lmv.data.item()
+                sums["loss_2d"] += l2.data.item()
+                sums["loss_gen"] += lgen.data.item()
+            record = {k: v / cfg.steps_per_epoch for k, v in sums.items()}
+            record["epoch"] = epoch
+            history.append(record)
+            opt.lr *= cfg.lr_decay
     return history

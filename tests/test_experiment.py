@@ -322,9 +322,10 @@ def test_a_long_pair_writes_the_same_files_on_one_core_and_two(tmp_path, monkeyp
 
 def test_a_wide_model_trains_to_the_same_files_on_one_core_and_two(tmp_path, monkeypatch,
                                                                    one_blas_thread):
-    # a tcn section above the branch-thread gate: on two cores each training
-    # forward (8 x 23 rows, two views, a scorer) runs its branches in two
-    # groups; the 59-row lifts of the infer stage stay in one
+    # a tcn section above the branch-thread gate: on two cores the training
+    # run's team and each training forward (8 x 23 rows, two views, a
+    # scorer) run its branches in two groups; the team and the one chunk of
+    # the 59-row lift of the infer stage stay in one
     from poselift import parallel
     from poselift.tcn import TcnConfig, TcnModel
 
@@ -350,7 +351,7 @@ def test_a_wide_model_trains_to_the_same_files_on_one_core_and_two(tmp_path, mon
             TOPO)
         files.append({str(p.relative_to(out)): p.read_bytes()
                       for p in out.rglob("*") if p.is_file()})
-    assert groups == [1] * 7 + [2] * 6 + [1]
+    assert groups == [1] * 9 + [2] * 7 + [1] * 2
     assert "manifest.json" in files[0] and "model.ckpt.npz" in files[0]
     assert files[0] == files[1]
 

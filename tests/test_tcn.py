@@ -980,14 +980,14 @@ def train_and_lift(model_cfg, inputs, steps, batch_size=8):
 
 def test_wide_model_trains_and_lifts_the_same_bits_on_any_core_count(
         one_blas_thread, fast_switches, monkeypatch, wide_inputs):
-    # per step two forwards and two backwards, then one 499-row lift: each
+    # the training run and the 499-row lift each open one team, which
     # starts one thread per branch group but the caller's
     runs = []
     for cores in (1, 2, 3):
         monkeypatch.setattr(parallel, "cores", lambda: cores)
         started = counting_starts(monkeypatch)
         runs.append(train_and_lift(WIDE, wide_inputs, steps=3))
-        assert len(started) == (cores - 1) * (4 * 3 + 1)
+        assert len(started) == (cores - 1) * 2
     (params, history, frames), others = runs[0], runs[1:]
     for got_params, got_history, got_frames in others:
         assert got_history == history
@@ -1052,3 +1052,144 @@ def test_a_failing_branch_group_raises_in_the_caller(one_blas_thread, fast_switc
     with pytest.raises(InvalidWindowError, match=f"^{phase} of stride 2$"):
         train_and_lift(WIDE, wide_inputs, steps=1)
     assert threading.active_count() == before
+
+
+# --------------------------------------- chunked, record-free predict_sequence
+#
+# predict_sequence cuts a sequence into ceil(T / PREDICT_CHUNK) chunks as even
+# as they can be cut and lifts each without recording. Each chunk must be the
+# training path's lift of its centers bit for bit, and a sequence of one chunk
+# the training forward over the whole sequence. Across cuts, a row's bits
+# stay while every product takes OpenBLAS's packed kernel, with BLAS on one
+# thread. Its small-matrix kernel (products of at most 10^6 multiply-adds)
+# and the matrix-vector one of a one-row product may round a row by where
+# the product's rows end, so the small models here agree with the one-pass
+# lift to rounding only.
+
+
+def random_detections(cfg, frames, rng):
+    coords = rng.uniform(0.2, 0.8, size=(frames, cfg.n_keypoints, 2))
+    conf = rng.uniform(0.3, 1.0, size=(frames, cfg.n_keypoints))
+    mask = rng.random((frames, cfg.n_keypoints)) < 0.2
+    coords[mask] = 0.0
+    conf[mask] = 0.0
+    return PoseSequence2D(coords, conf, mask, scale_mm=2000.0)
+
+
+def training_lift(model, det, chunk):
+    """The training path's lift of det's centers: per chunk of the even cut,
+    one forward over the embed_frames of the edge-padded detections."""
+    w, t = model.config.window_len, det.T
+    pad = ((w // 2, w - w // 2 - 1), (0, 0))
+    coords = np.pad(det.frames, pad + ((0, 0),), mode="edge")
+    conf = np.pad(det.confidence, pad, mode="edge")
+    mask = np.pad(det.mask, pad, mode="edge")
+    n = -(-t // chunk)
+    ends = [t * i // n for i in range(n + 1)]
+    return np.concatenate([
+        model.forward(model.embed_frames(coords[a:b + w - 1], conf[a:b + w - 1],
+                                         mask[a:b + w - 1]), centers=b - a)
+        .data.reshape(b - a, model.config.n_keypoints, 3)
+        for a, b in zip(ends, ends[1:])])
+
+
+CHUNK_CONFIGS = {
+    "s12357-w31": (TcnConfig(n_keypoints=3, embed_dim=5, window_len=31,
+                             strides=(1, 2, 3, 5, 7), channels=4, branch_layers=2), (1,)),
+    "raw-w15": (TcnConfig(n_keypoints=3, window_len=15, strides=(1, 2, 3), channels=4,
+                          branch_layers=2, use_embedding=False), (1,)),
+    "wide": (WIDE, (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 48, tcn.PREDICT_CHUNK])
+@pytest.mark.parametrize("name", CHUNK_CONFIGS)
+def test_chunked_lift_is_the_training_forward(one_blas_thread, monkeypatch, name, chunk):
+    cfg, core_counts = CHUNK_CONFIGS[name]
+    model = TcnModel(cfg, seed=32)
+    rng = np.random.default_rng(32)
+    _randomize_head(model, rng)
+    monkeypatch.setattr(tcn, "PREDICT_CHUNK", chunk)
+    for frames in sorted({1, chunk - 1, chunk + 1, 2 * chunk + 7} - {0}):
+        det = random_detections(cfg, frames, rng)
+        want, whole = training_lift(model, det, chunk), training_lift(model, det, frames)
+        assert np.abs(whole).max() > 1.0
+        for cores in core_counts:
+            monkeypatch.setattr(parallel, "cores", lambda: cores)
+            got = model.predict_sequence(det).frames
+            assert np.array_equal(got, want), (frames, cores)
+        if frames <= chunk:
+            assert np.array_equal(got, whole), frames
+        else:
+            assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max(), frames
+
+
+@pytest.mark.parametrize("cfg", [TcnConfig(), WIDE], ids=["pipeline", "wide"])
+def test_long_lifts_keep_the_one_pass_bits(one_blas_thread, cfg):
+    # chunks of at least PREDICT_CHUNK // 2 = 512 centers: every product of
+    # these lifters takes OpenBLAS's packed kernel
+    model = TcnModel(cfg, seed=33)
+    rng = np.random.default_rng(33)
+    _randomize_head(model, rng)
+    for frames in (1025, 1031, 2 * tcn.PREDICT_CHUNK + 7):
+        det = random_detections(cfg, frames, rng)
+        assert np.array_equal(model.predict_sequence(det).frames,
+                              training_lift(model, det, frames)), frames
+
+
+def test_predict_sequence_cuts_even_chunks(monkeypatch):
+    # 21 frames are three chunks of 7, 20 are 6, 7, 7 and 15 are three of 5
+    model = TcnModel(tiny_config(), seed=34)
+    monkeypatch.setattr(tcn, "PREDICT_CHUNK", 7)
+    lifted, lift = [], TcnModel._lift
+
+    def counting(self, r, centers):
+        lifted.append(centers)
+        return lift(self, r, centers)
+
+    monkeypatch.setattr(TcnModel, "_lift", counting)
+    for frames in (21, 20, 15, 7):
+        model.predict_sequence(random_detections(model.config, frames,
+                                                 np.random.default_rng(frames)))
+    assert lifted == [7, 7, 7, 6, 7, 7, 5, 5, 5, 7]
+
+
+@pytest.mark.parametrize("cfg", [TcnConfig(), WIDE], ids=["pipeline", "wide"])
+def test_predict_sequence_records_nothing(one_blas_thread, monkeypatch, cfg):
+    # the wide lift runs its branches on 2 threads
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
+    model = TcnModel(cfg, seed=35)
+    det = random_detections(cfg, 480, np.random.default_rng(35))
+    made, init = [], Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    model.predict_sequence(det)
+    assert made == []
+    predict_window(model, det.frames[:20], det.confidence[:20], det.mask[:20])
+    assert len(made) == 2          # the training path's embedding and lifter nodes
+
+
+def test_predict_sequence_memory_grows_with_its_input_and_output_only():
+    # 4 and 8 chunks of the pipeline's lifter: the peak may grow by the frame
+    # inputs (4K floats per frame) and the poses (3K), plus a fixed slack
+    import tracemalloc
+
+    model = TcnModel(TcnConfig(), seed=36)
+    k = model.config.n_keypoints
+    rng = np.random.default_rng(36)
+    peaks = []
+    for frames in (4 * tcn.PREDICT_CHUNK, 8 * tcn.PREDICT_CHUNK):
+        det = random_detections(model.config, frames, rng)
+        tracemalloc.start()
+        try:
+            model.predict_sequence(det)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    allowed = 4 * tcn.PREDICT_CHUNK * (4 * k + 3 * k) * 8
+    slack = 64 << 10
+    assert peaks[1] - peaks[0] <= allowed + slack, (peaks, allowed)
