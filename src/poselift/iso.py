@@ -13,10 +13,12 @@ projected pose and the detections, refitted periodically during descent.
 The descent builds no autodiff graph. refine_many stacks windows of equal
 length into one B x T x K x 3 array, and each iteration evaluates every
 window's three terms and the gradient of their sum in closed form, into
-buffers reused across iterations; refine is its one-window case. No
-window's descent depends on another's, so refine_many descends its stacks
-on one thread per available core (numpy releases the GIL in its array
-loops and BLAS calls), and the results are bit for bit the serial ones.
+buffers reused across iterations; refine is its one-window case. A window
+that aborts stays in its stack, frozen at its best-so-far frames, so a
+stack keeps its shape for its whole descent. No window's descent depends
+on another's, so refine_many descends its stacks on one thread per
+available core (numpy releases the GIL in its array loops and BLAS calls),
+and the results are bit for bit the serial ones.
 Cores left over, as when one long window is one stack, split each energy
 evaluation of a stack into frame ranges, at least PART_FRAMES stacked frames
 per range with every cut on a multiple of 48 frames
@@ -331,15 +333,15 @@ class _Objective:
     energy, then reprojection. Confidences are mapped and checked once,
     weights that do not move with the pose are formed once, and one
     projection residual serves both the soft weights and the reprojection
-    term. The energy calls split into `parts` frame ranges (see
-    refine_many). `take` keeps only the given windows.
+    term. Every call covers all the windows the objective was built for,
+    in buffers made here. The energy calls split into `parts` frame ranges
+    (see refine_many).
     """
 
     def __init__(self, dets: list, scorer, cfg: IsoConfig, parts: int):
         n, t, k = len(dets), dets[0].T, dets[0].K
         self.cfg, self.parts = cfg, parts
         self.scorer = scorer if cfg.lambda1 > 0 else None
-        self.dets = list(dets)
         self.det = np.stack([d.frames for d in dets])
         self.keep = ~np.stack([d.mask for d in dets])
         conf = np.stack([_mapped_confidence(d, cfg) for d in dets])
@@ -354,28 +356,19 @@ class _Objective:
         self._grad = np.empty((n, t, k, 3))
         self._energy_work = None if self.scorer is None else self.scorer.workspace((n, t))
 
-    def take(self, keep: list) -> None:
-        self.dets = [self.dets[b] for b in keep]
-        self.det, self.keep = self.det[keep], self.keep[keep]
-        if self.fixed is None:
-            self.neg_conf = self.neg_conf[keep]
-        else:
-            self.fixed = self.fixed[keep]
-
     def weights(self, x, scale, trans) -> np.ndarray:
         """B x T x K weights at the fit (scale, trans); the projection residual,
         in crop units, stays in a buffer for __call__."""
-        n = len(x)
-        r = np.multiply(x[..., :2], scale[:, None, None, None], out=self._resid[:n])
+        r = np.multiply(x[..., :2], scale[:, None, None, None], out=self._resid)
         r += trans[..., None, :]
         r -= self.det
         if self.fixed is not None:
             return self.fixed
-        sq = np.multiply(r, r, out=self._sq[:n])
-        dist = np.add(sq[..., 0], sq[..., 1], out=self._key[:n])
+        sq = np.multiply(r, r, out=self._sq)
+        dist = np.add(sq[..., 0], sq[..., 1], out=self._key)
         np.sqrt(dist, out=dist)
         dist *= CROP_PX
-        w = _soft_weight(self.neg_conf, dist, self.cfg.sigma, out=self._w[:n])
+        w = _soft_weight(self.neg_conf, dist, self.cfg.sigma, out=self._w)
         w *= self.keep
         return w
 
@@ -383,17 +376,17 @@ class _Objective:
         """(rep, gen, smooth, gradient) of the stack x at the fit (scale, trans)."""
         n, cfg = len(x), self.cfg
         w = self.weights(x, scale, trans)
-        d = self._resid[:n]
+        d = self._resid
         d *= CROP_PX
-        sq = np.multiply(d, d, out=self._sq[:n])
-        terms = np.add(sq[..., 0], sq[..., 1], out=self._key[:n])
+        sq = np.multiply(d, d, out=self._sq)
+        terms = np.add(sq[..., 0], sq[..., 1], out=self._key)
         terms *= w                                   # w |d|^2 per keypoint
         rep = terms.reshape(n, -1).sum(axis=1)
-        grad = self._grad[:n]
+        grad = self._grad
         if x.shape[1] > 1:
-            diff = _smooth_diff(x, out=self._diff[:n])
-            smooth = np.multiply(diff, diff, out=self._g[:n]).reshape(n, -1).sum(axis=1)
-            _smooth_grad(diff, cfg.lambda2, grad, g=self._g[:n])
+            diff = _smooth_diff(x, out=self._diff)
+            smooth = np.multiply(diff, diff, out=self._g).reshape(n, -1).sum(axis=1)
+            _smooth_grad(diff, cfg.lambda2, grad, g=self._g)
         else:
             smooth = np.zeros(n)
             grad.fill(0.0)
@@ -404,8 +397,8 @@ class _Objective:
         else:
             gen = np.zeros(n)
         # the x, y gradient of the reprojection term: 2 CROP_PX scale w d
-        cw = np.multiply(w, 2.0 * CROP_PX * scale[:, None, None], out=self._key[:n])
-        grad[..., :2] += np.multiply(cw[..., None], d, out=self._sq[:n])
+        cw = np.multiply(w, 2.0 * CROP_PX * scale[:, None, None], out=self._key)
+        grad[..., :2] += np.multiply(cw[..., None], d, out=self._sq)
         return rep, gen, smooth, grad
 
 
@@ -416,12 +409,15 @@ class _Stack:
     its buffers and the energy kernel's, the fit, the best-so-far frames and
     the error buffers. run() descends and returns (frames, trace) of each
     window; every window keeps its own scale, translation, trace,
-    best-so-far frames and 10x abort, and an aborted window leaves the
-    stack. run() may go to a worker thread, which then allocates only small
-    temporaries: buffers first made on a worker would sit in a malloc arena
-    of its own and raise peak memory. When the objective's energy calls
-    split, run() opens one team of `parts` threads (parallel.team) for the
-    whole descent, so each evaluation's ranges go to waiting workers.
+    best-so-far frames and 10x abort. An aborted window stays in the stack,
+    frozen at its best-so-far frames: its gradient is zeroed from then on,
+    and the descent ends once every window has aborted. So the stack keeps
+    its shape, and run() may go to a worker thread, which then allocates
+    only small temporaries: buffers first made on a worker would sit in a
+    malloc arena of its own and raise peak memory. When the objective's
+    energy calls split, run() opens one team of `parts` threads
+    (parallel.team) for the whole descent, so each evaluation's ranges go to
+    waiting workers.
     """
 
     def __init__(self, frames: np.ndarray, dets: list, gts, scorer, cfg: IsoConfig,
@@ -444,50 +440,42 @@ class _Stack:
         n = len(x)
         for b, det in enumerate(self.dets):
             scale[b], trans[b] = fit_projection(x[b], det)
-        ids = list(range(n))              # input position of each stacked window
-        traces, done = [[] for _ in range(n)], [None] * n
-        best_loss = [np.inf] * n
+        traces, best_loss = [[] for _ in range(n)], [np.inf] * n
+        live, frozen = list(range(n)), []
         for it in range(cfg.iterations):
             if it % REFIT_EVERY == 0:
                 # align with the current weights so distrusted detections do
                 # not drag the frame; weights then refresh off the new fit
                 w = objective.weights(x, scale, trans)
-                for b, det in enumerate(objective.dets):
-                    scale[b], trans[b] = fit_projection(x[b], det, w[b])
+                for b in live:
+                    scale[b], trans[b] = fit_projection(x[b], self.dets[b], w[b])
             rep, gen, smooth, grad = objective(x, scale, trans)
             if gts is not None:
-                e = np.subtract(x, gts, out=self.err[:len(x)])
+                e = np.subtract(x, gts, out=self.err)
                 e *= e
-                dist = np.add.reduce(e, axis=-1, out=self.err_norm[:len(x)])
-                mpjpe = np.sqrt(dist, out=dist).reshape(len(x), -1).mean(axis=1).tolist()
-            stay = []
-            for b, (i, r, g, s) in enumerate(zip(ids, rep.tolist(), gen.tolist(),
-                                                 smooth.tolist())):
-                loss = r + cfg.lambda1 * g + cfg.lambda2 * s
-                row = {"iteration": it, "loss": loss, "rep": r, "gen": g, "smooth": s}
+                dist = np.add.reduce(e, axis=-1, out=self.err_norm)
+                mpjpe = np.sqrt(dist, out=dist).reshape(n, -1).mean(axis=1).tolist()
+            rep, gen, smooth = rep.tolist(), gen.tolist(), smooth.tolist()
+            for b in list(live):
+                loss = rep[b] + cfg.lambda1 * gen[b] + cfg.lambda2 * smooth[b]
+                row = {"iteration": it, "loss": loss, "rep": rep[b], "gen": gen[b],
+                       "smooth": smooth[b]}
                 if gts is not None:
                     row["mpjpe"] = mpjpe[b]
-                traces[i].append(row)
+                traces[b].append(row)
                 if loss < best_loss[b]:
                     best_loss[b] = loss
                     best[b] = x[b]
-                if not math.isfinite(loss) or loss > 10.0 * traces[i][0]["loss"]:
-                    done[i] = best[b].copy()
-                else:
-                    stay.append(b)
+                if not math.isfinite(loss) or loss > 10.0 * traces[b][0]["loss"]:
+                    x[b] = best[b]
+                    live.remove(b)
+                    frozen.append(b)
+            if not live:
+                break
+            grad[frozen] = 0.0
             grad *= cfg.step_size
             x -= grad
-            if len(stay) < len(ids):
-                ids = [ids[b] for b in stay]
-                x, best, scale, trans = x[stay], best[stay], scale[stay], trans[stay]
-                best_loss = [best_loss[b] for b in stay]
-                gts = None if gts is None else gts[stay]
-                objective.take(stay)
-                if not ids:
-                    break
-        for b, i in enumerate(ids):
-            done[i] = x[b].copy()
-        return done, traces
+        return list(x), traces
 
 
 def _as_pose(pose) -> PoseSequence3D:
@@ -509,8 +497,10 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
     frame ranges, each of at least PART_FRAMES stacked frames (the
     scorer's energies_and_grad `parts`), on a team of that many threads that
     lives for the stack's descent. No thread outlives the call. Each window
-    keeps its own projection fit, refits, trace, best-so-far frames and abort,
-    so each result is, bit for bit, refine of that window alone.
+    keeps its own projection fit, refits, trace, best-so-far frames and abort;
+    a window that aborts stays in its stack, frozen, until the stack's last
+    window aborts or its iterations run out. So each result is, bit for bit,
+    refine of that window alone.
     """
     poses = [_as_pose(p) for p in poses]
     dets = list(dets)
@@ -565,8 +555,9 @@ def refine(initial_pose3d: PoseSequence3D, det2d: PoseSequence2D, scorer,
 
     Returns (refined PoseSequence3D, trace). The trace holds one dict per
     iteration: loss pieces before that iteration's update, plus MPJPE when
-    ground truth is given. Aborts and returns the best-so-far coordinates
-    if the loss grows past 10x its starting value.
+    ground truth is given. Aborts if the loss turns non-finite or grows
+    past 10x its starting value: the trace ends with that iteration's row,
+    and the best-so-far coordinates are returned.
     """
     return refine_many([initial_pose3d], [det2d], scorer, cfg,
                        None if gt3d is None else [gt3d])[0]

@@ -291,7 +291,10 @@ def _parse(text: str, typ, seps: str):
         return text in _TRUE
     if typ not in (int, float, str):
         raise ValueError(f"unsupported type {typ!r}")
-    return typ(text)
+    value = typ(text)
+    if typ is float and not math.isfinite(value):
+        raise ValueError(f"{text.strip()} is not a finite number")
+    return value
 
 
 def parse_value(key: str, text: str, typ):

@@ -10,7 +10,9 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -177,10 +179,15 @@ class PoseSequence2D:
             self.mask = np.asarray(self.mask, dtype=bool)
         if self.confidence.shape != (t, k) or self.mask.shape != (t, k):
             raise InvalidInputError("confidence/mask shape must be T x K")
+        if not np.all(np.isfinite(self.confidence)):
+            raise InvalidInputError("non-finite confidence")
         if np.any(self.confidence < 0) or np.any(self.confidence > 1):
             raise InvalidInputError("confidence outside [0,1]")
         if np.any(self.confidence[self.mask] != 0):
             raise InvalidInputError("masked entries must carry confidence 0")
+        if self.scale_mm is not None and not (isinstance(self.scale_mm, Real)
+                                              and 0 < self.scale_mm < math.inf):
+            raise InvalidInputError(f"scale_mm = {self.scale_mm!r} is not a finite number > 0")
 
     @property
     def T(self) -> int:

@@ -74,8 +74,12 @@ class SyntheticMotionConfig:
     def __post_init__(self):
         if self.n_sequences < 1 or self.frames < 2:
             raise ConfigError("need n_sequences >= 1 and frames >= 2")
-        if any(s <= 0 for s in self.speed_multipliers):
+        if not self.speed_multipliers:
+            raise ConfigError("speed_multipliers must hold at least one speed")
+        if not all(s > 0 for s in self.speed_multipliers):
             raise ConfigError("speed multipliers must be > 0")
+        if not 0.0 <= self.mask_occluded_prob <= 1.0:
+            raise ConfigError(f"mask_occluded_prob={self.mask_occluded_prob} outside [0,1]")
 
 
 @dataclass

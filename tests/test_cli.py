@@ -306,6 +306,14 @@ def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path,
     ("train.w1", -1, "train.*: loss weights must be nonnegative"),
     ("iso.cal_temperature", 0, "iso.cal_*: calibration temperature"),
     ("synth.frames", 1, "synth.*: need n_sequences >= 1 and frames >= 2"),
+    ("synth.speed_multipliers", "", "synth.speed_multipliers must hold at least one speed"),
+    ("synth.mask_occluded_prob", 1.5, "synth.mask_occluded_prob=1.5 outside [0,1]"),
+    ("iso.sigma", "nan", "config key iso.sigma = 'nan': nan is not a finite number"),
+    ("iso.step_size", "inf", "config key iso.step_size = 'inf': inf is not a finite number"),
+    ("train.lr", "nan", "config key train.lr = 'nan': nan is not a finite number"),
+    ("scorer_reg", "nan", "config key scorer_reg = 'nan': nan is not a finite number"),
+    ("synth.speed_multipliers", "1,-inf",
+     "config key synth.speed_multipliers = '1,-inf': -inf is not a finite number"),
     ("train.lr", -1, "train.*: need lr >= 0"),
     ("epochs", -1, "epochs must be >= 0"),
     ("aug_copies", 0, "aug_copies must be >= 1"),
@@ -737,7 +745,7 @@ FIELD_VALUES = {
     **dict.fromkeys(("mask_occluded_prob", "p1", "p2", "p3", "frame_block_prob",
                      "shift_prob", "swap_prob"), UNIT),
     "momentum": floats(0.0, 1.0, exclude_max=True),
-    "speed_multipliers": st.lists(POSITIVE, max_size=4).map(tuple),
+    "speed_multipliers": st.lists(POSITIVE, min_size=1, max_size=4).map(tuple),
     "view_rotations": st.lists(st.tuples(floats(), floats(), floats()), max_size=3).map(tuple),
     "use_embedding": st.booleans(),
     "weight_mode": st.sampled_from(WEIGHT_MODES),

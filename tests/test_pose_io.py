@@ -349,7 +349,10 @@ def test_parse_value_by_type():
     assert parse_value("k", "no", bool) is False
     assert parse_value("k", "runs", Optional[str]) == "runs"
     for text, typ in (("1.5,2", tuple[int, ...]), ("flase", bool), ("0.1", tuple[float, float]),
-                      ("1,,2", tuple[int, ...]), ("2.0", int)):
+                      ("1,,2", tuple[int, ...]), ("2.0", int), ("nan", float), ("-inf", float),
+                      ("1e999", float), ("0.5,nan", tuple[float, ...]),
+                      ("1:2:inf", tuple[tuple[float, float, float], ...]),
+                      ("NaN", Optional[float])):
         with pytest.raises(ConfigError, match="config key k "):
             parse_value("k", text, typ)
 

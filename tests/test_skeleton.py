@@ -53,6 +53,18 @@ def test_pose2d_masked_entries_need_zero_conf():
     PoseSequence2D(frames, confidence=np.array([[0.0, 0.5]]), mask=mask)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pose2d_rejects_nonfinite_confidence(bad):
+    with pytest.raises(InvalidInputError, match="non-finite confidence"):
+        PoseSequence2D(np.zeros((1, 2, 2)), confidence=np.array([[0.5, bad]]))
+
+
+@pytest.mark.parametrize("scale_mm", [-5.0, 0, 0.0, np.nan, np.inf, "2000"])
+def test_pose2d_rejects_a_scale_that_is_not_a_finite_positive_number(scale_mm):
+    with pytest.raises(InvalidInputError, match="scale_mm"):
+        PoseSequence2D(np.zeros((1, 2, 2)), scale_mm=scale_mm)
+
+
 def test_left_right_pairs(topo):
     pairs = dict(topo.left_right_pairs())
     names = topo.keypoint_names

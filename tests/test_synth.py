@@ -154,7 +154,10 @@ def test_fk_matches_per_frame_oracle(topo):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n_sequences", 0), ("frames", 1), ("speed_multipliers", (1.0, 0.0))])
+    ("n_sequences", 0), ("frames", 1), ("speed_multipliers", (1.0, 0.0)),
+    ("speed_multipliers", ()), ("speed_multipliers", (float("nan"),)),
+    ("mask_occluded_prob", -0.1), ("mask_occluded_prob", 1.5),
+    ("mask_occluded_prob", float("nan"))])
 def test_config_rejects_bad_fields_when_built(field, value):
     with pytest.raises(ConfigError):
         SyntheticMotionConfig(**{field: value})
