@@ -36,7 +36,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInputError
-from .kcs import bone_incidence, check_window, discriminator_features, fill_rows, scratch
+from .kcs import bone_incidence, check_window, discriminator_features, fill_rows
 from .parallel import run
 from .pose_io import load_checkpoint, save_checkpoint
 from .skeleton import PoseSequence3D, SkeletonTopology
@@ -108,25 +108,32 @@ class KcsEnergyModel:
 
     def _kernel(self, frames: np.ndarray, work: dict = None, parts: int = 1) -> tuple:
         """(energies, grad) of a (..., T, K, 3) stack: each window's mean per-frame
-        energy, and grad(weight), the gradient of weight times their sum. With a
-        `work` dict every large array is a buffer kept there (kcs.scratch), and
-        the gradient returned is a view into one of them.
+        energy, and grad(weight), the gradient of weight times their sum. Every
+        large array is a buffer of `work`, a workspace of the stack's shape
+        (one is made for the call when none is given), and the gradient
+        returned is a view into one of them.
 
         With `parts` > 1 the frames are cut into up to that many ranges, every
         cut on a multiple of CUT_FRAMES, and the ranges run in two
         parallel.run calls, on the calling thread's team if one is open: the
         energy, then the gradient. A range writes only its own frames of the
-        buffers, made here before either call, and reads another's only
-        between the calls, when they are final.
+        buffers, made before either call, and reads another's only between
+        the calls, when they are final.
         """
         check_window(frames, self.incidence, self.interval)
         lead, t, i = frames.shape[:-2], frames.shape[-3], self.interval
-        (k, m), u, f = self.incidence.shape, len(self._pick), self.mean.size
-        bones = scratch(work, "bones", lead + (3, m))
-        gsym = scratch(work, "gsym", lead + (m * m,))   # Psi, then g + g^T
-        rows = scratch(work, "rows", lead + (f,))
-        y = scratch(work, "y", lead + (f,))
-        sums = scratch(work, "sums", lead)
+        (k, m), u = self.incidence.shape, len(self._pick)
+        shapes = self._shapes(lead)
+        if work is None:
+            work = self.workspace(lead)
+        for name, shape in shapes.items():
+            # a buffer with more frames would take every out= and add unwritten
+            # frames into the energies
+            held = getattr(work.get(name), "shape", "missing")
+            if held != shape:
+                raise InvalidInputError(f"workspace buffer {name!r} is {held}, but a "
+                                        f"{frames.shape} stack needs {shape}")
+        bones, gsym, rows, y, sums, gf, gbones, gx = (work[name] for name in shapes)
         spans = [(0, t)]
         if parts > 1:
             cuts = {CUT_FRAMES * round(j * t / (parts * CUT_FRAMES)) for j in range(1, parts)}
@@ -147,9 +154,6 @@ class KcsEnergyModel:
 
         def grad(weight):
             # d(energy)/d(rows), P symmetric
-            gf = scratch(work, "gf", y.shape)
-            gbones = scratch(work, "gbones", bones.shape)
-            gx = scratch(work, "gx", lead + (3, k))
             scale = 2.0 * weight / t
 
             def part(a, b):
@@ -189,8 +193,9 @@ class KcsEnergyModel:
                           parts: int = 1) -> tuple:
         """Each window's mean per-frame energy over a (..., T, K, 3) stack, and the
         gradient of `weight` times their sum w.r.t. the stack: gen_loss without
-        a graph, value and gradient bit for bit the node's. A `work` dict
-        passed to every call keeps the kernel's buffers between calls.
+        a graph, value and gradient bit for bit the node's. `work`, a
+        workspace(stack.shape[:-2]) passed to every call, keeps the kernel's
+        buffers between calls; one of another shape is an InvalidInputError.
 
         `parts` > 1 splits the evaluation into up to that many frame ranges on
         threads (see _kernel); the bits stay those of one part wherever BLAS
@@ -199,15 +204,17 @@ class KcsEnergyModel:
         energies, grad = self._kernel(np.asarray(frames, dtype=np.float64), work, parts)
         return energies, grad(weight)
 
-    def workspace(self, lead: tuple) -> dict:
-        """A `work` dict for (*lead, K, 3) stacks (lead ends in T) holding every
-        buffer the kernel keeps there at full size, allocated but unwritten:
-        calls on such stacks, or on fewer of their windows, allocate none."""
+    def _shapes(self, lead: tuple) -> dict:
+        """The shape of each buffer the kernel writes for (*lead, K, 3) stacks."""
         (k, m), f = self.incidence.shape, self.mean.size
-        per_frame = {"bones": 3 * m, "rows": f, "y": f, "sums": 1, "gf": f,
-                     "gsym": m * m, "gbones": 3 * m, "gx": 3 * k}
-        frames = int(np.prod(lead))
-        return {name: np.empty(frames * size) for name, size in per_frame.items()}
+        return {"bones": lead + (3, m), "gsym": lead + (m * m,),  # gsym: Psi, then g + g^T
+                "rows": lead + (f,), "y": lead + (f,), "sums": lead, "gf": lead + (f,),
+                "gbones": lead + (3, m), "gx": lead + (3, k)}
+
+    def workspace(self, lead: tuple) -> dict:
+        """A `work` dict for (*lead, K, 3) stacks (lead ends in T): every buffer
+        the kernel writes, in the shape it writes, allocated but unwritten."""
+        return {name: np.empty(shape) for name, shape in self._shapes(tuple(lead)).items()}
 
     def gen_loss(self, window) -> Tensor:
         """Mean per-frame energy as one graph node with a closed-form backward.

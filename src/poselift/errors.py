@@ -26,7 +26,8 @@ class ConfigError(PoseliftError, ValueError):
 
 
 class TrainingDivergedError(PoseliftError, RuntimeError):
-    """Loss became non-finite; carries the last good parameter state."""
+    """Loss, or a parameter after a step, became non-finite; carries the last
+    good parameter state."""
 
     def __init__(self, message, checkpoint=None):
         super().__init__(message)

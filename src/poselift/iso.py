@@ -543,8 +543,11 @@ def refine_many(poses: list, dets: list, scorer, cfg: IsoConfig, gts: list = Non
     results = [None] * len(poses)
     for idx, (frames, traces) in zip(stacks, outs):
         for i, out_frames, trace in zip(idx, frames, traces):
-            out = poses[i].copy()
-            out.frames = out_frames
+            pose = poses[i]
+            out = PoseSequence3D(out_frames,
+                                 None if pose.visibility is None else pose.visibility.copy(),
+                                 pose.root_relative,
+                                 None if pose.actions is None else list(pose.actions))
             results[i] = (out, trace)
     return results
 

@@ -9,8 +9,6 @@ Both are invariant to rotation and translation of the pose.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidInputError, InvalidWindowError
@@ -39,18 +37,6 @@ def kcs(frame: np.ndarray, topo: SkeletonTopology) -> np.ndarray:
 
 def tkcs(frame_t: np.ndarray, frame_t_plus_i: np.ndarray, topo: SkeletonTopology) -> np.ndarray:
     return kcs(frame_t_plus_i, topo) - kcs(frame_t, topo)
-
-
-def scratch(work, name: str, shape: tuple) -> np.ndarray:
-    """np.empty(shape), or, given a `work` dict, a view of the buffer it keeps
-    under `name` (grown when too small), so that repeated calls reuse memory."""
-    if work is None:
-        return np.empty(shape)
-    size = math.prod(shape)
-    buf = work.get(name)
-    if buf is None or buf.size < size:
-        buf = work[name] = np.empty(size)
-    return buf[:size].reshape(shape)
 
 
 def check_window(frames: np.ndarray, incidence: np.ndarray, interval: int) -> None:
@@ -115,7 +101,9 @@ def fill_rows(frames: np.ndarray, incidence: np.ndarray, interval: int, pick: np
     np.matmul(np.swapaxes(bones_ab, -1, -2), bones_ab,
               out=psi_ab.reshape(psi_ab.shape[:-1] + (m, m)))            # ... x n x M x M
     psi_flat, phi_flat = rows[..., :u], rows[..., u:2 * u]
-    # mode "clip" (every slot is in range) lets np.take write `out` directly
+    # mode "clip" (every slot is in range) lets np.take write a C-contiguous `out`
+    # directly; this `out` is a strided view of rows, so numpy fills a temporary
+    # of the whole block and copies it back
     np.take(psi_ab, pick, axis=-1, mode="clip", out=psi_flat[..., a:b, :])
     end = min(b, t - i)               # frames a..end-1 have a Phi
     own = min(end, b - i)             # a..own-1 diff against Psi inside a..b-1

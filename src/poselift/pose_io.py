@@ -33,6 +33,7 @@ def parse_topology(text: str) -> SkeletonTopology:
     cylinders = []
     head = None
     torso = None
+    line_of = {}                      # line of the head and torso lines
 
     def idx(name):
         try:
@@ -46,6 +47,11 @@ def parse_topology(text: str) -> SkeletonTopology:
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in ("head", "torso"):
+            if kind in line_of:
+                raise TopologyError(f"line {lineno}: repeated {kind} line; the first is "
+                                    f"line {line_of[kind]}")
+            line_of[kind] = lineno
         try:
             if kind == "keypoint" and len(parts) == 2:
                 names.append(parts[1])
@@ -122,7 +128,8 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
     The header is the base columns, optionally followed by `action`, at
     least one row follows it, every row has one parseable field per column,
     finite coordinates and a confidence in [0, 1] (exactly 0 on a masked 2D
-    row), and a `scale_mm` comment holds a finite number > 0;
+    row), a `scale_mm` comment holds a finite number > 0, and no comment
+    key comes twice;
     InvalidInputError names the file (and line) that breaks this.
 
     A complete table of n rows holds frames 0 .. n/K - 1, so each row goes
@@ -130,12 +137,16 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
     slot lies outside them is a stray, which only a table with a frame gap
     or a missing record has.
     """
-    meta, n = {}, -1                  # n counts the rows after the header
+    meta, line_of, n = {}, {}, -1     # n counts the rows after the header
     for lineno, s in _lines(path):
         if not s.startswith("#"):
             n += 1
         elif "=" in s:
             key, val = (p.strip() for p in s[1:].split("=", 1))
+            if key in line_of:
+                raise InvalidInputError(f"{path}:{lineno}: repeated '# {key}' comment; the "
+                                        f"first is line {line_of[key]}")
+            line_of[key] = lineno
             meta[key] = _scale_mm(path, lineno, val) if key == "scale_mm" else val
     base, rows = _columns(dim), _lines(path)
     lineno, text = next(((i, s) for i, s in rows if not s.startswith("#")), (1, ""))
@@ -252,16 +263,20 @@ def write_json(path, obj) -> None:
 # ---------------------------------------------------------------- configs
 
 def parse_config(text: str) -> dict:
-    """Flat `key = value` lines, '#' comments. Values stay strings."""
-    out = {}
+    """Flat `key = value` lines, '#' comments. Values stay strings; a key set
+    twice is a ConfigError."""
+    out, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (p.strip() for p in line.split("=", 1))
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: config key {key} is set again; the first "
+                              f"is line {line_of[key]}")
+        line_of[key], out[key] = lineno, val
     return out
 
 

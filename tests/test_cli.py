@@ -649,6 +649,15 @@ def test_config_key_census():
     assert set(_keys(ExperimentConfig)) == CONFIG_KEYS
 
 
+def test_a_config_that_repeats_a_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("synth.seed = 1\nsynth.n_sequences = 2\nsynth.seed = 2\n")
+    assert run("synth-gen", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == ("poselift synth-gen: ConfigError: line 3: config key "
+                                       "synth.seed is set again; the first is line 1\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, key", [
     ("synth-gen", "synth.crop_px"), ("synth-gen", "eval_synth.crop_px"),
     ("augment", "occ.crop_px"), ("synth-gen", "eval_occlusion.crop_px"),

@@ -1,3 +1,4 @@
+import importlib.resources
 import re
 from typing import Optional
 
@@ -324,6 +325,42 @@ def test_topology_parse_errors():
         parse_topology("keypoint pelvis\nwhatnot pelvis\n")
     with pytest.raises(TopologyError):
         parse_topology("keypoint pelvis\nkeypoint a\nbone pelvis a 50\n")  # no head/torso
+
+
+DEFAULT_TOPO_TEXT = importlib.resources.files("poselift.data").joinpath("h36m17.topo").read_text()
+
+
+@pytest.mark.parametrize("line, first", [("head pelvis spine", 43),
+                                         ("torso pelvis hip_l hip_r spine neck", 44)])
+def test_topology_with_a_repeated_head_or_torso_line_is_an_error(line, first):
+    # the default topology's head and torso lines sit at lines 43 and 44
+    text = DEFAULT_TOPO_TEXT.rstrip("\n") + "\n" + line + "\n"
+    last = len(text.splitlines())
+    kind = line.split()[0]
+    with pytest.raises(TopologyError, match=re.escape(
+            f"line {last}: repeated {kind} line; the first is line {first}")):
+        parse_topology(text)
+
+
+def test_config_with_a_repeated_key_is_an_error():
+    with pytest.raises(ConfigError, match=re.escape(
+            "line 3: config key seed is set again; the first is line 1")):
+        parse_config("seed = 1\n# comment\nseed = 2\n")
+    with pytest.raises(ConfigError, match="line 2: config key iso.sigma is set again"):
+        parse_config("iso.sigma = 1\n iso.sigma=1   # same value, still twice\n")
+
+
+@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
+@pytest.mark.parametrize("key", ["scale_mm", "root_relative"])
+def test_read_pose_rejects_a_repeated_comment_key(tmp_path, topo, read, dim, key):
+    header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
+    path = tmp_path / "twice.pose"
+    value = {"scale_mm": ("2000", "1000"), "root_relative": ("1", "0")}[key]
+    path.write_text(f"# {key} = {value[0]}\n# note = kept\n# {key} = {value[1]}\n" + header
+                    + table_rows(dim, [0], topo.keypoint_names))
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}:3: repeated '# {key}' comment; the first is line 1")):
+        read(path, topo)
 
 
 def test_config_parse():

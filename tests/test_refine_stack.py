@@ -21,7 +21,7 @@ import poselift.iso as iso
 from poselift import parallel
 from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
-from poselift.errors import InvalidWindowError
+from poselift.errors import InvalidInputError, InvalidWindowError
 from poselift.iso import (WEIGHT_MODES, CalibratedConfidence, IsoConfig, compute_weights,
                           fit_projection, refine, refine_many)
 from poselift.pose_io import default_topology
@@ -185,6 +185,30 @@ def test_refine_builds_no_tensor(monkeypatch):
     assert made
 
 
+def test_refine_many_builds_each_result_from_its_stack_row(monkeypatch):
+    # no input window is copied only to have its frames replaced; visibility
+    # and actions are still the result's own copies
+    pairs = [window(24, seed=22), window(24, seed=23), window(31, seed=24)]
+    cfg = cfg_of(iterations=30)
+    want = [refine_graph(init, det, SCORERS[1], cfg) for init, det, _ in pairs]
+    rng = np.random.default_rng(25)
+    poses = [PoseSequence3D(init.frames, rng.random(init.frames.shape[:2]) < 0.9, i != 1,
+                            None if i == 2 else [f"a{i}"] * init.T)
+             for i, (init, _, _) in enumerate(pairs)]
+
+    def no_copy(self):
+        raise AssertionError("refine_many copied an input window")
+
+    monkeypatch.setattr(PoseSequence3D, "copy", no_copy)
+    got = refine_many(poses, [p[1] for p in pairs], SCORERS[1], cfg)
+    for (out, trace), (want_pose, want_trace), pose in zip(got, want, poses, strict=True):
+        assert np.array_equal(out.frames, want_pose.frames) and trace == want_trace
+        assert np.array_equal(out.visibility, pose.visibility)
+        assert out.visibility is not pose.visibility
+        assert out.root_relative == pose.root_relative and out.actions == pose.actions
+        assert pose.actions is None or out.actions is not pose.actions
+
+
 # ------------------------------------------------------------ threads
 #
 # refine_many deals each length's windows into at least as many stacks as
@@ -295,20 +319,32 @@ def test_refine_many_on_threads_raises_the_first_failing_stack(monkeypatch, core
 
 def test_workspace_holds_every_kernel_buffer(one_blas_thread):
     scorer = SCORERS[1]
-    # a full stack, then one window of it, as after two windows abort; then a
-    # long window in two parts, which keep all they write in the same buffers
-    for lead, stacks, parts in (
-            ((3, 24), [np.stack([STACKED[i][0].frames for i in (0, 2, 3)]),
-                       STACKED[0][0].frames[None]], 1),
-            ((1, 480), [LONG[0][0].frames[None]], 2)):
+    # a full stack; then a long window unsplit, in two parts and unsplit
+    # again, which keep all they write in the same buffers
+    for lead, stack, parts in (
+            ((3, 24), np.stack([STACKED[i][0].frames for i in (0, 2, 3)]), (1,)),
+            ((1, 480), LONG[0][0].frames[None], (1, 2, 1))):
         work = scorer.workspace(lead)
         held = dict(work)
-        for stack in stacks:
-            got = scorer.energies_and_grad(stack, 0.1, work, parts)
-            want = scorer.energies_and_grad(stack, 0.1)
+        want = scorer.energies_and_grad(stack, 0.1)
+        for p in parts:
+            got = scorer.energies_and_grad(stack, 0.1, work, p)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert work.keys() == held.keys()
         assert all(work[name] is held[name] for name in held)
+
+
+def test_a_workspace_of_another_shape_is_refused():
+    scorer = SCORERS[1]
+    stack = np.stack([STACKED[i][0].frames for i in (0, 2, 3)])       # 3 x 24 x K x 3
+    # one window fewer, then a longer T, whose buffers would take every out=
+    for lead in ((2, 24), (3, 25)):
+        with pytest.raises(InvalidInputError, match=rf"workspace buffer 'bones' is "
+                           rf"\({lead[0]}, {lead[1]}, 3, \d+\), but a \(3, 24, 17, 3\) "
+                           rf"stack needs \(3, 24, 3, \d+\)"):
+            scorer.energies_and_grad(stack, 0.1, scorer.workspace(lead))
+    with pytest.raises(InvalidInputError, match="workspace buffer 'bones' is missing"):
+        scorer.energies_and_grad(stack, 0.1, {})
 
 
 # ------------------------------------------------------------ split kernel
