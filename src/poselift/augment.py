@@ -37,6 +37,8 @@ class OcclusionConfig:
                 raise ConfigError(f"{name}={v} outside [0,1]")
         if self.l < 2:
             raise ConfigError("l must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
 
 
 def _rng_for(cfg: OcclusionConfig, rng):

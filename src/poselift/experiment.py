@@ -49,6 +49,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.out_dir:
             raise ConfigError("out_dir must be set")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.aug_copies < 1:
@@ -74,6 +76,9 @@ def _occluded_copy(seq: SyntheticSequence, occ: OcclusionConfig, topo, rng) -> S
 
 
 def _read_eval_pairs(data_dir: Path, topo) -> list:
+    for det_path in sorted(data_dir.glob("*_det.pose2d")):
+        if not det_path.with_name(det_path.name.replace("_det.pose2d", "_gt.pose3d")).exists():
+            raise InvalidInputError(f"no ground truth for {det_path.name}")
     pairs = []
     for gt_path in sorted(data_dir.glob("*_gt.pose3d")):
         det_path = gt_path.with_name(gt_path.name.replace("_gt.pose3d", "_det.pose2d"))

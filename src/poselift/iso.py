@@ -28,10 +28,10 @@ the stack starts once for its whole descent and joins when it ends. That
 happens only where BLAS runs each product on one thread; a threaded BLAS
 already spreads the products over the cores, and cuts of its products do not
 keep their bits.
-The loss is composed once, in _Objective. The public Tensor nodes
-rep_loss and iso_loss are one-window calls of it, and compute_weights
-returns its weights, so the nodes that tests check by finite differences
-run the arithmetic that refine descends.
+The loss is composed once, in _Objective. The public Tensor node iso_loss
+is a one-window call of it, rep_loss is iso_loss with no scorer and both
+lambdas at 0, and compute_weights returns its weights, so the nodes that
+tests check by finite differences run the arithmetic that refine descends.
 """
 
 from __future__ import annotations
@@ -256,22 +256,6 @@ def _lift_window(pose) -> Tensor:
     return x
 
 
-def _one_window(pose, det2d, scorer, cfg, scale, translation, weights) -> tuple:
-    """(x, rep, gen, smooth, gradient): a one-window _Objective call at the fit,
-    the unweighted one if not given, with given weights held fixed."""
-    x = _lift_window(pose)
-    if x.shape[0] != det2d.T or x.shape[1] != det2d.K:
-        raise InvalidInputError("3D window and detections must match in T and K")
-    if scale is None or translation is None:
-        scale, translation = fit_projection(x.data, det2d)
-    objective = _Objective([det2d], scorer, cfg, 1)
-    if weights is not None:
-        objective.fixed = np.asarray(weights, dtype=np.float64)
-    rep, gen, smooth, grad = objective(x.data[None], np.array([scale], float),
-                                       np.asarray(translation)[None])
-    return x, rep[0], gen[0], smooth[0], grad[0]
-
-
 def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
                     scale: float, trans: np.ndarray) -> np.ndarray:
     """T x K reprojection weights, read from the mapped confidences when a
@@ -284,15 +268,15 @@ def compute_weights(frames3d: np.ndarray, det2d: PoseSequence2D, cfg: IsoConfig,
 def rep_loss(pose, det2d: PoseSequence2D, cfg: IsoConfig, scale: float = None,
              translation: np.ndarray = None, weights: np.ndarray = None) -> Tensor:
     """Weighted squared reprojection error, crop pixels, summed over T and K:
-    the rep part of iso_loss with both lambdas at 0, as one node.
+    iso_loss with no scorer and both lambdas at 0, whose value is its rep
+    part wherever the window's smoothness sum is finite.
 
     Weights are held constant inside each gradient step: they are computed
     from the current coordinates but the gradient does not flow through
     them, so distance-dependent modes cannot inflate their own distances.
     """
-    cfg = replace(cfg, lambda1=0.0, lambda2=0.0)
-    x, rep, _, _, grad = _one_window(pose, det2d, None, cfg, scale, translation, weights)
-    return Tensor(rep, (x,), lambda out: x._accumulate(grad * out.grad))
+    return iso_loss(pose, det2d, None, replace(cfg, lambda1=0.0, lambda2=0.0), scale,
+                    translation, weights)
 
 
 def smooth_loss(pose) -> Tensor:
@@ -312,11 +296,22 @@ def iso_loss(pose, det2d: PoseSequence2D, scorer, cfg: IsoConfig,
              scale: float = None, translation: np.ndarray = None,
              weights: np.ndarray = None) -> Tensor:
     """L_rep + lambda1 * L_gen + lambda2 * smoothness, as one scalar node: the
-    loss and gradient that refine descends, at the given fit and weights
-    (see rep_loss). The realness term needs a scorer and lambda1 > 0."""
-    x, rep, gen, smooth, grad = _one_window(pose, det2d, scorer, cfg, scale, translation, weights)
-    return Tensor(rep + cfg.lambda1 * gen + cfg.lambda2 * smooth, (x,),
-                  lambda out: x._accumulate(grad * out.grad))
+    loss and gradient that refine descends, a one-window _Objective call at
+    the fit (scale, translation), the unweighted one if not given, with the
+    given weights held fixed (see rep_loss). The realness term needs a
+    scorer and lambda1 > 0."""
+    x = _lift_window(pose)
+    if x.shape[0] != det2d.T or x.shape[1] != det2d.K:
+        raise InvalidInputError("3D window and detections must match in T and K")
+    if scale is None or translation is None:
+        scale, translation = fit_projection(x.data, det2d)
+    objective = _Objective([det2d], scorer, cfg, 1)
+    if weights is not None:
+        objective.fixed = np.asarray(weights, dtype=np.float64)
+    rep, gen, smooth, grad = objective(x.data[None], np.array([scale], float),
+                                       np.asarray(translation)[None])
+    return Tensor(rep[0] + cfg.lambda1 * gen[0] + cfg.lambda2 * smooth[0], (x,),
+                  lambda out: x._accumulate(grad[0] * out.grad))
 
 
 # ------------------------------------------------------------ refinement

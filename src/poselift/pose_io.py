@@ -6,6 +6,7 @@ Pose tables are plain CSV with a header. 3D:
 Header comment lines (before the CSV header) carry container metadata:
     # scale_mm = 2000
     # root_relative = 1
+Any other `# key = value` comment is an error; a comment with no `=` is free text.
 """
 
 from __future__ import annotations
@@ -103,7 +104,18 @@ def _columns(dim: int) -> list:
     return ["frame", "keypoint", "x", "y", "z"][:2 + dim] + ["conf", "mask"]
 
 
-def _scale_mm(path, lineno: int, text: str) -> float:
+def _meta_value(path, lineno: int, key: str, text: str):
+    """The value of a pose table's `# key = value` comment: `scale_mm` holds a
+    finite number > 0, `root_relative` one of the mask column's spellings,
+    and no other key is known."""
+    if key == "root_relative":
+        if text not in _MASK:
+            raise InvalidInputError(f"{path}:{lineno}: root_relative = {text} is not one of "
+                                    + "/".join(_MASK))
+        return _MASK[text]
+    if key != "scale_mm":
+        raise InvalidInputError(f"{path}:{lineno}: unknown comment key {key!r}; a pose "
+                                "table knows scale_mm and root_relative")
     try:
         scale = float(text)
     except ValueError:
@@ -128,9 +140,10 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
     The header is the base columns, optionally followed by `action`, at
     least one row follows it, every row has one parseable field per column,
     finite coordinates and a confidence in [0, 1] (exactly 0 on a masked 2D
-    row), a `scale_mm` comment holds a finite number > 0, and no comment
-    key comes twice;
-    InvalidInputError names the file (and line) that breaks this.
+    row), every `# key = value` comment is a `scale_mm` holding a finite
+    number > 0 or a `root_relative` spelled as the mask column spells a
+    boolean, and no comment key comes twice; a comment with no `=` is free
+    text. InvalidInputError names the file (and line) that breaks this.
 
     A complete table of n rows holds frames 0 .. n/K - 1, so each row goes
     straight to slot frame * K + keypoint of arrays sized n. A row whose
@@ -147,7 +160,7 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
                 raise InvalidInputError(f"{path}:{lineno}: repeated '# {key}' comment; the "
                                         f"first is line {line_of[key]}")
             line_of[key] = lineno
-            meta[key] = _scale_mm(path, lineno, val) if key == "scale_mm" else val
+            meta[key] = _meta_value(path, lineno, key, val)
     base, rows = _columns(dim), _lines(path)
     lineno, text = next(((i, s) for i, s in rows if not s.startswith("#")), (1, ""))
     header = text.split(",")
@@ -233,8 +246,8 @@ def _write_table(path, meta: list, coords, conf, mask, actions, topo: SkeletonTo
 def read_pose3d(path, topo: SkeletonTopology) -> PoseSequence3D:
     meta, coords, conf, mask, actions = _read_table(path, 3, topo)
     vis = ~mask if mask.any() else None
-    root_rel = meta.get("root_relative", "1") not in ("0", "false", "False")
-    return PoseSequence3D(coords, visibility=vis, root_relative=root_rel, actions=actions)
+    return PoseSequence3D(coords, visibility=vis, root_relative=meta.get("root_relative", True),
+                          actions=actions)
 
 
 def write_pose3d(path, pose: PoseSequence3D, topo: SkeletonTopology) -> None:

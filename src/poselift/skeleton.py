@@ -34,6 +34,16 @@ class CylinderSpec:
 
 @dataclass(frozen=True)
 class SkeletonTopology:
+    """A keypoint tree rooted at `root_name`, its bone radii and body cylinders.
+
+    Building one checks that the bones form a tree: every keypoint but the
+    root has one parent, and a walk from the root reaches every bone. That
+    walk's order is kept as `bone_order`, the bone indices parent first:
+    each bone comes after the bone that places its parent keypoint, so
+    forward kinematics can place the bones in that order whatever order
+    the bone lines come in.
+    """
+
     keypoint_names: tuple
     bones: tuple            # (parent_index, child_index) pairs
     radii: np.ndarray       # per-bone cylinder radius, mm
@@ -41,6 +51,7 @@ class SkeletonTopology:
     torso: tuple            # (neck, shoulder_l, shoulder_r, hip_l, hip_r) indices
     cylinders: tuple = ()   # CylinderSpec list, the ten-part body decomposition
     root_name: str = "pelvis"
+    bone_order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.keypoint_names)
@@ -55,7 +66,8 @@ class SkeletonTopology:
         if np.any(radii <= 0):
             raise TopologyError("all bone radii must be > 0")
         object.__setattr__(self, "radii", radii)
-        # tree check: every non-root keypoint has exactly one parent, no cycles
+        # tree check: every non-root keypoint has exactly one parent, and the
+        # walk from the root, which is the bone order, reaches every bone
         if self.root_name not in self.keypoint_names:
             raise TopologyError(f"root keypoint {self.root_name!r} missing")
         root = self.keypoint_names.index(self.root_name)
@@ -64,16 +76,14 @@ class SkeletonTopology:
             raise TopologyError("root keypoint has a parent")
         if len(parent) != len(self.bones):
             raise TopologyError("keypoint with two parents; bone graph is not a tree")
-        for c in parent:
-            seen = {c}
-            node = c
-            while node != root:
-                if node not in parent:
-                    raise TopologyError(f"keypoint {self.keypoint_names[node]} not connected to root")
-                node = parent[node]
-                if node in seen:
-                    raise TopologyError("cycle in bone graph")
-                seen.add(node)
+        order = [m for m, (p, _) in enumerate(self.bones) if p == root]
+        for m in order:                 # the list grows as the walk goes
+            order += [n for n, (p, _) in enumerate(self.bones) if p == self.bones[m][1]]
+        if len(order) < len(self.bones):
+            # a keypoint off the walk hangs from a parentless keypoint or a cycle
+            stray = min(set(parent) - {self.bones[m][1] for m in order})
+            raise TopologyError(f"keypoint {self.keypoint_names[stray]} not connected to root")
+        object.__setattr__(self, "bone_order", tuple(order))
         for spec in self.cylinders:
             for idx in (spec.top, spec.bottom):
                 if not (0 <= idx < k):

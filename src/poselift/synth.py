@@ -80,6 +80,8 @@ class SyntheticMotionConfig:
             raise ConfigError("speed multipliers must be > 0")
         if not 0.0 <= self.mask_occluded_prob <= 1.0:
             raise ConfigError(f"mask_occluded_prob={self.mask_occluded_prob} outside [0,1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
 
 
 @dataclass
@@ -140,31 +142,15 @@ def _fk(topo: SkeletonTopology, offsets: np.ndarray, rotvecs: np.ndarray,
         global_rots: np.ndarray) -> np.ndarray:
     """Forward kinematics: rotvecs (T, M, 3) local, global_rots (T, 3, 3).
 
-    All frames at once; the loop runs over the bones in parent order.
+    All frames at once; the loop places the bones in topo.bone_order, each
+    after the bone that places its parent.
     """
     frames = np.zeros((rotvecs.shape[0], topo.K, 3))
-    # bones are listed parent-before-child in the topology file; verify once
-    placed = {topo.root_index}
-    order = []
-    pending = list(range(topo.M))
-    while pending:
-        progressed = False
-        for m in list(pending):
-            p, _ = topo.bones[m]
-            if p in placed:
-                order.append(m)
-                placed.add(topo.bones[m][1])
-                pending.remove(m)
-                progressed = True
-        if not progressed:
-            raise ConfigError("bone list is not topologically ordered from the root")
-    parent_of_bone = {c: m for m, (p, c) in enumerate(topo.bones)}
     local = _rodrigues(rotvecs)                     # T x M x 3 x 3
-    rots = {None: np.eye(3)}
-    for m in order:
+    rots = {topo.root_index: np.eye(3)}             # per placed keypoint
+    for m in topo.bone_order:
         p, c = topo.bones[m]
-        g = rots[parent_of_bone.get(p)] @ local[:, m]
-        rots[m] = g
+        g = rots[c] = rots[p] @ local[:, m]
         frames[:, c] = frames[:, p] + g @ offsets[m]
     return frames @ global_rots.transpose(0, 2, 1)
 

@@ -138,8 +138,8 @@ def _conv_layer(x, taps, bias, s) -> np.ndarray:
 
 
 def _branch_forward(x, weights, s) -> list:
-    """The layers of one stride-`s` branch over its input rows `x`, kept for
-    its backward: per layer (input, output, taps, bias)."""
+    """The layers of one stride-`s` branch over its input rows `x`, which
+    forward keeps for its backward: per layer (input, output, taps, bias)."""
     layers = []
     for taps, bias in weights:
         y = _conv_layer(x, [w.data for w in taps], bias.data, s)
@@ -320,12 +320,12 @@ class TcnModel:
 
         This is the training path: the whole lifter is one graph node over
         the embeddings and every branch and head parameter, and it keeps
-        every layer for its backward. The layers are _conv_layer, as in
-        predict_sequence, which records nothing. The backward folds the
-        leading axes into rows, so each tap's weight gradient is one
-        (rows, C_in)^T @ (rows, C_out) product. It adds input gradients into
-        zeroed arrays last tap first and last branch first: the order of the
-        graph with one node per op.
+        every layer of its branch pass (_pass) for its backward.
+        predict_sequence runs the same pass on plain arrays and records
+        nothing. The backward folds the leading axes into rows, so each
+        tap's weight gradient is one (rows, C_in)^T @ (rows, C_out) product.
+        It adds input gradients into zeroed arrays last tap first and last
+        branch first: the order of the graph with one node per op.
 
         A wide forward (see branch_groups) runs its stride branches on
         parallel.run threads, one group of branches per thread, and so does
@@ -343,13 +343,8 @@ class TcnModel:
                 f"got shape {r.shape}")
         if r.shape[-1] != cfg.branch_input_dim:
             raise InvalidInputError(f"embedding dim {r.shape[-1]} does not match config")
-        branches = self._branches(centers)
         groups = self.branch_groups(math.prod(r.shape[:-1]), centers)
-        # per branch: (input, output, taps, bias) per layer
-        layers = _per_branch(groups, lambda bi: _branch_forward(
-            r.data[..., branches[bi][1], :], branches[bi][2], branches[bi][0]))
-        fused = np.concatenate([branch[-1][1] for branch in layers], axis=-1)
-        out = self._head(fused)
+        branches, layers, fused, out = self._pass(r.data, centers, groups)
         params = self._params
         head_w, head_b = params["head.w"], params["head.b"]
 
@@ -371,20 +366,21 @@ class TcnModel:
         parents = (r, *(p for name, p in params.items() if not name.startswith("embed.")))
         return Tensor(out.reshape(lead + (cfg.n_keypoints, 3)), parents, back)
 
+    def _pass(self, r: np.ndarray, centers: int, groups: list) -> tuple:
+        """The branch pass over embedding rows `r` (arrays), its branches
+        run by `groups` (see branch_groups): (the branches, see _branches;
+        per branch its layers, (input, output, taps, bias) per layer; the
+        concatenated branch outputs; the head outputs)."""
+        branches = self._branches(centers)
+        layers = _per_branch(groups, lambda bi: _branch_forward(
+            r[..., branches[bi][1], :], branches[bi][2], branches[bi][0]))
+        fused = np.concatenate([branch[-1][1] for branch in layers], axis=-1)
+        return branches, layers, fused, self._head(fused)
+
     def _lift(self, r: np.ndarray, centers: int) -> np.ndarray:
         """forward's head outputs (centers x 3K) over plain embedding rows
-        `r`, recording nothing and keeping no layer."""
-        branches = self._branches(centers)
-
-        def branch(bi):
-            s, rows, weights = branches[bi]
-            x = r[rows]
-            for taps, bias in weights:
-                x = _conv_layer(x, [w.data for w in taps], bias.data, s)
-            return x
-
-        groups = self.branch_groups(len(r), centers)
-        return self._head(np.concatenate(_per_branch(groups, branch), axis=-1))
+        `r`, recording nothing; the pass's layers go when this returns."""
+        return self._pass(r, centers, self.branch_groups(len(r), centers))[-1]
 
     def branch_groups(self, rows: int, centers: int) -> list:
         """The branch indices each thread of a forward over `rows` embedding
@@ -414,9 +410,11 @@ class TcnModel:
 
         Records nothing: builds the T x 4K frame inputs once, then embeds and
         lifts the centers in even chunks of at most PREDICT_CHUNK, each from
-        its own chunk + window_len - 1 edge-padded rows, on plain arrays with
-        forward's layers, into one T x K x 3 array. Wide chunks run their
-        branches on threads as forward does, all on one parallel.team.
+        its own chunk + window_len - 1 edge-padded rows, into one T x K x 3
+        array. Each chunk runs forward's branch pass (_pass) on plain arrays
+        and holds its layers only until its head outputs are written. Wide
+        chunks run their branches on threads as forward does, all on one
+        parallel.team.
 
         A sequence of at most PREDICT_CHUNK frames is one chunk, with the very
         products of forward over the whole sequence. Longer ones cut each
@@ -587,6 +585,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr_decay <= 0:
             raise ConfigError("lr_decay must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
 
 
 def _matrices(augs) -> np.ndarray:

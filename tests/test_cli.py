@@ -319,12 +319,23 @@ def test_iso_refine_ground_truth_of_other_length_exits_2(sample_files, tmp_path,
     ("aug_copies", 0, "aug_copies must be >= 1"),
     ("scorer_interval", 0, "scorer_interval must be >= 1"),
     ("data_dir", "no-such-data-dir", "data_dir 'no-such-data-dir' does not exist"),
+    ("seed", -1, "seed=-1 must be >= 0"),
+    ("synth.seed", -5, "synth.seed=-5 must be >= 0"),
+    ("eval_synth.seed", -5, "eval_synth.seed=-5 must be >= 0"),
+    ("eval_occlusion.seed", -5, "eval_occlusion.seed=-5 must be >= 0"),
 ])
 def test_section_range_error_names_the_key(tmp_path, capsys, key, value, named):
     cfg = write_cfg(tmp_path / "bad.cfg", **{key: value})
     assert run("synth-gen", "--config", cfg, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"ConfigError: {named}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["synth-gen", "train", "run-experiment"])
+def test_a_negative_seed_flag_exits_2_before_making_the_out_dir(tmp_path, capsys, command):
+    assert run(command, "--seed", -1, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"poselift {command}: ConfigError: seed=-1 must be >= 0\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -611,6 +622,17 @@ def test_run_experiment_on_a_bad_data_dir_exits_2_after_the_synth_stage(
     # the data dir holds one ground-truth pose file, under `name`, and no detections
     run_experiment_on_data_dir(
         tmp_path, capsys, {name: (sample_files / "seq00_v0_gt.pose3d").read_text()}, named)
+
+
+def test_run_experiment_on_a_data_dir_with_an_orphaned_detection_file_exits_2(
+        sample_files, tmp_path, capsys):
+    # two detection files and one ground-truth file: the detections of `b` have no pair
+    det = (sample_files / "seq00_v0_det.pose2d").read_text()
+    run_experiment_on_data_dir(
+        tmp_path, capsys,
+        {"a_gt.pose3d": (sample_files / "seq00_v0_gt.pose3d").read_text(),
+         "a_det.pose2d": det, "b_det.pose2d": det},
+        "InvalidInputError: no ground truth for b_det.pose2d")
 
 
 def test_run_experiment_on_eval_pairs_of_unequal_length_exits_2_after_the_synth_stage(

@@ -5,11 +5,13 @@ import dataclasses
 import hashlib
 import importlib.resources
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from poselift import experiment
 from poselift.augment import OcclusionConfig
 from poselift.errors import ConfigError, InvalidInputError
 from poselift.experiment import (ExperimentConfig, ladder_experiment,
@@ -212,6 +214,20 @@ def test_run_experiment_reads_eval_pairs_from_data_dir(tmp_path):
     # the copied eval pair round-trips bit-identically through the text format
     assert manifest["files"]["eval00_gt.pose3d"] == \
         json.loads((first / "manifest.json").read_text())["files"]["eval00_gt.pose3d"]
+
+
+def test_a_detection_file_with_no_ground_truth_is_an_error(tmp_path):
+    # two detection files beside one ground-truth file: the orphan is named,
+    # not skipped
+    data = mixed_length_data(tmp_path / "data")
+    (data / "b_gt.pose3d").unlink()
+    cfg = tiny_config(tmp_path / "out", data_dir=str(data))
+    with pytest.raises(InvalidInputError, match=re.escape("no ground truth for b_det.pose2d")):
+        experiment._read_eval_pairs(data, TOPO)
+    with pytest.raises(InvalidInputError, match="no ground truth for b_det.pose2d"):
+        run_experiment(cfg, TOPO)
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "failure"]["stage"] == "synth"
 
 
 def mixed_length_data(data):

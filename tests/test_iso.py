@@ -1,5 +1,7 @@
 """Inference-stage refinement tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter1d
@@ -346,6 +348,28 @@ def test_iso_loss_reduces_to_rep_loss():
     cfg = IsoConfig(weight_mode="constant", lambda1=0.0, lambda2=0.0)
     assert iso_loss(gt.frames, det, None, cfg).item() == pytest.approx(
         rep_loss(gt.frames, det, cfg).item(), rel=1e-15)
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("fit", [False, True])
+def test_rep_loss_is_iso_loss_with_no_scorer_and_zero_lambdas(mode, fit):
+    gt = gt_window(2, 12)
+    rng = np.random.default_rng(12)
+    det, _ = corrupt_detections(gt, rng)
+    frames = gt.frames + smooth_perturbation(rng, gt.frames.shape)
+    cfg = IsoConfig(weight_mode=mode, sigma=1.3, lambda1=0.2, lambda2=0.07,
+                    calibration=CalibratedConfidence(1.4, -0.2))
+    kw = {}
+    if fit:
+        kw = dict(scale=0.9 / SCALE_MM, translation=rng.uniform(0.4, 0.6, (12, 2)),
+                  weights=rng.uniform(0.0, 1.0, (12, TOPO.K)))
+    x, y = (Tensor(frames.copy(), requires_grad=True) for _ in range(2))
+    got = rep_loss(x, det, cfg, **kw)
+    want = iso_loss(y, det, None, dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0), **kw)
+    assert got.data.tobytes() == want.data.tobytes()
+    got.backward()
+    want.backward()
+    assert x.grad.tobytes() == y.grad.tobytes() and np.any(x.grad != 0.0)
 
 
 def test_iso_loss_static_perfect_sequence_is_gen_only():

@@ -356,11 +356,38 @@ def test_read_pose_rejects_a_repeated_comment_key(tmp_path, topo, read, dim, key
     header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
     path = tmp_path / "twice.pose"
     value = {"scale_mm": ("2000", "1000"), "root_relative": ("1", "0")}[key]
-    path.write_text(f"# {key} = {value[0]}\n# note = kept\n# {key} = {value[1]}\n" + header
+    path.write_text(f"# {key} = {value[0]}\n# a free-text note\n# {key} = {value[1]}\n" + header
                     + table_rows(dim, [0], topo.keypoint_names))
     with pytest.raises(InvalidInputError, match=re.escape(
             f"{path}:3: repeated '# {key}' comment; the first is line 1")):
         read(path, topo)
+
+
+@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
+@pytest.mark.parametrize("line, named", [
+    ("# scalemm = 2000", ":2: unknown comment key 'scalemm'"),
+    ("# note = kept", ":2: unknown comment key 'note'"),
+    ("# root_relative = no", ":2: root_relative = no is not one of 0/false/False/1/true/True"),
+    ("# root_relative = ", ":2: root_relative =  is not one of"),
+    ("# root_relative = TRUE", ":2: root_relative = TRUE is not one of"),
+])
+def test_read_pose_rejects_an_unknown_comment_key_or_value(tmp_path, topo, read, dim, line,
+                                                            named):
+    header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
+    path = tmp_path / "odd.pose"
+    path.write_text("# a free-text comment, no key\n" + line + "\n" + header
+                    + table_rows(dim, [0], topo.keypoint_names))
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}{named}")):
+        read(path, topo)
+
+
+@pytest.mark.parametrize("text, want", [("0", False), ("false", False), ("False", False),
+                                        ("1", True), ("true", True), ("True", True)])
+def test_root_relative_takes_the_table_boolean_spellings(tmp_path, topo, text, want):
+    path = tmp_path / "pose.pose3d"
+    path.write_text(f"# root_relative = {text}\nframe,keypoint,x,y,z,conf,mask\n"
+                    + table_rows(3, [0], topo.keypoint_names))
+    assert read_pose3d(path, topo).root_relative is want
 
 
 def test_config_parse():

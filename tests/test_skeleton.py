@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from poselift.skeleton import (
     rotation_matrix,
 )
 
+from poselift.synth import _fk, rest_offsets
+
 from conftest import random_cloud_pose
+from oracles import fk_per_frame
 
 
 # ------------------------------------------------------------- containers
@@ -30,6 +35,58 @@ def test_topology_rejects_cycle():
     with pytest.raises(TopologyError):
         SkeletonTopology(("pelvis", "a", "b"), ((0, 1), (1, 2), (2, 1)),
                          np.array([50.0, 50.0, 50.0]), (2, 1), (1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("bones, stray", [(((0, 1), (2, 3), (3, 2)), "b"),
+                                          (((0, 1), (2, 3)), "c")])
+def test_topology_rejects_bones_the_root_does_not_reach(bones, stray):
+    # a cycle b <-> c beside the tree, and a chain from the parentless b
+    with pytest.raises(TopologyError, match=f"keypoint {stray} not connected to root"):
+        SkeletonTopology(("pelvis", "a", "b", "c"), bones, np.full(len(bones), 50.0), (1, 0),
+                         (0, 0, 0, 0, 0))
+
+
+def shuffled_bones(topo, seed):
+    """`topo` with its bone lines (and their radii) in a random order."""
+    perm = np.random.default_rng(seed).permutation(topo.M)
+    return dataclasses.replace(topo, bones=tuple(topo.bones[m] for m in perm),
+                               radii=topo.radii[perm])
+
+
+def listed_parent_first(topo, order) -> bool:
+    """Whether each bone of `order` comes after the bone that places its parent."""
+    placed = {topo.root_index}
+    for m in order:
+        parent, child = topo.bones[m]
+        if parent not in placed:
+            return False
+        placed.add(child)
+    return True
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_bone_order_places_every_parent_first(topo, seed):
+    t = topo if seed is None else shuffled_bones(topo, seed)
+    assert sorted(t.bone_order) == list(range(t.M))
+    assert listed_parent_first(t, t.bone_order)
+    # the shuffled bone lines themselves are not parent first
+    assert listed_parent_first(t, range(t.M)) == (seed is None)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fk_of_shuffled_bone_lines_matches_the_per_frame_oracle(topo, seed):
+    t = shuffled_bones(topo, seed)
+    rng = np.random.default_rng(seed)
+    rotvecs = rng.normal(0.0, 0.5, size=(7, t.M, 3))
+    global_rots = rotation_matrix(rng.uniform(-0.2, 0.2, 7), rng.uniform(-np.pi, np.pi, 7), 0.0)
+    got = _fk(t, rest_offsets(t), rotvecs, global_rots)
+    want = fk_per_frame(t, rest_offsets(t), rotvecs, global_rots)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the same motion as on the bone lines in file order
+    perm = [topo.bones.index(bone) for bone in t.bones]
+    inverse = np.argsort(perm)
+    assert _fk(topo, rest_offsets(topo), rotvecs[:, inverse], global_rots).tobytes() \
+        == got.tobytes()
 
 
 def test_topology_rejects_nonpositive_radius():
