@@ -253,6 +253,10 @@ class KcsEnergyModel:
             interval = meta["interval"]
         except KeyError as e:
             raise InvalidInputError(f"{path}: kcs-energy checkpoint has no {e} entry") from None
+        extra = set(arrays) - {"mean", "precision", "incidence", "fit_energies"}
+        if extra:
+            raise InvalidInputError(f"{path}: kcs-energy checkpoint has unexpected arrays: "
+                                    f"{sorted(extra)}")
         k, m = incidence.shape if incidence.ndim == 2 else (0, 0)
         f = m * (m + 1) + 3 * k        # feature width: upper(Psi) | upper(Phi) | coords
         for name, fits, want in (

@@ -1,10 +1,17 @@
 """File formats: topology, pose tables, JSON artifacts, key=value configs, npz checkpoints.
 
+A topology file has four line kinds, '#' starting a comment:
+    keypoint <name>                           order defines the index
+    bone <parent> <child>                     kinematic tree edge
+    torso <neck> <shoulder_l> <shoulder_r>    keypoints of the torso-rule radius
+    cylinder <name> <top> <bottom> <radius_mm|torso>
 Pose tables are plain CSV with a header. 3D:
     frame,keypoint,x,y,z,conf,mask[,action]
 2D drops the z column. Coordinates are mm (3D) or normalized crop units (2D).
-Header comment lines (before the CSV header) carry container metadata:
+Header comment lines (before the CSV header) carry container metadata, one
+key per dimension: a 2D table's
     # scale_mm = 2000
+and a 3D table's
     # root_relative = 1
 Any other `# key = value` comment is an error; a comment with no `=` is free text.
 """
@@ -28,13 +35,15 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------- topology
 
 def parse_topology(text: str) -> SkeletonTopology:
-    names = []
-    bones = []
-    radii = []
-    cylinders = []
-    head = None
-    torso = None
-    line_of = {}                      # line of the head and torso lines
+    """The topology that a text of the module docstring's four line kinds describes.
+
+    A keypoint line precedes every line that names it, and the torso line
+    comes once. TopologyError names the line that breaks this or is of no
+    such form; for a line of the old form (a bone radius, a head line, a
+    torso line with hips) it gives the line to write instead.
+    """
+    names, bones, cylinders = [], [], []
+    torso = torso_line = None
 
     def idx(name):
         try:
@@ -48,32 +57,31 @@ def parse_topology(text: str) -> SkeletonTopology:
             continue
         parts = line.split()
         kind = parts[0]
-        if kind in ("head", "torso"):
-            if kind in line_of:
-                raise TopologyError(f"line {lineno}: repeated {kind} line; the first is "
-                                    f"line {line_of[kind]}")
-            line_of[kind] = lineno
-        try:
+        try:        # a TopologyError is a ValueError, so every error gets its line
             if kind == "keypoint" and len(parts) == 2:
                 names.append(parts[1])
-            elif kind == "bone" and len(parts) == 4:
+            elif kind == "bone" and len(parts) == 3:
                 bones.append((idx(parts[1]), idx(parts[2])))
-                radii.append(float(parts[3]))
-            elif kind == "head" and len(parts) == 3:
-                head = (idx(parts[1]), idx(parts[2]))
-            elif kind == "torso" and len(parts) == 6:
-                torso = tuple(idx(p) for p in parts[1:])
+            elif kind == "torso" and len(parts) == 4:
+                if torso is not None:
+                    raise TopologyError(f"repeated torso line; the first is line {torso_line}")
+                torso, torso_line = tuple(idx(p) for p in parts[1:]), lineno
             elif kind == "cylinder" and len(parts) == 5:
                 r = None if parts[4] == "torso" else float(parts[4])
                 cylinders.append(CylinderSpec(parts[1], idx(parts[2]), idx(parts[3]), r))
+            elif kind == "head" or (kind, len(parts)) in (("bone", 4), ("torso", 6)):
+                new = "no head line" if kind == "head" else repr(
+                    " ".join(parts[:3 if kind == "bone" else 4]))
+                raise TopologyError(f"{line!r} is in the old topology form, which held bone "
+                                    f"radii, a head line and the torso's hips; write {new} "
+                                    "instead")
             else:
                 raise TopologyError(f"unrecognized topology line: {raw!r}")
         except ValueError as exc:
             raise TopologyError(f"line {lineno}: {exc}") from None
-    if head is None or torso is None:
-        raise TopologyError("topology file must define head and torso lines")
-    return SkeletonTopology(tuple(names), tuple(bones), np.array(radii),
-                            head, torso, tuple(cylinders))
+    if torso is None:
+        raise TopologyError("topology file must define a torso line")
+    return SkeletonTopology(tuple(names), tuple(bones), torso, tuple(cylinders))
 
 
 def read_topology(path) -> SkeletonTopology:
@@ -104,18 +112,22 @@ def _columns(dim: int) -> list:
     return ["frame", "keypoint", "x", "y", "z"][:2 + dim] + ["conf", "mask"]
 
 
-def _meta_value(path, lineno: int, key: str, text: str):
-    """The value of a pose table's `# key = value` comment: `scale_mm` holds a
-    finite number > 0, `root_relative` one of the mask column's spellings,
-    and no other key is known."""
-    if key == "root_relative":
+_META_KEY = {2: "scale_mm", 3: "root_relative"}    # the one comment key of each dimension
+
+
+def _meta_value(path, lineno: int, key: str, text: str, dim: int):
+    """The value of a `dim`-D pose table's `# key = value` comment: a 2D
+    table's `scale_mm` holds a finite number > 0, a 3D table's
+    `root_relative` one of the mask column's spellings, and no other key is
+    known."""
+    if key != _META_KEY[dim]:
+        raise InvalidInputError(f"{path}:{lineno}: unknown comment key {key!r}; a {dim}D "
+                                f"pose table knows only {_META_KEY[dim]}")
+    if dim == 3:
         if text not in _MASK:
             raise InvalidInputError(f"{path}:{lineno}: root_relative = {text} is not one of "
                                     + "/".join(_MASK))
         return _MASK[text]
-    if key != "scale_mm":
-        raise InvalidInputError(f"{path}:{lineno}: unknown comment key {key!r}; a pose "
-                                "table knows scale_mm and root_relative")
     try:
         scale = float(text)
     except ValueError:
@@ -140,10 +152,11 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
     The header is the base columns, optionally followed by `action`, at
     least one row follows it, every row has one parseable field per column,
     finite coordinates and a confidence in [0, 1] (exactly 0 on a masked 2D
-    row), every `# key = value` comment is a `scale_mm` holding a finite
-    number > 0 or a `root_relative` spelled as the mask column spells a
-    boolean, and no comment key comes twice; a comment with no `=` is free
-    text. InvalidInputError names the file (and line) that breaks this.
+    row), every `# key = value` comment is, in a 2D table, a `scale_mm`
+    holding a finite number > 0 or, in a 3D table, a `root_relative` spelled
+    as the mask column spells a boolean, and no comment key comes twice; a
+    comment with no `=` is free text. InvalidInputError names the file (and
+    line) that breaks this.
 
     A complete table of n rows holds frames 0 .. n/K - 1, so each row goes
     straight to slot frame * K + keypoint of arrays sized n. A row whose
@@ -160,7 +173,7 @@ def _read_table(path, dim: int, topo: SkeletonTopology):
                 raise InvalidInputError(f"{path}:{lineno}: repeated '# {key}' comment; the "
                                         f"first is line {line_of[key]}")
             line_of[key] = lineno
-            meta[key] = _meta_value(path, lineno, key, val)
+            meta[key] = _meta_value(path, lineno, key, val, dim)
     base, rows = _columns(dim), _lines(path)
     lineno, text = next(((i, s) for i, s in rows if not s.startswith("#")), (1, ""))
     header = text.split(",")

@@ -24,31 +24,32 @@ CROP_PX = 256.0  # crop edge in pixels: a pixel setting / CROP_PX is in crop uni
 
 @dataclass(frozen=True)
 class CylinderSpec:
-    """One body cylinder: axis between two keypoints, fixed or pose-derived radius."""
+    """One occluding body cylinder: its axis runs between two keypoints, and its
+    radius is fixed or, under the torso rule, the pose's mean distance from
+    the topology's torso neck to its two shoulders."""
 
     name: str
     top: int
     bottom: int
-    radius_mm: Optional[float]  # None = torso rule (neck-to-shoulder distance per pose)
+    radius_mm: Optional[float]  # None = torso rule
 
 
 @dataclass(frozen=True)
 class SkeletonTopology:
-    """A keypoint tree rooted at `root_name`, its bone radii and body cylinders.
+    """A keypoint tree rooted at `root_name`, and the body cylinders that occlude.
 
     Building one checks that the bones form a tree: every keypoint but the
     root has one parent, and a walk from the root reaches every bone. That
     walk's order is kept as `bone_order`, the bone indices parent first:
     each bone comes after the bone that places its parent keypoint, so
     forward kinematics can place the bones in that order whatever order
-    the bone lines come in.
+    the bone lines come in. The torso's three keypoints and every
+    cylinder's ends must be keypoint indices.
     """
 
     keypoint_names: tuple
     bones: tuple            # (parent_index, child_index) pairs
-    radii: np.ndarray       # per-bone cylinder radius, mm
-    head: tuple             # (head_top_index, neck_index)
-    torso: tuple            # (neck, shoulder_l, shoulder_r, hip_l, hip_r) indices
+    torso: tuple            # (neck, shoulder_l, shoulder_r) indices, for the torso rule
     cylinders: tuple = ()   # CylinderSpec list, the ten-part body decomposition
     root_name: str = "pelvis"
     bone_order: tuple = field(init=False, repr=False, compare=False)
@@ -60,12 +61,9 @@ class SkeletonTopology:
         for p, c in self.bones:
             if not (0 <= p < k and 0 <= c < k):
                 raise TopologyError(f"bone ({p},{c}) out of range for K={k}")
-        radii = np.asarray(self.radii, dtype=np.float64)
-        if radii.shape != (len(self.bones),):
-            raise TopologyError("need one radius per bone")
-        if np.any(radii <= 0):
-            raise TopologyError("all bone radii must be > 0")
-        object.__setattr__(self, "radii", radii)
+        if len(self.torso) != 3 or not all(0 <= i < k for i in self.torso):
+            raise TopologyError(f"torso {self.torso} is not three keypoint indices below "
+                                f"K={k}")
         # tree check: every non-root keypoint has exactly one parent, and the
         # walk from the root, which is the bone order, reaches every bone
         if self.root_name not in self.keypoint_names:

@@ -219,6 +219,9 @@ class TcnModel:
         missing = set(self._params) - set(arrays)
         if missing:
             raise InvalidInputError(f"checkpoint missing arrays: {sorted(missing)}")
+        extra = set(arrays) - set(self._params)
+        if extra:
+            raise InvalidInputError(f"checkpoint has unexpected arrays: {sorted(extra)}")
         for name, p in self._params.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != p.data.shape:

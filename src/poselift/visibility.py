@@ -41,7 +41,7 @@ def _cylinder_arrays(frames: np.ndarray, topo: SkeletonTopology):
         raise TopologyError(f"pose frame shape {frames.shape[1:]} does not match K={topo.K}")
     if not topo.cylinders:
         raise TopologyError("topology defines no cylinders")
-    neck, sh_l, sh_r = topo.torso[0], topo.torso[1], topo.torso[2]
+    neck, sh_l, sh_r = topo.torso
     torso_r = 0.5 * (vector_norm(frames[:, sh_l] - frames[:, neck])
                      + vector_norm(frames[:, sh_r] - frames[:, neck]))
     torso = np.array([spec.radius_mm is None for spec in topo.cylinders])

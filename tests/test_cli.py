@@ -222,7 +222,7 @@ def test_keypoint_count_comes_from_the_topology(tmp_path, command):
     # the default skeleton without its nose: 16 keypoints, and no tcn key says so
     text = importlib.resources.files("poselift.data").joinpath("h36m17.topo").read_text()
     text = text.replace("keypoint nose\n", "").replace(
-        "bone neck nose 100\nbone nose head_top 100\n", "bone neck head_top 100\n")
+        "bone neck nose\nbone nose head_top\n", "bone neck head_top\n")
     (tmp_path / "16.topo").write_text(text)
     cfg = write_cfg(tmp_path / "x.cfg", **{
         "topology": tmp_path / "16.topo",
@@ -517,6 +517,7 @@ def test_infer_on_a_model_checkpoint_with_a_bad_config_value_exits_2(
 @pytest.mark.parametrize("fault, named", [
     ("head.w", "array 'head.w' has shape (3, 3), expected (8, 51)"),
     ("no head.b", "checkpoint missing arrays: ['head.b']"),
+    ("stray", "checkpoint has unexpected arrays: ['branch9.layer0.w0']"),
     ("kind", "not a model checkpoint: kind='kcs-energy'"),
 ])
 def test_infer_on_a_malformed_model_checkpoint_names_the_file_and_exits_2(
@@ -526,6 +527,8 @@ def test_infer_on_a_malformed_model_checkpoint_names_the_file_and_exits_2(
         arrays["head.w"] = np.zeros((3, 3))
     elif fault == "no head.b":
         del arrays["head.b"]
+    elif fault == "stray":
+        arrays["branch9.layer0.w0"] = np.zeros(3)
     else:
         meta = {**meta, "kind": "kcs-energy"}
     model = tmp_path / "odd.npz"

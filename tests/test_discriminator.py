@@ -1,5 +1,7 @@
 """KCS energy model tests, and the Tensor-graph feature rows its oracle uses."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from poselift.autodiff import Tensor
 from poselift.discriminator import KcsEnergyModel
 from poselift.errors import ConfigError, InvalidInputError, InvalidWindowError
 from poselift.kcs import bone_incidence, discriminator_features
-from poselift.pose_io import default_topology
+from poselift.pose_io import default_topology, load_checkpoint, save_checkpoint
 from poselift.skeleton import PoseSequence3D, RotationAugment
 from poselift.synth import SyntheticMotionConfig, generate
 from poselift.tcn import TcnConfig, TcnModel
@@ -234,6 +236,17 @@ def test_energy_checkpoint_gives_back_every_array_and_the_interval_exactly(
         got, want = getattr(loaded, name), getattr(model, name)
         assert got.dtype == np.float64 and got.shape == want.shape, name
         assert np.array_equal(got, want), name
+
+
+def test_energy_checkpoint_with_arrays_the_model_does_not_take_is_an_error(tmp_path):
+    energy_model().save(tmp_path / "energy.npz")
+    arrays, meta = load_checkpoint(tmp_path / "energy.npz")
+    save_checkpoint(tmp_path / "odd.npz", {**arrays, "stray": np.zeros(2), "extra": np.ones(1)},
+                    meta)
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{tmp_path / 'odd.npz'}: kcs-energy checkpoint has unexpected arrays: "
+            "['extra', 'stray']")):
+        KcsEnergyModel.load(tmp_path / "odd.npz")
 
 
 def test_energy_kind_guard(tmp_path):

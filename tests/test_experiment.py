@@ -77,7 +77,7 @@ def test_run_experiment_takes_the_keypoint_count_from_the_topology(tmp_path):
     # TcnConfig() the config carries
     text = importlib.resources.files("poselift.data").joinpath("h36m17.topo").read_text()
     text = text.replace("keypoint nose\n", "").replace(
-        "bone neck nose 100\nbone nose head_top 100\n", "bone neck head_top 100\n")
+        "bone neck nose\nbone nose head_top\n", "bone neck head_top\n")
     topo = parse_topology(text)
     assert topo.K == 16
     out = tmp_path / "run"

@@ -15,8 +15,7 @@ def tiny_topo(n_bones=2):
     # chain pelvis -> a -> b (or shorter)
     names = ("pelvis", "a", "b")[:n_bones + 1]
     bones = tuple((i, i + 1) for i in range(n_bones))
-    return SkeletonTopology(names, bones, np.full(n_bones, 50.0),
-                            (n_bones, 0), (0,) * 5)
+    return SkeletonTopology(names, bones, (0,) * 3)
 
 
 def test_bone_matrix_single_bone():

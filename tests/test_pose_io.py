@@ -21,7 +21,7 @@ from poselift.pose_io import (
     write_pose2d,
     write_pose3d,
 )
-from poselift.skeleton import PoseSequence2D, PoseSequence3D
+from poselift.skeleton import CylinderSpec, PoseSequence2D, PoseSequence3D
 
 K = default_topology().K
 
@@ -142,9 +142,10 @@ def test_read_pose_unknown_keypoint(tmp_path, topo):
 
 @pytest.mark.parametrize("text, named", [
     ("", ":1: pose header '' is not"),
-    ("# scale_mm = 2000\n0,pelvis,0,0,0,1,0\n", ":2: pose header '0,pelvis"),
+    ("# root_relative = 1\n0,pelvis,0,0,0,1,0\n", ":2: pose header '0,pelvis"),
     ("frame,keypoint,x,y,z,conf,mask,extra\n", ":1: pose header"),
-    ("# scale_mm = 2000\nframe,keypoint,x,y,z,conf,mask\n", ": pose table has a header but no rows"),
+    ("# root_relative = 1\nframe,keypoint,x,y,z,conf,mask\n",
+     ": pose table has a header but no rows"),
     ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1\n", ":2: 6 fields, header has 7"),
     ("frame,keypoint,x,y,z,conf,mask\n0,pelvis,0,0,0,1,0,run\n", ":2: 8 fields, header has 7"),
     ("frame,keypoint,x,y,z,conf,mask\n\n0,pelvis,0,0,0,1,2\n", ":3: mask '2' is not one of"),
@@ -253,17 +254,15 @@ def test_read_pose2d_rejects_a_masked_row_with_confidence_naming_the_line(tmp_pa
     assert read_pose3d(path, topo).visibility.sum() == 2 * len(topo.keypoint_names) - 1
 
 
-@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
 @pytest.mark.parametrize("scale", ["abc", "nan", "inf", "1e400", "0", "-5", ""])
-def test_read_pose_rejects_a_scale_that_is_not_a_finite_positive_number(
-        tmp_path, topo, read, dim, scale):
-    header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
+def test_read_pose2d_rejects_a_scale_that_is_not_a_finite_positive_number(
+        tmp_path, topo, scale):
     path = tmp_path / "bad.pose"
-    path.write_text("# root_relative = 1\n# scale_mm = " + scale + "\n" + header
-                    + table_rows(dim, [0], topo.keypoint_names))
+    path.write_text("# a free-text note\n# scale_mm = " + scale + "\n"
+                    + "frame,keypoint,x,y,conf,mask\n" + table_rows(2, [0], topo.keypoint_names))
     with pytest.raises(InvalidInputError, match=re.escape(
             f"{path}:2: scale_mm = {scale} is not a finite number > 0")):
-        read(path, topo)
+        read_pose2d(path, topo)
 
 
 def test_read_pose2d_keeps_a_positive_scale_and_the_confidence_bounds(tmp_path, topo):
@@ -277,8 +276,7 @@ def test_read_pose2d_keeps_a_positive_scale_and_the_confidence_bounds(tmp_path, 
 
 # a three-keypoint skeleton keeps the golden tables short
 TINY = parse_topology("keypoint pelvis\nkeypoint neck\nkeypoint head_top\n"
-                      "bone pelvis neck 50\nbone neck head_top 40\nhead head_top neck\n"
-                      "torso neck pelvis pelvis pelvis pelvis\n")
+                      "bone pelvis neck\nbone neck head_top\ntorso neck pelvis pelvis\n")
 
 
 def test_write_pose3d_golden_bytes(tmp_path):
@@ -320,26 +318,65 @@ def test_write_pose2d_golden_bytes(tmp_path):
 
 def test_topology_parse_errors():
     with pytest.raises(TopologyError):
-        parse_topology("keypoint a\nbone a b 50\nhead a a\ntorso a a a a a\n")
+        parse_topology("keypoint a\nbone a b\ntorso a a a\n")
     with pytest.raises(TopologyError):
         parse_topology("keypoint pelvis\nwhatnot pelvis\n")
     with pytest.raises(TopologyError):
-        parse_topology("keypoint pelvis\nkeypoint a\nbone pelvis a 50\n")  # no head/torso
+        parse_topology("keypoint pelvis\nkeypoint a\nbone pelvis a\n")  # no torso
 
 
 DEFAULT_TOPO_TEXT = importlib.resources.files("poselift.data").joinpath("h36m17.topo").read_text()
 
 
-@pytest.mark.parametrize("line, first", [("head pelvis spine", 43),
-                                         ("torso pelvis hip_l hip_r spine neck", 44)])
-def test_topology_with_a_repeated_head_or_torso_line_is_an_error(line, first):
-    # the default topology's head and torso lines sit at lines 43 and 44
-    text = DEFAULT_TOPO_TEXT.rstrip("\n") + "\n" + line + "\n"
+def test_topology_with_a_repeated_torso_line_is_an_error():
+    # the default topology's torso line sits at line 44
+    text = DEFAULT_TOPO_TEXT.rstrip("\n") + "\ntorso pelvis hip_l hip_r\n"
     last = len(text.splitlines())
-    kind = line.split()[0]
     with pytest.raises(TopologyError, match=re.escape(
-            f"line {last}: repeated {kind} line; the first is line {first}")):
+            f"line {last}: repeated torso line; the first is line 44")):
         parse_topology(text)
+
+
+OLD_FORM = "is in the old topology form, which held bone radii, a head line and the torso's hips"
+
+
+@pytest.mark.parametrize("line, new_form, lineno", [
+    ("bone neck nose 100", "bone neck nose", 35),
+    ("torso neck shoulder_l shoulder_r hip_l hip_r", "torso neck shoulder_l shoulder_r", 44),
+])
+def test_topology_line_of_the_old_form_names_its_line_and_new_form(line, new_form, lineno):
+    # the default topology with one of its lines written in the old form
+    text = DEFAULT_TOPO_TEXT.replace(new_form + "\n", line + "\n")
+    with pytest.raises(TopologyError, match=re.escape(
+            f"line {lineno}: {line!r} {OLD_FORM}; write {new_form!r} instead")):
+        parse_topology(text)
+
+
+def test_topology_head_line_is_an_error_naming_its_line():
+    torso = "torso neck shoulder_l shoulder_r\n"          # line 44
+    text = DEFAULT_TOPO_TEXT.replace(torso, torso + "head head_top neck\n")
+    with pytest.raises(TopologyError, match=re.escape(
+            f"line 45: 'head head_top neck' {OLD_FORM}; write no head line instead")):
+        parse_topology(text)
+
+
+def test_default_topology_keeps_its_keypoints_bones_and_cylinders():
+    topo = default_topology()
+    assert topo.keypoint_names == (
+        "pelvis", "hip_r", "knee_r", "ankle_r", "hip_l", "knee_l", "ankle_l", "spine", "neck",
+        "nose", "head_top", "shoulder_l", "elbow_l", "wrist_l", "shoulder_r", "elbow_r",
+        "wrist_r")
+    assert topo.bones == ((0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8),
+                          (8, 9), (9, 10), (8, 11), (11, 12), (12, 13), (8, 14), (14, 15),
+                          (15, 16))
+    assert topo.bone_order == (0, 3, 6, 1, 4, 7, 2, 5, 8, 10, 13, 9, 11, 14, 12, 15)
+    assert topo.torso == (8, 11, 14)        # neck, shoulder_l, shoulder_r
+    assert topo.cylinders == (
+        CylinderSpec("head", 10, 8, 100.0), CylinderSpec("torso", 8, 0, None),
+        CylinderSpec("upper_arm_l", 11, 12, 50.0), CylinderSpec("lower_arm_l", 12, 13, 50.0),
+        CylinderSpec("upper_arm_r", 14, 15, 50.0), CylinderSpec("lower_arm_r", 15, 16, 50.0),
+        CylinderSpec("thigh_l", 4, 5, 50.0), CylinderSpec("shin_l", 5, 6, 50.0),
+        CylinderSpec("thigh_r", 1, 2, 50.0), CylinderSpec("shin_r", 2, 3, 50.0))
 
 
 def test_config_with_a_repeated_key_is_an_error():
@@ -350,8 +387,8 @@ def test_config_with_a_repeated_key_is_an_error():
         parse_config("iso.sigma = 1\n iso.sigma=1   # same value, still twice\n")
 
 
-@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
-@pytest.mark.parametrize("key", ["scale_mm", "root_relative"])
+@pytest.mark.parametrize("read, dim, key", [(read_pose3d, 3, "root_relative"),
+                                            (read_pose2d, 2, "scale_mm")])
 def test_read_pose_rejects_a_repeated_comment_key(tmp_path, topo, read, dim, key):
     header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
     path = tmp_path / "twice.pose"
@@ -363,13 +400,15 @@ def test_read_pose_rejects_a_repeated_comment_key(tmp_path, topo, read, dim, key
         read(path, topo)
 
 
-@pytest.mark.parametrize("read, dim", [(read_pose3d, 3), (read_pose2d, 2)])
-@pytest.mark.parametrize("line, named", [
-    ("# scalemm = 2000", ":2: unknown comment key 'scalemm'"),
-    ("# note = kept", ":2: unknown comment key 'note'"),
-    ("# root_relative = no", ":2: root_relative = no is not one of 0/false/False/1/true/True"),
-    ("# root_relative = ", ":2: root_relative =  is not one of"),
-    ("# root_relative = TRUE", ":2: root_relative = TRUE is not one of"),
+@pytest.mark.parametrize("read, dim, line, named", [
+    (read_pose3d, 3, "# scalemm = 2000", ":2: unknown comment key 'scalemm'"),
+    (read_pose2d, 2, "# scalemm = 2000", ":2: unknown comment key 'scalemm'"),
+    (read_pose3d, 3, "# note = kept", ":2: unknown comment key 'note'"),
+    (read_pose2d, 2, "# note = kept", ":2: unknown comment key 'note'"),
+    (read_pose3d, 3, "# root_relative = no",
+     ":2: root_relative = no is not one of 0/false/False/1/true/True"),
+    (read_pose3d, 3, "# root_relative = ", ":2: root_relative =  is not one of"),
+    (read_pose3d, 3, "# root_relative = TRUE", ":2: root_relative = TRUE is not one of"),
 ])
 def test_read_pose_rejects_an_unknown_comment_key_or_value(tmp_path, topo, read, dim, line,
                                                             named):
@@ -378,6 +417,23 @@ def test_read_pose_rejects_an_unknown_comment_key_or_value(tmp_path, topo, read,
     path.write_text("# a free-text comment, no key\n" + line + "\n" + header
                     + table_rows(dim, [0], topo.keypoint_names))
     with pytest.raises(InvalidInputError, match=re.escape(f"{path}{named}")):
+        read(path, topo)
+
+
+@pytest.mark.parametrize("read, dim, line, known", [
+    (read_pose2d, 2, "# root_relative = 0", "scale_mm"),
+    (read_pose3d, 3, "# scale_mm = 2000", "root_relative"),
+])
+def test_read_pose_rejects_the_comment_key_of_the_other_dimension(tmp_path, topo, read, dim,
+                                                                  line, known):
+    # a 2D table holds no root flag and a 3D table no crop scale: neither loads
+    header = "frame,keypoint,x,y" + (",z" if dim == 3 else "") + ",conf,mask\n"
+    path = tmp_path / "other.pose"
+    path.write_text("# a free-text comment, no key\n" + line + "\n" + header
+                    + table_rows(dim, [0], topo.keypoint_names))
+    key = line.split()[1]
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}:2: unknown comment key {key!r}; a {dim}D pose table knows only {known}")):
         read(path, topo)
 
 

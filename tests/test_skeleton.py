@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -28,13 +29,12 @@ def test_topology_counts(topo):
     assert topo.K == 17
     assert topo.M == topo.K - 1
     assert len(topo.cylinders) == 10
-    assert np.all(topo.radii > 0)
+    assert [topo.keypoint_names[i] for i in topo.torso] == ["neck", "shoulder_l", "shoulder_r"]
 
 
 def test_topology_rejects_cycle():
     with pytest.raises(TopologyError):
-        SkeletonTopology(("pelvis", "a", "b"), ((0, 1), (1, 2), (2, 1)),
-                         np.array([50.0, 50.0, 50.0]), (2, 1), (1, 1, 1, 1, 1))
+        SkeletonTopology(("pelvis", "a", "b"), ((0, 1), (1, 2), (2, 1)), (1, 1, 1))
 
 
 @pytest.mark.parametrize("bones, stray", [(((0, 1), (2, 3), (3, 2)), "b"),
@@ -42,15 +42,13 @@ def test_topology_rejects_cycle():
 def test_topology_rejects_bones_the_root_does_not_reach(bones, stray):
     # a cycle b <-> c beside the tree, and a chain from the parentless b
     with pytest.raises(TopologyError, match=f"keypoint {stray} not connected to root"):
-        SkeletonTopology(("pelvis", "a", "b", "c"), bones, np.full(len(bones), 50.0), (1, 0),
-                         (0, 0, 0, 0, 0))
+        SkeletonTopology(("pelvis", "a", "b", "c"), bones, (0, 0, 0))
 
 
 def shuffled_bones(topo, seed):
-    """`topo` with its bone lines (and their radii) in a random order."""
+    """`topo` with its bone lines in a random order."""
     perm = np.random.default_rng(seed).permutation(topo.M)
-    return dataclasses.replace(topo, bones=tuple(topo.bones[m] for m in perm),
-                               radii=topo.radii[perm])
+    return dataclasses.replace(topo, bones=tuple(topo.bones[m] for m in perm))
 
 
 def listed_parent_first(topo, order) -> bool:
@@ -89,9 +87,11 @@ def test_fk_of_shuffled_bone_lines_matches_the_per_frame_oracle(topo, seed):
         == got.tobytes()
 
 
-def test_topology_rejects_nonpositive_radius():
-    with pytest.raises(TopologyError):
-        SkeletonTopology(("pelvis", "a"), ((0, 1),), np.array([0.0]), (1, 0), (0, 0, 0, 0, 0))
+@pytest.mark.parametrize("torso", [(99, 0, 0), (0, -1, 0), (0, 0), (0, 0, 0, 0)])
+def test_topology_rejects_a_torso_that_is_not_three_keypoint_indices(topo, torso):
+    with pytest.raises(TopologyError, match=re.escape(
+            f"torso {torso} is not three keypoint indices below K=17")):
+        dataclasses.replace(topo, torso=torso)
 
 
 def test_pose3d_rejects_nonfinite():

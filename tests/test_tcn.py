@@ -664,6 +664,18 @@ def test_checkpoint_kind_guard(tmp_path):
         TcnModel.load(path)
 
 
+def test_checkpoint_with_arrays_no_parameter_takes_is_an_error(tmp_path):
+    from poselift.pose_io import load_checkpoint, save_checkpoint
+    TcnModel(tiny_config(), seed=4).save(tmp_path / "model")
+    arrays, meta = load_checkpoint(tmp_path / "model.npz")
+    save_checkpoint(tmp_path / "odd", {**arrays, "stray": np.zeros(2),
+                                       "branch9.layer0.w0": np.zeros((3, 3))}, meta)
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{tmp_path / 'odd.npz'}: checkpoint has unexpected arrays: "
+            "['branch9.layer0.w0', 'stray']")):
+        TcnModel.load(tmp_path / "odd.npz")
+
+
 def test_checkpoint_config_drops_retired_keys_and_rejects_unknown_ones(tmp_path):
     from poselift.pose_io import load_checkpoint, save_checkpoint
     model = TcnModel(tiny_config(), seed=4)
